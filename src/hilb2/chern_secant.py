@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
 
-from .chow import BasisSymbol, Family, GradedClass
+from .chow import BasisSymbol, Family, GradedClass, require_ambient
 from .errors import InvalidInput
 from .pairing import pair_classes
 from .products import MonomialSpec, eval_monomial
@@ -43,8 +43,7 @@ class TautBundle:
     d: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise InvalidInput(f"ambient dimension must be an integer >= 1, got {self.n!r}")
+        require_ambient(self.n)
         if not isinstance(self.d, int) or self.d < 1:
             raise InvalidInput(f"line bundle twist must be an integer >= 1, got {self.d!r}")
 
@@ -91,8 +90,7 @@ class SecantProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "degrees", tuple(self.degrees))
-        if not isinstance(self.n, int) or self.n < 1:
-            raise InvalidInput(f"ambient dimension must be an integer >= 1, got {self.n!r}")
+        require_ambient(self.n)
         if not self.degrees:
             raise InvalidInput("at least one hypersurface degree is required")
         for d in self.degrees:
@@ -181,8 +179,7 @@ def secant_oracle(n: int, degrees) -> int | None:
     m >= 2, where no classical formula is wired in.
     """
     degrees = tuple(degrees)
-    if not isinstance(n, int) or n < 1:
-        raise InvalidInput(f"ambient dimension must be an integer >= 1, got {n!r}")
+    require_ambient(n)
     if not degrees or any(not isinstance(d, int) or d < 1 for d in degrees):
         raise InvalidInput(f"hypersurface degrees must be integers >= 1, got {degrees!r}")
     m = n - len(degrees)

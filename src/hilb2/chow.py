@@ -34,6 +34,7 @@ from .errors import (
     InvalidInput,
     MixedAmbient,
     NotHomogeneous,
+    ValidationError,
 )
 
 
@@ -72,12 +73,34 @@ _BASIS_FAMILIES = {
 }
 
 
-def _indices_valid(family: Family, i: int, j: int, n: int) -> bool:
-    if family in (Family.A, Family.AP):
-        return 0 <= i < j <= n
-    if family in (Family.B, Family.BP):
-        return 0 <= i <= j <= n - 1
-    return 1 <= i <= j <= n  # Family.C
+# The index range of each family, ``lo <= i``, ``i + gap <= j <= n + top``,
+# as ``(lo, gap, top)``: the one statement that the validity test and the
+# error message both read.
+_RANGES = {
+    Family.A: (0, 1, 0),
+    Family.AP: (0, 1, 0),
+    Family.B: (0, 0, -1),
+    Family.BP: (0, 0, -1),
+    Family.C: (1, 0, 0),
+}
+
+
+def in_range(family: Family, i: int, j: int, n: int) -> bool:
+    """Whether ``(i, j)`` indexes a class of ``family`` on ``P^{n[2]}``."""
+    lo, gap, top = _RANGES[family]
+    return lo <= i and i + gap <= j <= n + top
+
+
+def _range_description(family: Family) -> str:
+    lo, gap, top = _RANGES[family]
+    strict = ("<=", "<")
+    return f"family requires 0 {strict[lo]} i {strict[gap]} j <= n{top or ''}"
+
+
+def require_ambient(n, error: type[ValidationError] = InvalidInput) -> None:
+    """Raise ``error`` unless ``n`` is a valid ambient dimension (an int >= 1)."""
+    if not isinstance(n, int) or n < 1:
+        raise error(f"ambient dimension must be an integer >= 1, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -94,11 +117,10 @@ class BasisSymbol:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise InvalidIndex(f"ambient dimension must be an integer >= 1, got {self.n!r}")
+        require_ambient(self.n, InvalidIndex)
         if not (isinstance(self.i, int) and isinstance(self.j, int)):
             raise InvalidIndex(f"indices must be integers, got ({self.i!r}, {self.j!r})")
-        if not _indices_valid(self.family, self.i, self.j, self.n):
+        if not in_range(self.family, self.i, self.j, self.n):
             raise InvalidIndex(
                 f"{self.family.value}_{{{self.i},{self.j}}} is not a valid class on P^{self.n}[2]: "
                 + _range_description(self.family)
@@ -123,14 +145,6 @@ class BasisSymbol:
 
     def __repr__(self):
         return f"BasisSymbol({self}, n={self.n})"
-
-
-def _range_description(family: Family) -> str:
-    if family in (Family.A, Family.AP):
-        return "family requires 0 <= i < j <= n"
-    if family in (Family.B, Family.BP):
-        return "family requires 0 <= i <= j <= n-1"
-    return "family requires 0 < i <= j <= n"
 
 
 def validate_symbol(family: Union[Family, str], i: int, j: int, n: int) -> BasisSymbol:
@@ -164,8 +178,7 @@ class GradedClass:
     __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms: Union[Mapping, Iterable[tuple]] = ()):
-        if not isinstance(n, int) or n < 1:
-            raise InvalidInput(f"ambient dimension must be an integer >= 1, got {n!r}")
+        require_ambient(n)
         acc: dict[BasisSymbol, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for sym, coeff in items:
@@ -314,7 +327,7 @@ def _family_symbols_of_dimension(family: Family, n: int, k: int):
     """Symbols of ``family`` with ``i + j = k``, by increasing first index."""
     for i in range(0, k // 2 + 1):
         j = k - i
-        if _indices_valid(family, i, j, n):
+        if in_range(family, i, j, n):
             yield BasisSymbol(family, i, j, n)
 
 
@@ -333,8 +346,7 @@ def enumerate_basis(
     lexicographically.  Families always appear in basis order
     (A/A', B/B', C).
     """
-    if not isinstance(n, int) or n < 1:
-        raise InvalidInput(f"ambient dimension must be an integer >= 1, got {n!r}")
+    require_ambient(n)
     if not isinstance(basis, BasisId):
         try:
             basis = BasisId(basis)
@@ -381,8 +393,7 @@ def chow_rank(n: int, k: int) -> int:
     + min(ceil((k-1)/2), ceil(n-(k-1)/2))``, which is also the number of
     basis symbols in each of the three bases in that grading.
     """
-    if not isinstance(n, int) or n < 1:
-        raise InvalidInput(f"ambient dimension must be an integer >= 1, got {n!r}")
+    require_ambient(n)
     if not isinstance(k, int) or not 0 <= k <= 2 * n:
         raise InvalidGrading(f"codimension {k!r} outside [0, {2 * n}]")
     if k in (0, 2 * n):

@@ -31,15 +31,7 @@ from .pairing import (
     pair_symbols,
 )
 from .products import MonomialSpec, eval_monomial
-from .serialize import (
-    emit_class,
-    format_class,
-    format_rational,
-    format_symbol,
-    parse_class,
-    parse_symbol,
-    symbol_to_doc,
-)
+from .serialize import emit_class, parse_class, parse_symbol, symbol_to_doc
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -153,7 +145,7 @@ def _cmd_basis(args, cfg):
         "grading": {"kind": kind, "k": k},
         "symbols": [symbol_to_doc(s) for s in symbols],
     }
-    return result, " ".join(format_symbol(s) for s in symbols), []
+    return result, " ".join(str(s) for s in symbols), []
 
 
 def _cmd_fixed_points(args, cfg):
@@ -187,16 +179,16 @@ def _cmd_pair(args, cfg):
         "n": args.n,
         "x": symbol_to_doc(x),
         "y": symbol_to_doc(y),
-        "value": format_rational(value),
+        "value": str(value),
     }
-    return result, format_rational(value), []
+    return result, str(value), []
 
 
 def _cmd_matrix(args, cfg):
     M = intersection_matrix(args.n, args.k, BasisId(args.rows), BasisId(args.cols), cfg)
-    header = [""] + [format_symbol(s) for s in M.col_symbols]
+    header = [""] + [str(s) for s in M.col_symbols]
     grid = [
-        [format_symbol(r)] + [format_rational(v) for v in row]
+        [str(r)] + [str(v) for v in row]
         for r, row in zip(M.row_symbols, M.entries)
     ]
     widths = [max(len(line[c]) for line in [header] + grid) for c in range(len(header))]
@@ -215,7 +207,7 @@ def _cmd_matrix(args, cfg):
         "cols": args.cols,
         "row_symbols": [symbol_to_doc(s) for s in M.row_symbols],
         "col_symbols": [symbol_to_doc(s) for s in M.col_symbols],
-        "entries": [[format_rational(v) for v in row] for row in M.entries],
+        "entries": [[str(v) for v in row] for row in M.entries],
     }
     return result, "\n".join(text_lines), [], buf.getvalue().rstrip("\n")
 
@@ -228,13 +220,13 @@ def _cmd_power(args, cfg):
         "c_exponent": args.c_exp,
         "class": emit_class(X),
     }
-    return result, format_class(X), []
+    return result, str(X), []
 
 
 def _cmd_chern(args, cfg):
     c1, c2 = chern_taut(TautBundle(args.n, args.d))
     result = {"n": args.n, "d": args.d, "c1": emit_class(c1), "c2": emit_class(c2)}
-    return result, f"c1 = {format_class(c1)}\nc2 = {format_class(c2)}", []
+    return result, f"c1 = {c1}\nc2 = {c2}", []
 
 
 def _cmd_secant(args, cfg):
@@ -254,11 +246,11 @@ def _cmd_secant(args, cfg):
         "mu1": args.mu1,
         "variant": args.variant,
         "degree_times_mu1": deg_mu,
-        "degree": format_rational(degree),
+        "degree": str(degree),
         "oracle": None,
         "oracle_match": None,
     }
-    lines = [f"deg(Sec X) * mu1 = {deg_mu}", f"deg(Sec X) = {format_rational(degree)}"]
+    lines = [f"deg(Sec X) * mu1 = {deg_mu}", f"deg(Sec X) = {degree}"]
     if args.check_oracle:
         checks = {"intersection": secant_degree_mu_intersection(problem)}
         oracle = secant_oracle(args.n, degrees)
@@ -281,7 +273,7 @@ def _cmd_cone(args, cfg):
     else:
         member = is_effective(X, args.k, cfg)
         pairings = [
-            {"symbol": symbol_to_doc(sym), "value": format_rational(v)}
+            {"symbol": symbol_to_doc(sym), "value": str(v)}
             for sym, v in effectivity_pairings(X, cfg)
         ]
     k = args.k

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .chow import BasisSymbol, Family
-from .errors import InvalidIndex, InvalidInput
+from .chow import BasisSymbol, Family, require_ambient
+from .errors import InvalidIndex
 
 
 class IdealKind(str, Enum):
@@ -39,8 +39,7 @@ class MonomialIdealDescriptor:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise InvalidInput(f"ambient dimension must be an integer >= 1, got {self.n!r}")
+        require_ambient(self.n)
         if not 0 <= self.i < self.j <= self.n:
             raise InvalidIndex(
                 f"{self.kind.value}_{{{self.i},{self.j}}} needs 0 <= i < j <= {self.n}"
@@ -62,8 +61,7 @@ class MonomialIdealDescriptor:
 
 def enumerate_fixed_points(n: int) -> list[MonomialIdealDescriptor]:
     """All ``3*C(n+1,2)`` fixed points, kinds I, J, K in turn, (i, j) lex."""
-    if not isinstance(n, int) or n < 1:
-        raise InvalidInput(f"ambient dimension must be an integer >= 1, got {n!r}")
+    require_ambient(n)
     return [
         MonomialIdealDescriptor(kind, i, j, n)
         for kind in IdealKind

@@ -212,12 +212,18 @@ def _require_ms(X: GradedClass, what: str) -> None:
         raise WrongBasis(f"{what} expects MS coordinates; found families {bad}")
 
 
+def _require_grading(X: GradedClass, k: int | None) -> None:
+    if k is not None and (not isinstance(k, int) or not 0 <= k <= 2 * X.n):
+        raise InvalidGrading(f"grading {k!r} outside [0, {2 * X.n}]")
+
+
 def is_nef(X: GradedClass, k: int | None = None) -> bool:
     """Whether a homogeneous codimension-k class in MS coordinates is nef.
 
     The MS generators span the nef cone in each grading, so this is a
     nonnegativity check on the coefficients.
     """
+    _require_grading(X, k)
     if X.is_zero:
         return True
     _require_ms(X, "is_nef")
@@ -236,16 +242,13 @@ def is_effective(
     codimension k, so membership is a nonnegative pairing against every MS
     generator of codimension k.
     """
-    if X.is_zero:
-        return True
-    _require_ms(X, "is_effective")
-    dim = X.dimension()  # raises NotHomogeneous
-    if k is not None and k != dim:
-        raise InvalidInput(f"class has dimension {dim}, not {k}")
-    return all(
-        pair_classes(X, GradedClass.from_symbol(y), cfg) >= 0
-        for y in enumerate_basis(X.n, BasisId.MS, codim=dim)
-    )
+    _require_grading(X, k)
+    if not X.is_zero:
+        _require_ms(X, "is_effective")
+        dim = X.dimension()  # raises NotHomogeneous
+        if k is not None and k != dim:
+            raise InvalidInput(f"class has dimension {dim}, not {k}")
+    return all(v >= 0 for _, v in effectivity_pairings(X, cfg))
 
 
 def effectivity_pairings(

@@ -1,8 +1,11 @@
 """Products with the two top codimension-2 classes.
 
-The engine multiplies a class termwise by ``B'_{n-1,n-1}`` or by
-``C_{n-1,n-1}``, the only multipliers with complete rule sets.  Base rules
-(any output whose indices leave the valid range is the zero class):
+Every product is one mechanism: a *rule* maps a single basis symbol to a
+sparse list of ``(symbol, coeff)`` terms, and :func:`_apply` extends it
+linearly to a class.  A rule output whose indices leave the family's range
+(``chow.in_range``) is the zero class and is simply not listed.  The engine
+multiplies by ``B'_{n-1,n-1}`` or ``C_{n-1,n-1}``, the only multipliers with
+complete rule sets.  Base rules:
 
     B'_{n-1,n-1} . A_{i,j}  = 2 B'_{i-1,j-1}
     B'_{n-1,n-1} . B_{i,j}  = 2 B_{i-2,j}
@@ -10,8 +13,8 @@ The engine multiplies a class termwise by ``B'_{n-1,n-1}`` or by
     C_{n-1,n-1}  . A_{i,j}  =   A_{i-1,j-1}
     C_{n-1,n-1}  . B'_{i,j} =   B'_{i-1,j-1}
 
-Products by ``B'_{n-1,n-1}`` of B' terms are not hard-coded: they are derived
-from the basis-change identities
+Products by ``B'_{n-1,n-1}`` of B' terms are not hard-coded: the rule for a
+B' symbol is derived from the basis-change identities
 
     B_{i,j} = 2 (B'_{i,j} - A_{i,j})        for i < j,
     B_{i,i} = 2 (B'_{i,i} - 2 C_{i,i})      for i > 0,
@@ -30,10 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chow import BasisSymbol, Family, GradedClass
+from .chow import BasisSymbol, Family, GradedClass, in_range, require_ambient
 from .errors import (
     InvalidExponent,
-    InvalidIndex,
     InvalidInput,
     UnsupportedFamily,
     UnsupportedMonomial,
@@ -41,12 +43,26 @@ from .errors import (
 )
 
 
-def _symbol_or_zero(family: Family, i: int, j: int, n: int) -> list[tuple[Fraction, BasisSymbol]]:
-    """One-term list, or empty when the indices fall out of range."""
-    try:
-        return [(Fraction(1), BasisSymbol(family, i, j, n))]
-    except InvalidIndex:
-        return []
+def _apply(rule, X: GradedClass) -> GradedClass:
+    """Extend a per-symbol rule linearly: ``sum c * rule(s)`` over the terms of X."""
+    return GradedClass(X.n, [(t, c * v) for s, c in X.items() for t, v in rule(s)])
+
+
+def _term(family: Family, i: int, j: int, n: int, coeff) -> list:
+    """``[(F_{i,j}, coeff)]``, or no term when the indices are out of range."""
+    return [(BasisSymbol(family, i, j, n), coeff)] if in_range(family, i, j, n) else []
+
+
+def _ms_terms(x: BasisSymbol) -> list:
+    """Rule: a B symbol in MS coordinates; any other symbol stays as it is."""
+    n, i, j = x.n, x.i, x.j
+    if x.family is not Family.B:
+        return [(x, 1)]
+    if i == j == 0:
+        return [(BasisSymbol(Family.BP, 0, 0, n), 1)]
+    if i == j:
+        return [(BasisSymbol(Family.BP, i, i, n), 2), (BasisSymbol(Family.C, i, i, n), -4)]
+    return [(BasisSymbol(Family.BP, i, j, n), 2), (BasisSymbol(Family.A, i, j, n), -2)]
 
 
 def to_ms(x: BasisSymbol) -> GradedClass:
@@ -58,49 +74,53 @@ def to_ms(x: BasisSymbol) -> GradedClass:
     """
     if x.family is not Family.B:
         raise UnsupportedFamily(f"to_ms converts family B only, got {x}")
-    n = x.n
-    if x.i == x.j == 0:
-        return GradedClass(n, [(BasisSymbol(Family.BP, 0, 0, n), 1)])
-    if x.i == x.j:
-        return GradedClass(
-            n,
-            [(BasisSymbol(Family.BP, x.i, x.i, n), 2), (BasisSymbol(Family.C, x.i, x.i, n), -4)],
-        )
-    return GradedClass(
-        n,
-        [(BasisSymbol(Family.BP, x.i, x.j, n), 2), (BasisSymbol(Family.A, x.i, x.j, n), -2)],
-    )
+    return GradedClass(x.n, _ms_terms(x))
 
 
-def _expand_bprime(sym: BasisSymbol) -> list[tuple[Fraction, BasisSymbol]]:
+def _expand_bprime(sym: BasisSymbol) -> list:
     """B' in terms of A, B, C: ``B'_{i,j} = B_{i,j}/2 + A_{i,j}`` (i < j),
     ``B'_{i,i} = B_{i,i}/2 + 2C_{i,i}`` (i > 0), ``B'_{0,0} = B_{0,0}``."""
     n, i, j = sym.n, sym.i, sym.j
     if i == j == 0:
-        return [(Fraction(1), BasisSymbol(Family.B, 0, 0, n))]
+        return [(BasisSymbol(Family.B, 0, 0, n), 1)]
+    half_b = (BasisSymbol(Family.B, i, j, n), Fraction(1, 2))
     if i == j:
-        return [
-            (Fraction(1, 2), BasisSymbol(Family.B, i, i, n)),
-            (Fraction(2), BasisSymbol(Family.C, i, i, n)),
-        ]
-    return [
-        (Fraction(1, 2), BasisSymbol(Family.B, i, j, n)),
-        (Fraction(1), BasisSymbol(Family.A, i, j, n)),
-    ]
+        return [half_b, (BasisSymbol(Family.C, i, i, n), 2)]
+    return [half_b, (BasisSymbol(Family.A, i, j, n), 1)]
 
 
-def _bprime_base_rule(sym: BasisSymbol) -> list[tuple[Fraction, BasisSymbol]]:
-    """Base product rules for B'_{n-1,n-1} times an A, B or balanced C term."""
+def _bprime_rule(sym: BasisSymbol) -> list:
+    """Rule for ``B'_{n-1,n-1} . sym``: the base rules for A, B and balanced C;
+    a B' symbol is expanded into A/B/C, multiplied, and returned to MS."""
     n, i, j = sym.n, sym.i, sym.j
+    if sym.family is Family.BP:
+        return [
+            (t, q * r * v)
+            for s, q in _expand_bprime(sym)
+            for s2, r in _bprime_rule(s)
+            for t, v in _ms_terms(s2)
+        ]
     if sym.family is Family.A:
-        return [(2 * q, s) for q, s in _symbol_or_zero(Family.BP, i - 1, j - 1, n)]
+        return _term(Family.BP, i - 1, j - 1, n, 2)
     if sym.family is Family.B:
-        return [(2 * q, s) for q, s in _symbol_or_zero(Family.B, i - 2, j, n)]
+        return _term(Family.B, i - 2, j, n, 2)
     if sym.family is Family.C:
         if i != j:
             raise UnsupportedTerm(f"no rule for B'_{{{n-1},{n-1}}} . {sym} (unbalanced C)")
-        return _symbol_or_zero(Family.BP, i - 1, i - 1, n)
+        return _term(Family.BP, i - 1, i - 1, n, 1)
     raise UnsupportedTerm(f"no rule for B'_{{{n-1},{n-1}}} . {sym}")
+
+
+def _c_shift(sym: BasisSymbol, b: int = 1) -> list:
+    """Rule for ``C_{n-1,n-1}^b . sym`` on an A or B' symbol.
+
+    Both C rules lower the index pair by (1, 1), and a pair that falls below
+    its lower bound never comes back into range, so b products are one shift
+    by (b, b).
+    """
+    if sym.family not in (Family.A, Family.BP):
+        raise UnsupportedTerm(f"no rule for C_{{{sym.n-1},{sym.n-1}}} . {sym}")
+    return _term(sym.family, sym.i - b, sym.j - b, sym.n, 1)
 
 
 def mul_bprime_top(X: GradedClass) -> GradedClass:
@@ -110,19 +130,7 @@ def mul_bprime_top(X: GradedClass) -> GradedClass:
     basis-change identities and the resulting B parts converted back, so the
     image of an MS-coordinate class stays in MS coordinates.
     """
-    n = X.n
-    out: list[tuple[BasisSymbol, Fraction]] = []
-    for sym, c in X.items():
-        if sym.family is Family.BP:
-            for q, s in _expand_bprime(sym):
-                for q2, s2 in _bprime_base_rule(s):
-                    if s2.family is Family.B:
-                        out.extend((t, c * q * q2 * v) for t, v in to_ms(s2).items())
-                    else:
-                        out.append((s2, c * q * q2))
-        else:
-            out.extend((s2, c * q2) for q2, s2 in _bprime_base_rule(sym))
-    return GradedClass(n, out)
+    return _apply(_bprime_rule, X)
 
 
 def mul_c_top(X: GradedClass) -> GradedClass:
@@ -130,33 +138,26 @@ def mul_c_top(X: GradedClass) -> GradedClass:
 
     Both rules shift the index pair down by (1, 1) and truncate to zero.
     """
-    n = X.n
-    out: list[tuple[BasisSymbol, Fraction]] = []
-    for sym, c in X.items():
-        if sym.family not in (Family.A, Family.BP):
-            raise UnsupportedTerm(f"no rule for C_{{{n-1},{n-1}}} . {sym}")
-        for q, s in _symbol_or_zero(sym.family, sym.i - 1, sym.j - 1, n):
-            out.append((s, c * q))
-    return GradedClass(n, out)
+    return _apply(_c_shift, X)
 
 
 def bprime_top_power(n: int, k: int) -> GradedClass:
-    """Closed form of ``B'_{n-1,n-1}^k`` for 1 <= k <= n."""
-    if not isinstance(n, int) or n < 1:
-        raise InvalidInput(f"ambient dimension must be an integer >= 1, got {n!r}")
+    """Closed form of ``B'_{n-1,n-1}^k`` for 1 <= k <= n.
+
+    With ``c = n - k`` it is ``2^(k-1) B'_{c,c} + 2^(k-2) sum_i B_{c-i,c+i}``
+    for ``1 <= i <= min(k-1, c)``, which :func:`to_ms` turns into the MS form
+    of the module docstring.
+    """
+    require_ambient(n)
     if not isinstance(k, int) or not 1 <= k <= n:
         raise InvalidExponent(f"exponent {k!r} outside [1, {n}]")
-    lead = Fraction(2) ** (k - 1)
-    bound = k - 1 if 2 * k - 1 <= n else n - k
-    terms: list[tuple[BasisSymbol, Fraction]] = []
-    for q, s in _symbol_or_zero(Family.BP, n - k, n - k, n):
-        terms.append((s, lead * q))
-    for i in range(1, bound + 1):
-        for q, s in _symbol_or_zero(Family.BP, n - k - i, n - k + i, n):
-            terms.append((s, lead * q))
-        for q, s in _symbol_or_zero(Family.A, n - k - i, n - k + i, n):
-            terms.append((s, -lead * q))
-    return GradedClass(n, terms)
+    c, lead = n - k, 2 ** (k - 1)
+    X = GradedClass(
+        n,
+        [(BasisSymbol(Family.BP, c, c, n), lead)]
+        + [(BasisSymbol(Family.B, c - i, c + i, n), lead // 2) for i in range(1, min(k - 1, c) + 1)],
+    )
+    return _apply(_ms_terms, X)
 
 
 @dataclass(frozen=True)
@@ -168,8 +169,7 @@ class MonomialSpec:
     b: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise InvalidInput(f"ambient dimension must be an integer >= 1, got {self.n!r}")
+        require_ambient(self.n)
         if not isinstance(self.a, int) or not isinstance(self.b, int) or self.a < 0 or self.b < 0:
             raise InvalidInput(f"exponents must be nonnegative integers, got a={self.a!r}, b={self.b!r}")
         if self.a + self.b > self.n:
@@ -185,7 +185,4 @@ def eval_monomial(spec: MonomialSpec) -> GradedClass:
     """
     if spec.a == 0:
         raise UnsupportedMonomial("no rule for pure powers of C_{n-1,n-1} (a = 0)")
-    X = bprime_top_power(spec.n, spec.a)
-    for _ in range(spec.b):
-        X = mul_c_top(X)
-    return X
+    return _apply(lambda sym: _c_shift(sym, spec.b), bprime_top_power(spec.n, spec.a))

@@ -1,4 +1,4 @@
-"""JSON class documents and text rendering.
+"""JSON class documents.
 
 A class document is ``{"n": int, "basis": tag, "terms": [...]}`` with one
 record ``{"family": "A"|"A'"|"B"|"B'"|"C", "i": int, "j": int, "coeff": "p"
@@ -15,18 +15,6 @@ from typing import Union
 
 from .chow import BasisId, BasisSymbol, Family, GradedClass
 from .errors import ParseError
-
-
-def format_symbol(sym: BasisSymbol) -> str:
-    return str(sym)
-
-
-def format_class(X: GradedClass) -> str:
-    return str(X)
-
-
-def format_rational(value: Fraction) -> str:
-    return str(value)
 
 
 def basis_tag(X: GradedClass) -> str:
@@ -92,7 +80,7 @@ def emit_class(X: GradedClass) -> dict:
         "n": X.n,
         "basis": basis_tag(X),
         "terms": [
-            {**symbol_to_doc(sym), "coeff": format_rational(c)} for sym, c in X.items()
+            {**symbol_to_doc(sym), "coeff": str(c)} for sym, c in X.items()
         ],
     }
 

@@ -6,6 +6,7 @@ import pytest
 from hilb2 import (
     BasisId,
     GradedClass,
+    InvalidGrading,
     InvalidInput,
     MixedAmbient,
     NotComplementary,
@@ -280,6 +281,17 @@ def test_is_effective_examples():
     assert not is_effective(GradedClass.from_symbol(S("A", 0, 2, 2)) * -1)
     for sym in enumerate_basis(3, "MS"):
         assert is_effective(GradedClass.from_symbol(sym))
+
+
+def test_cone_tests_check_the_grading_of_the_zero_class():
+    zero = GradedClass.zero(2)
+    for test in (is_nef, is_effective):
+        assert test(zero, 0) and test(zero, 4)
+        for k in (-3, 5):
+            with pytest.raises(InvalidGrading):
+                test(zero, k)
+    with pytest.raises(InvalidGrading):
+        is_effective(GradedClass.from_symbol(S("A", 0, 2, 2)), 5)
 
 
 def test_cone_sanity():

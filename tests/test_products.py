@@ -175,3 +175,67 @@ def test_triple_product_vanishing_small():
             for k in range(1, m + 1):
                 X = eval_monomial(MonomialSpec(n, k, n - m - k))
                 assert pair_classes(X, target) == 0, (n, m, k)
+
+
+# The engine as linear maps: laws checked exhaustively for n <= 7.
+
+SMALL_N = range(2, 8)
+
+
+def bprime_supported(sym):
+    return sym.family.value in ("A", "B'") or (sym.family.value == "C" and sym.i == sym.j)
+
+
+def c_supported(sym):
+    return sym.family.value in ("A", "B'")
+
+
+def test_projection_law():
+    # pair(T.X, Y) = pair(X, T.Y) for T in {B'_{n-1,n-1}, C_{n-1,n-1}}
+    from hilb2 import pair_classes
+
+    checked = 0
+    for mul, supported in ((mul_bprime_top, bprime_supported), (mul_c_top, c_supported)):
+        for n in SMALL_N:
+            syms = [s for s in enumerate_basis(n, "MS") if supported(s)]
+            for x in syms:
+                X = GradedClass.from_symbol(x)
+                TX = mul(X)
+                for y in syms:
+                    if x.dimension + y.dimension != 2 * n + 2:
+                        continue
+                    Y = GradedClass.from_symbol(y)
+                    assert pair_classes(TX, Y) == pair_classes(X, mul(Y)), (mul.__name__, x, y)
+                    checked += 1
+    assert checked == 1143
+
+
+def test_c_and_bprime_products_commute():
+    checked = 0
+    for n in SMALL_N:
+        for x in enumerate_basis(n, "MS"):
+            if not c_supported(x):
+                continue
+            X = GradedClass.from_symbol(x)
+            assert mul_c_top(mul_bprime_top(X)) == mul_bprime_top(mul_c_top(X)), x
+            checked += 1
+    assert checked == 166
+
+
+def test_mul_bprime_top_is_additive():
+    for n in SMALL_N:
+        syms = [s for s in enumerate_basis(n, "MS") if bprime_supported(s)]
+        for p, x in enumerate(syms):
+            for y in syms[p:]:
+                X, Y = GradedClass.from_symbol(x, 2), GradedClass.from_symbol(y, Fraction(-1, 3))
+                assert mul_bprime_top(X + Y) == mul_bprime_top(X) + mul_bprime_top(Y), (x, y)
+
+
+def test_eval_monomial_equals_iterated_c_products():
+    # the iterated product is the reference for the single index shift
+    for n in SMALL_N:
+        for a in range(1, n + 1):
+            X = bprime_top_power(n, a)
+            for b in range(0, n - a + 1):
+                assert eval_monomial(MonomialSpec(n, a, b)) == X, (n, a, b)
+                X = mul_c_top(X)

@@ -13,7 +13,6 @@ from hilb2 import (
     class_to_json,
     emit_class,
     enumerate_basis,
-    format_class,
     linear_combine,
     parse_class,
     parse_symbol,
@@ -36,7 +35,7 @@ def test_emit_class_example():
             {"family": "C", "i": 1, "j": 1, "coeff": "-4"},
         ],
     }
-    assert format_class(X) == "2*B'_{1,1} - 4*C_{1,1}"
+    assert str(X) == "2*B'_{1,1} - 4*C_{1,1}"
 
 
 def test_basis_tag():
