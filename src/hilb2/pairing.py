@@ -23,13 +23,22 @@ The ES/MS duality makes both cone tests coordinate checks: a codimension-k
 class in MS coordinates is nef iff its coefficients are nonnegative, and a
 dimension-k class is effective iff it pairs nonnegatively with every MS
 generator of codimension k.
+
+Because a symbol meets only the (at most three) symbols at its complementary
+indices, every bilinear routine here groups one side by index pair and lets
+each term of the other side look up its partners.  The costs are
+``O(|X| + |Y|)`` for :func:`pair_classes`, ``O(rank + |X|)`` for
+:func:`effectivity_pairings` and :func:`is_effective`, and
+``O(rank)`` calls of :func:`pair_symbols` for :func:`intersection_matrix`
+(plus its ``rank^2`` zero entries, which share one ``Fraction(0)``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
+from itertools import product
+from typing import Iterable, Union
 
 from .chow import BasisId, BasisSymbol, Family, GradedClass, enumerate_basis
 from .errors import (
@@ -43,24 +52,26 @@ from .errors import (
 )
 
 _MS_FAMILIES = frozenset({Family.A, Family.BP, Family.C})
+_ZERO = Fraction(0)
 
-# Supported (x.family, y.family) combos; value None marks an identically
-# zero block, "cfg" the configurable A'.A diagonal.
+# Supported (x.family, y.family) combos; value 0 marks an identically zero
+# block, "cfg" the configurable A'.A diagonal.  A combo missing here is
+# refused.
 _PAIR_TABLE = {
     (Family.A, Family.A): 1,
     (Family.A, Family.BP): 1,
-    (Family.A, Family.C): None,
+    (Family.A, Family.C): 0,
     (Family.BP, Family.A): 1,
     (Family.BP, Family.BP): 1,  # 2 on balanced indices, handled below
     (Family.BP, Family.C): 1,
-    (Family.C, Family.A): None,
+    (Family.C, Family.A): 0,
     (Family.C, Family.BP): 1,
-    (Family.C, Family.C): None,
+    (Family.C, Family.C): 0,
     (Family.AP, Family.A): "cfg",
-    (Family.AP, Family.BP): None,
-    (Family.AP, Family.C): None,
-    (Family.B, Family.A): None,
-    (Family.B, Family.BP): None,
+    (Family.AP, Family.BP): 0,
+    (Family.AP, Family.C): 0,
+    (Family.B, Family.A): 0,
+    (Family.B, Family.BP): 0,
     (Family.B, Family.C): 2,
 }
 
@@ -92,6 +103,22 @@ def has_complementary_indices(x: BasisSymbol, y: BasisSymbol) -> bool:
     return (y.i, y.j) == partner_indices(x)
 
 
+def _by_indices(entries: Iterable[tuple[BasisSymbol, object]]) -> dict:
+    """Group ``(symbol, value)`` entries by the symbol's index pair ``(i, j)``.
+
+    This is the partner lookup: the entries a symbol ``x`` can pair nonzero
+    with are those at ``partner_indices(x)``.
+    """
+    table: dict[tuple[int, int], list] = {}
+    for sym, value in entries:
+        table.setdefault((sym.i, sym.j), []).append((sym, value))
+    return table
+
+
+def _unsupported(fx: Family, fy: Family) -> UnsupportedFamilyPair:
+    return UnsupportedFamilyPair(f"no intersection rule for {fx.value} . {fy.value}")
+
+
 def pair_symbols(
     x: BasisSymbol, y: BasisSymbol, cfg: PairingConfig = DEFAULT_CONFIG
 ) -> Fraction:
@@ -99,15 +126,13 @@ def pair_symbols(
     if x.n != y.n:
         raise MixedAmbient(f"{x} lives on P^{x.n}[2], {y} on P^{y.n}[2]")
     entry = _PAIR_TABLE.get((x.family, y.family))
-    if (x.family, y.family) not in _PAIR_TABLE:
-        raise UnsupportedFamilyPair(
-            f"no intersection rule for {x.family.value} . {y.family.value}"
-        )
+    if entry is None:
+        raise _unsupported(x.family, y.family)
     if x.codimension + y.codimension != 2 * x.n:
         raise NotComplementary(
             f"codim {x.codimension} + codim {y.codimension} != {2 * x.n} for {x} . {y}"
         )
-    if entry is None or not has_complementary_indices(x, y):
+    if not entry or not has_complementary_indices(x, y):
         return Fraction(0)
     if entry == "cfg":
         return Fraction(cfg.ap_a_diagonal)
@@ -121,7 +146,10 @@ def pair_symbols(
 def pair_classes(
     X: GradedClass, Y: GradedClass, cfg: PairingConfig = DEFAULT_CONFIG
 ) -> Fraction:
-    """Bilinear extension of :func:`pair_symbols` to homogeneous classes."""
+    """Bilinear extension of :func:`pair_symbols` to homogeneous classes.
+
+    Each term of X meets only the terms of Y at its complementary indices.
+    """
     if X.is_zero or Y.is_zero:
         return Fraction(0)
     if X.n != Y.n:
@@ -129,9 +157,17 @@ def pair_classes(
     cx, cy = X.codimension(), Y.codimension()  # raises NotHomogeneous
     if cx + cy != 2 * X.n:
         raise NotComplementary(f"codim {cx} + codim {cy} != {2 * X.n}")
+    # Refuse an unsupported family combination even where no indices
+    # complement.  ``Family`` iterates in canonical term order, so the
+    # combination named is the first one a term-by-term pass would meet.
+    fams_x, fams_y = X.families(), Y.families()
+    for fx, fy in product(Family, Family):
+        if fx in fams_x and fy in fams_y and (fx, fy) not in _PAIR_TABLE:
+            raise _unsupported(fx, fy)
+    partners = _by_indices(Y.items())
     total = Fraction(0)
     for sx, a in X.items():
-        for sy, b in Y.items():
+        for sy, b in partners.get(partner_indices(sx), ()):
             total += a * b * pair_symbols(sx, sy, cfg)
     return total
 
@@ -200,10 +236,14 @@ def intersection_matrix(
         col_syms = tuple(dual_generator(s) for s in row_syms)
     else:
         col_syms = tuple(enumerate_basis(n, cols, codim=k))
-    entries = tuple(
-        tuple(pair_symbols(r, c, cfg) for c in col_syms) for r in row_syms
-    )
-    return IntersectionMatrix(n, k, rows, cols, row_syms, col_syms, entries)
+    columns = _by_indices((c, pos) for pos, c in enumerate(col_syms))
+    entries = []
+    for r in row_syms:
+        row = [_ZERO] * len(col_syms)
+        for c, pos in columns.get(partner_indices(r), ()):
+            row[pos] = pair_symbols(r, c, cfg)
+        entries.append(tuple(row))
+    return IntersectionMatrix(n, k, rows, cols, row_syms, col_syms, tuple(entries))
 
 
 def _require_ms(X: GradedClass, what: str) -> None:
@@ -258,8 +298,10 @@ def effectivity_pairings(
     if X.is_zero:
         return []
     _require_ms(X, "effectivity_pairings")
-    dim = X.dimension()
-    return [
-        (y, pair_classes(X, GradedClass.from_symbol(y), cfg))
-        for y in enumerate_basis(X.n, BasisId.MS, codim=dim)
-    ]
+    generators = enumerate_basis(X.n, BasisId.MS, codim=X.dimension())
+    values = [_ZERO] * len(generators)
+    slots = _by_indices((y, pos) for pos, y in enumerate(generators))
+    for x, a in X.items():
+        for y, pos in slots.get(partner_indices(x), ()):
+            values[pos] += a * pair_symbols(x, y, cfg)
+    return list(zip(generators, values))

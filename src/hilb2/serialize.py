@@ -10,6 +10,8 @@ emission is deterministic (canonical term order).
 from __future__ import annotations
 
 import json
+import re
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -30,17 +32,30 @@ def symbol_to_doc(sym: BasisSymbol) -> dict:
     return {"family": sym.family.value, "i": sym.i, "j": sym.j}
 
 
+# The class-document schema's coefficient pattern.  ``[0-9]`` refuses
+# non-ASCII digits, and ``fullmatch`` refuses a trailing newline.
+_RATIONAL = re.compile(r"-?([0-9]+)(?:/([1-9][0-9]*))?")
+
+
 def _parse_rational(value) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise ParseError(f"coefficient {value!r} is not an exact rational string")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational string {value!r}") from exc
-    raise ParseError(f"coefficient {value!r} is not an exact rational string")
+    if not isinstance(value, str):
+        raise ParseError(f"coefficient {value!r} is not an exact rational string")
+    match = _RATIONAL.fullmatch(value)
+    if match is None:
+        raise ParseError(f"bad rational string {value!r}")
+    # Python's cap on str -> int conversion; interpreters before 3.10.7 have none.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = max(map(len, match.groups("")))
+    if limit and digits > limit:
+        raise ParseError(
+            f"coefficient has a {digits}-digit part, over Python's limit of {limit}"
+            " digits for converting a string to int"
+        )
+    return Fraction(value)
 
 
 def _load_json(text: str):

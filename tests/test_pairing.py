@@ -303,3 +303,148 @@ def test_cone_sanity():
                 assert is_effective(to_ms(sym))
             elif sym.family.value == "C":
                 assert is_effective(GradedClass.from_symbol(sym))
+
+
+# Dense oracles: the double loops over pair_symbols that the sparse routes
+# replace.  They visit every term pair, so they need no partner lookup.
+
+
+def dense_pair_classes(X, Y, cfg=PairingConfig()):
+    total = Fraction(0)
+    for sx, a in X.items():
+        for sy, b in Y.items():
+            total += a * b * pair_symbols(sx, sy, cfg)
+    return total
+
+
+def dense_effectivity(X, cfg=PairingConfig()):
+    return [
+        (y, sum((a * pair_symbols(x, y, cfg) for x, a in X.items()), Fraction(0)))
+        for y in enumerate_basis(X.n, "MS", codim=X.dimension())
+    ]
+
+
+def dense_entries(M, cfg):
+    return tuple(
+        tuple(pair_symbols(r, c, cfg) for c in M.col_symbols) for r in M.row_symbols
+    )
+
+
+def random_combination(rng, symbols):
+    """A seeded class on a random subset of ``symbols``; possibly zero."""
+    chosen = [s for s in symbols if rng.random() < 0.6]
+    return GradedClass(
+        symbols[0].n, [(s, Fraction(rng.randint(-4, 4), rng.randint(1, 3))) for s in chosen]
+    )
+
+
+CONFIGS = (PairingConfig(1), PairingConfig(3))
+
+
+def test_sparse_pair_classes_matches_dense_oracle():
+    rng = random.Random(303)
+    for n in range(1, 8):
+        for k in range(0, 2 * n + 1):
+            ms_codim_k = enumerate_basis(n, "MS", codim=k)
+            for first in ("MS", "ES"):
+                dim_k = enumerate_basis(n, first, dim=k)
+                for cfg in CONFIGS:
+                    for _ in range(3):
+                        X = random_combination(rng, dim_k)
+                        Y = random_combination(rng, ms_codim_k)
+                        assert pair_classes(X, Y, cfg) == dense_pair_classes(X, Y, cfg), (
+                            n, k, str(X), str(Y))
+
+
+def test_sparse_pair_classes_raises_what_the_dense_loop_raises():
+    # Classes mixing all five families on both sides: both routes give the
+    # same value, or both refuse the same family combination first.
+    rng = random.Random(17)
+    for n in range(1, 6):
+        symbols = sorted(
+            set(enumerate_basis(n, "BB") + enumerate_basis(n, "ES") + enumerate_basis(n, "MS")),
+            key=lambda s: s.sort_key(),
+        )
+        for k in range(0, 2 * n + 1):
+            dim_k = [s for s in symbols if s.dimension == k]
+            codim_k = [s for s in symbols if s.codimension == k]
+            for _ in range(4):
+                X = random_combination(rng, dim_k)
+                Y = random_combination(rng, codim_k)
+                outcomes = []
+                for route in (pair_classes, dense_pair_classes):
+                    try:
+                        outcomes.append(route(X, Y))
+                    except UnsupportedFamilyPair as exc:
+                        outcomes.append(str(exc))
+                assert outcomes[0] == outcomes[1], (str(X), str(Y))
+
+
+def test_pair_classes_refuses_unsupported_families_without_complementary_indices():
+    B11 = GradedClass.from_symbol(S("B", 1, 1, 2))
+    AP02 = GradedClass.from_symbol(S("A'", 0, 2, 2))
+    with pytest.raises(UnsupportedFamilyPair):
+        pair_classes(B11, AP02)
+
+
+def test_sparse_effectivity_pairings_matches_dense_oracle():
+    rng = random.Random(404)
+    for n in range(1, 8):
+        for k in range(0, 2 * n + 1):
+            gens = enumerate_basis(n, "MS", dim=k)
+            samples = [GradedClass(n, [(s, 1) for s in gens])]
+            samples += [random_combination(rng, gens) for _ in range(4)]
+            for X in samples:
+                if X.is_zero:
+                    continue
+                for cfg in CONFIGS:
+                    want = dense_effectivity(X, cfg)
+                    assert effectivity_pairings(X, cfg) == want, (n, k, str(X))
+                    assert is_effective(X, k, cfg) == all(v >= 0 for _, v in want)
+
+
+def test_sparse_intersection_matrix_matches_dense_oracle():
+    for n in range(1, 8):
+        for k in range(0, 2 * n + 1):
+            for rows in ("ES", "MS"):
+                for cfg in CONFIGS:
+                    M = intersection_matrix(n, k, rows, "MS", cfg)
+                    assert M.entries == dense_entries(M, cfg), (n, k, rows)
+
+
+def count_pair_symbols(monkeypatch):
+    """Route every pair_symbols call inside hilb2.pairing through a counter."""
+    import hilb2.pairing as pairing
+
+    calls = []
+    real = pairing.pair_symbols
+
+    def counting(x, y, cfg=pairing.DEFAULT_CONFIG):
+        calls.append((x, y))
+        return real(x, y, cfg)
+
+    monkeypatch.setattr(pairing, "pair_symbols", counting)
+    return calls
+
+
+def test_intersection_matrix_pairs_only_partner_columns(monkeypatch):
+    calls = count_pair_symbols(monkeypatch)
+    M = intersection_matrix(40, 40, "MS", "MS")
+    rows = len(M.row_symbols)
+    assert rows > 3
+    assert 0 < len(calls) <= 3 * rows < rows * len(M.col_symbols)
+
+
+def test_class_routes_pair_only_partner_terms(monkeypatch):
+    calls = count_pair_symbols(monkeypatch)
+    X = GradedClass(40, [(s, 1) for s in enumerate_basis(40, "MS", dim=40)])
+    vec = effectivity_pairings(X)
+    assert len(vec) == len(X.items())
+    assert 0 < len(calls) <= 3 * len(X.items())
+    calls.clear()
+    assert is_effective(X)
+    assert 0 < len(calls) <= 3 * len(X.items())
+    calls.clear()
+    Y = GradedClass(40, [(s, 1) for s in enumerate_basis(40, "MS", codim=40)])
+    pair_classes(X, Y)
+    assert 0 < len(calls) <= 3 * len(X.items())

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from hilb2 import (
     parse_symbol,
     validate_symbol,
 )
+from hilb2.cli import EXIT_VALIDATION, run_command
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "src" / "hilb2" / "schemas"
 CLASS_SCHEMA = json.loads((SCHEMA_DIR / "class_document.schema.json").read_text())
@@ -122,3 +124,53 @@ def test_parse_class_merges_repeated_terms():
 def test_parse_class_propagates_invalid_index():
     with pytest.raises(InvalidIndex):
         parse_class('{"n": 2, "terms": [{"family": "C", "i": 0, "j": 1, "coeff": "1"}]}')
+
+
+def one_term_document(coeff):
+    return {"n": 2, "terms": [{"family": "A", "i": 0, "j": 1, "coeff": coeff}]}
+
+
+REFUSED_COEFFICIENTS = [" 1.50 ", "1e2", "+3", "1_000", "1/02", "1/0", "\u0663", "3\n", "1/-2", ""]
+
+
+@pytest.mark.parametrize("coeff", REFUSED_COEFFICIENTS)
+def test_coefficients_outside_the_schema_grammar_are_refused(coeff):
+    with pytest.raises(ParseError, match="bad rational string"):
+        parse_class(one_term_document(coeff))
+    code, _ = run_command(
+        ["cone", "--class", json.dumps(one_term_document(coeff)), "--test", "nef"]
+    )
+    assert code == EXIT_VALIDATION
+
+
+def test_coefficient_grammar_matches_the_schema():
+    # "3\n" is left out: Python's ``re.search`` lets ``$`` match before a
+    # final newline, so jsonschema accepts it, while the schema's ECMA-262
+    # pattern and the parser both refuse it (tested above).
+    corpus = [c for c in REFUSED_COEFFICIENTS if c != "3\n"]
+    corpus += ["0", "-0", "03", "-7/2", "1/2", "12/35", "-1", "00/10", "-", "/2", "1/", "1//2"]
+    for coeff in corpus:
+        doc = one_term_document(coeff)
+        schema_ok = jsonschema.Draft202012Validator(CLASS_SCHEMA).is_valid(doc)
+        try:
+            parse_class(doc)
+            parsed = True
+        except ParseError:
+            parsed = False
+        assert parsed == schema_ok, coeff
+
+
+def test_json_integer_coefficients_stay_accepted():
+    # The schema asks for strings; the parser still takes JSON integers.
+    assert parse_class(one_term_document(3)) == parse_class(one_term_document("3"))
+
+
+def test_overlong_coefficient_names_digit_count_and_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("integer string conversion is unlimited in this interpreter")
+    too_long = "7" * (limit + 1)
+    for coeff in (too_long, "-" + too_long, "1/" + too_long):
+        with pytest.raises(ParseError, match=f"{limit + 1}-digit.*limit of {limit}"):
+            parse_class(one_term_document(coeff))
+    assert parse_class(one_term_document("7" * limit)).items()[0][1] == int("7" * limit)
