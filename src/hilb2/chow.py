@@ -173,27 +173,36 @@ class GradedClass:
     Immutable and in canonical form: no zero coefficients, terms ordered by
     ``(family, i, j)``, all symbols sharing the ambient dimension ``n``.
     Supports ``+``, ``-``, scalar ``*`` and equality.
+
+    Coefficients: ``int`` and ``Fraction`` values are summed as they arrive
+    (repeated symbols add up); anything else goes through an exact rational
+    coercion, and floats are refused (:class:`InvalidInput`).  Zero sums are
+    dropped and each surviving coefficient is stored as a ``Fraction``, so
+    :meth:`items` yields only ``Fraction`` coefficients.
     """
 
     __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms: Union[Mapping, Iterable[tuple]] = ()):
         require_ambient(n)
-        acc: dict[BasisSymbol, Fraction] = {}
+        acc: dict[BasisSymbol, Union[int, Fraction]] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for sym, coeff in items:
             if not isinstance(sym, BasisSymbol):
                 raise InvalidInput(f"term key {sym!r} is not a BasisSymbol")
             if sym.n != n:
                 raise MixedAmbient(f"symbol {sym} lives on P^{sym.n}[2], class on P^{n}[2]")
-            c = acc.get(sym, Fraction(0)) + _coerce_rational(coeff)
-            if c:
-                acc[sym] = c
-            else:
-                acc.pop(sym, None)
+            if not isinstance(coeff, (int, Fraction)):
+                coeff = _coerce_rational(coeff)
+            acc[sym] = acc.get(sym, 0) + coeff
         object.__setattr__(self, "n", n)
         object.__setattr__(
-            self, "_terms", tuple(sorted(acc.items(), key=lambda kv: kv[0].sort_key()))
+            self,
+            "_terms",
+            tuple(sorted(
+                ((s, c if isinstance(c, Fraction) else Fraction(c)) for s, c in acc.items() if c),
+                key=lambda kv: kv[0].sort_key(),
+            )),
         )
 
     def __setattr__(self, name, value):

@@ -31,6 +31,8 @@ each term of the other side look up its partners.  The costs are
 :func:`effectivity_pairings` and :func:`is_effective`, and
 ``O(rank)`` calls of :func:`pair_symbols` for :func:`intersection_matrix`
 (plus its ``rank^2`` zero entries, which share one ``Fraction(0)``).
+:func:`pair_symbols` returns shared ``Fraction`` constants for the table
+values ``0``, ``1`` and ``2``.
 """
 
 from __future__ import annotations
@@ -52,7 +54,9 @@ from .errors import (
 )
 
 _MS_FAMILIES = frozenset({Family.A, Family.BP, Family.C})
-_ZERO = Fraction(0)
+# Shared pairing values: Fractions are immutable, so one object per value.
+_ZERO, _ONE, _TWO = Fraction(0), Fraction(1), Fraction(2)
+_VALUE = {0: _ZERO, 1: _ONE, 2: _TWO}
 
 # Supported (x.family, y.family) combos; value 0 marks an identically zero
 # block, "cfg" the configurable A'.A diagonal.  A combo missing here is
@@ -133,14 +137,14 @@ def pair_symbols(
             f"codim {x.codimension} + codim {y.codimension} != {2 * x.n} for {x} . {y}"
         )
     if not entry or not has_complementary_indices(x, y):
-        return Fraction(0)
+        return _ZERO
     if entry == "cfg":
-        return Fraction(cfg.ap_a_diagonal)
+        return Fraction(cfg.ap_a_diagonal)  # the one value the caller chooses
     if x.family is Family.BP and y.family is Family.BP and x.i == x.j:
-        return Fraction(2)
+        return _TWO
     if x.family is Family.B and x.i == x.j == 0:
-        return Fraction(1)  # point class against the fundamental class
-    return Fraction(entry)
+        return _ONE  # point class against the fundamental class
+    return _VALUE[entry]
 
 
 def pair_classes(
@@ -150,10 +154,10 @@ def pair_classes(
 
     Each term of X meets only the terms of Y at its complementary indices.
     """
-    if X.is_zero or Y.is_zero:
-        return Fraction(0)
     if X.n != Y.n:
         raise MixedAmbient(f"classes live on P^{X.n}[2] and P^{Y.n}[2]")
+    if X.is_zero or Y.is_zero:
+        return _ZERO
     cx, cy = X.codimension(), Y.codimension()  # raises NotHomogeneous
     if cx + cy != 2 * X.n:
         raise NotComplementary(f"codim {cx} + codim {cy} != {2 * X.n}")
@@ -165,7 +169,7 @@ def pair_classes(
         if fx in fams_x and fy in fams_y and (fx, fy) not in _PAIR_TABLE:
             raise _unsupported(fx, fy)
     partners = _by_indices(Y.items())
-    total = Fraction(0)
+    total = _ZERO
     for sx, a in X.items():
         for sy, b in partners.get(partner_indices(sx), ()):
             total += a * b * pair_symbols(sx, sy, cfg)

@@ -1,11 +1,11 @@
 """Products with the two top codimension-2 classes.
 
-Every product is one mechanism: a *rule* maps a single basis symbol to a
-sparse list of ``(symbol, coeff)`` terms, and :func:`_apply` extends it
-linearly to a class.  A rule output whose indices leave the family's range
-(``chow.in_range``) is the zero class and is simply not listed.  The engine
-multiplies by ``B'_{n-1,n-1}`` or ``C_{n-1,n-1}``, the only multipliers with
-complete rule sets.  Base rules:
+Every product is one mechanism: a *rule* maps the index key ``(family, i,
+j)`` of one basis symbol to a sparse list of ``(key, int)`` terms, and
+:func:`_apply` extends it linearly to a class.  A rule output whose indices
+leave the family's range (``chow.in_range``) is the zero class and is simply
+not listed.  The engine multiplies by ``B'_{n-1,n-1}`` or ``C_{n-1,n-1}``,
+the only multipliers with complete rule sets.  Base rules:
 
     B'_{n-1,n-1} . A_{i,j}  = 2 B'_{i-1,j-1}
     B'_{n-1,n-1} . B_{i,j}  = 2 B_{i-2,j}
@@ -14,18 +14,28 @@ complete rule sets.  Base rules:
     C_{n-1,n-1}  . B'_{i,j} =   B'_{i-1,j-1}
 
 Products by ``B'_{n-1,n-1}`` of B' terms are not hard-coded: the rule for a
-B' symbol is derived from the basis-change identities
+B' key is derived from the basis-change identities, written on doubled
+integers so that no ``Fraction`` is needed,
 
-    B_{i,j} = 2 (B'_{i,j} - A_{i,j})        for i < j,
-    B_{i,i} = 2 (B'_{i,i} - 2 C_{i,i})      for i > 0,
+    2 B'_{i,j} = B_{i,j} + 2 A_{i,j}        for i < j,
+    2 B'_{i,i} = B_{i,i} + 4 C_{i,i}        for i > 0,
+    2 B'_{0,0} = 2 B_{0,0},
 
-by expanding B' into A/B/C, applying the base rules, and converting any B
-output back to MS coordinates.  Iterating reproduces the closed form
+by applying the base rules to the right-hand side, converting any B output
+back to MS coordinates, and halving the sums.  The halving is exact: the
+``1/2`` sits only on the B term, and the base rule for B carries a factor 2,
+so every doubled sum is even (an odd one would give a ``Fraction``).
+Iterating reproduces the closed form
 
     B'_{n-1,n-1}^k = 2^(k-1) (B'_{n-k,n-k}
                      + sum_i (B'_{n-k-i,n-k+i} - A_{n-k-i,n-k+i}))
 
 with the sum running to k-1 while 2k-1 <= n and to n-k once n <= 2k-1.
+
+Coefficients stay plain ``int`` through the rules; a class coefficient with
+denominator 1 enters as its numerator.  :func:`_apply` builds each distinct
+output symbol once, through the validating ``BasisSymbol`` constructor, and
+one ``GradedClass`` from the accumulated mapping.
 """
 
 from __future__ import annotations
@@ -43,26 +53,44 @@ from .errors import (
 )
 
 
+def _linear(rule, terms, n: int) -> dict:
+    """``sum c * rule(key)`` over ``(key, c)`` terms, as a key -> coefficient dict."""
+    acc: dict = {}
+    for key, c in terms:
+        for out, v in rule(key, n):
+            acc[out] = acc.get(out, 0) + c * v
+    return acc
+
+
+def _build(n: int, acc: dict) -> GradedClass:
+    """The class of a key -> coefficient dict: one symbol per nonzero key."""
+    return GradedClass(n, {BasisSymbol(f, i, j, n): c for (f, i, j), c in acc.items() if c})
+
+
 def _apply(rule, X: GradedClass) -> GradedClass:
-    """Extend a per-symbol rule linearly: ``sum c * rule(s)`` over the terms of X."""
-    return GradedClass(X.n, [(t, c * v) for s, c in X.items() for t, v in rule(s)])
+    """Extend a per-key rule linearly: ``sum c * rule(s)`` over the terms of X."""
+    terms = (
+        ((s.family, s.i, s.j), c.numerator if c.denominator == 1 else c)
+        for s, c in X.items()
+    )
+    return _build(X.n, _linear(rule, terms, X.n))
 
 
-def _term(family: Family, i: int, j: int, n: int, coeff) -> list:
-    """``[(F_{i,j}, coeff)]``, or no term when the indices are out of range."""
-    return [(BasisSymbol(family, i, j, n), coeff)] if in_range(family, i, j, n) else []
+def _term(family: Family, i: int, j: int, n: int, coeff: int) -> list:
+    """``[((F, i, j), coeff)]``, or no term when the indices are out of range."""
+    return [((family, i, j), coeff)] if in_range(family, i, j, n) else []
 
 
-def _ms_terms(x: BasisSymbol) -> list:
-    """Rule: a B symbol in MS coordinates; any other symbol stays as it is."""
-    n, i, j = x.n, x.i, x.j
-    if x.family is not Family.B:
-        return [(x, 1)]
+def _ms_terms(key: tuple, n: int) -> list:
+    """Rule: a B key in MS coordinates; any other key stays as it is."""
+    family, i, j = key
+    if family is not Family.B:
+        return [(key, 1)]
     if i == j == 0:
-        return [(BasisSymbol(Family.BP, 0, 0, n), 1)]
+        return [((Family.BP, 0, 0), 1)]
     if i == j:
-        return [(BasisSymbol(Family.BP, i, i, n), 2), (BasisSymbol(Family.C, i, i, n), -4)]
-    return [(BasisSymbol(Family.BP, i, j, n), 2), (BasisSymbol(Family.A, i, j, n), -2)]
+        return [((Family.BP, i, i), 2), ((Family.C, i, i), -4)]
+    return [((Family.BP, i, j), 2), ((Family.A, i, j), -2)]
 
 
 def to_ms(x: BasisSymbol) -> GradedClass:
@@ -74,53 +102,55 @@ def to_ms(x: BasisSymbol) -> GradedClass:
     """
     if x.family is not Family.B:
         raise UnsupportedFamily(f"to_ms converts family B only, got {x}")
-    return GradedClass(x.n, _ms_terms(x))
+    return _build(x.n, dict(_ms_terms((x.family, x.i, x.j), x.n)))
 
 
-def _expand_bprime(sym: BasisSymbol) -> list:
-    """B' in terms of A, B, C: ``B'_{i,j} = B_{i,j}/2 + A_{i,j}`` (i < j),
-    ``B'_{i,i} = B_{i,i}/2 + 2C_{i,i}`` (i > 0), ``B'_{0,0} = B_{0,0}``."""
-    n, i, j = sym.n, sym.i, sym.j
+def _doubled_bprime(i: int, j: int) -> list:
+    """``2 B'_{i,j}`` in A, B, C: ``B_{i,j} + 2A_{i,j}`` (i < j),
+    ``B_{i,i} + 4C_{i,i}`` (i > 0), ``2B_{0,0}``."""
     if i == j == 0:
-        return [(BasisSymbol(Family.B, 0, 0, n), 1)]
-    half_b = (BasisSymbol(Family.B, i, j, n), Fraction(1, 2))
+        return [((Family.B, 0, 0), 2)]
     if i == j:
-        return [half_b, (BasisSymbol(Family.C, i, i, n), 2)]
-    return [half_b, (BasisSymbol(Family.A, i, j, n), 1)]
+        return [((Family.B, i, i), 1), ((Family.C, i, i), 4)]
+    return [((Family.B, i, j), 1), ((Family.A, i, j), 2)]
 
 
-def _bprime_rule(sym: BasisSymbol) -> list:
-    """Rule for ``B'_{n-1,n-1} . sym``: the base rules for A, B and balanced C;
-    a B' symbol is expanded into A/B/C, multiplied, and returned to MS."""
-    n, i, j = sym.n, sym.i, sym.j
-    if sym.family is Family.BP:
-        return [
-            (t, q * r * v)
-            for s, q in _expand_bprime(sym)
-            for s2, r in _bprime_rule(s)
-            for t, v in _ms_terms(s2)
-        ]
-    if sym.family is Family.A:
+def _half(v: int):
+    return v // 2 if v % 2 == 0 else Fraction(v, 2)
+
+
+def _bprime_rule(key: tuple, n: int) -> list:
+    """Rule for ``B'_{n-1,n-1} . F_{i,j}``: the base rules for A, B and
+    balanced C; a B' key is expanded into A/B/C (doubled), multiplied,
+    returned to MS and halved."""
+    family, i, j = key
+    if family is Family.BP:
+        doubled = _linear(_ms_terms, _linear(_bprime_rule, _doubled_bprime(i, j), n).items(), n)
+        return [(out, _half(v)) for out, v in doubled.items() if v]
+    if family is Family.A:
         return _term(Family.BP, i - 1, j - 1, n, 2)
-    if sym.family is Family.B:
+    if family is Family.B:
         return _term(Family.B, i - 2, j, n, 2)
-    if sym.family is Family.C:
+    if family is Family.C:
         if i != j:
-            raise UnsupportedTerm(f"no rule for B'_{{{n-1},{n-1}}} . {sym} (unbalanced C)")
+            raise UnsupportedTerm(
+                f"no rule for B'_{{{n-1},{n-1}}} . {BasisSymbol(*key, n)} (unbalanced C)"
+            )
         return _term(Family.BP, i - 1, i - 1, n, 1)
-    raise UnsupportedTerm(f"no rule for B'_{{{n-1},{n-1}}} . {sym}")
+    raise UnsupportedTerm(f"no rule for B'_{{{n-1},{n-1}}} . {BasisSymbol(*key, n)}")
 
 
-def _c_shift(sym: BasisSymbol, b: int = 1) -> list:
-    """Rule for ``C_{n-1,n-1}^b . sym`` on an A or B' symbol.
+def _c_shift(key: tuple, n: int, b: int = 1) -> list:
+    """Rule for ``C_{n-1,n-1}^b . F_{i,j}`` on an A or B' key.
 
     Both C rules lower the index pair by (1, 1), and a pair that falls below
     its lower bound never comes back into range, so b products are one shift
     by (b, b).
     """
-    if sym.family not in (Family.A, Family.BP):
-        raise UnsupportedTerm(f"no rule for C_{{{sym.n-1},{sym.n-1}}} . {sym}")
-    return _term(sym.family, sym.i - b, sym.j - b, sym.n, 1)
+    family, i, j = key
+    if family not in (Family.A, Family.BP):
+        raise UnsupportedTerm(f"no rule for C_{{{n-1},{n-1}}} . {BasisSymbol(*key, n)}")
+    return _term(family, i - b, j - b, n, 1)
 
 
 def mul_bprime_top(X: GradedClass) -> GradedClass:
@@ -145,19 +175,17 @@ def bprime_top_power(n: int, k: int) -> GradedClass:
     """Closed form of ``B'_{n-1,n-1}^k`` for 1 <= k <= n.
 
     With ``c = n - k`` it is ``2^(k-1) B'_{c,c} + 2^(k-2) sum_i B_{c-i,c+i}``
-    for ``1 <= i <= min(k-1, c)``, which :func:`to_ms` turns into the MS form
-    of the module docstring.
+    for ``1 <= i <= min(k-1, c)``, which the :func:`to_ms` rule turns into
+    the MS form of the module docstring.
     """
     require_ambient(n)
     if not isinstance(k, int) or not 1 <= k <= n:
         raise InvalidExponent(f"exponent {k!r} outside [1, {n}]")
     c, lead = n - k, 2 ** (k - 1)
-    X = GradedClass(
-        n,
-        [(BasisSymbol(Family.BP, c, c, n), lead)]
-        + [(BasisSymbol(Family.B, c - i, c + i, n), lead // 2) for i in range(1, min(k - 1, c) + 1)],
-    )
-    return _apply(_ms_terms, X)
+    closed = [((Family.BP, c, c), lead)] + [
+        ((Family.B, c - i, c + i), lead // 2) for i in range(1, min(k - 1, c) + 1)
+    ]
+    return _build(n, _linear(_ms_terms, closed, n))
 
 
 @dataclass(frozen=True)
@@ -185,4 +213,4 @@ def eval_monomial(spec: MonomialSpec) -> GradedClass:
     """
     if spec.a == 0:
         raise UnsupportedMonomial("no rule for pure powers of C_{n-1,n-1} (a = 0)")
-    return _apply(lambda sym: _c_shift(sym, spec.b), bprime_top_power(spec.n, spec.a))
+    return _apply(lambda key, n: _c_shift(key, n, spec.b), bprime_top_power(spec.n, spec.a))

@@ -38,11 +38,7 @@ _RATIONAL = re.compile(r"-?([0-9]+)(?:/([1-9][0-9]*))?")
 
 
 def _parse_rational(value) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ParseError(f"coefficient {value!r} is not an exact rational string")
-    if isinstance(value, int):
-        return Fraction(value)
-    if not isinstance(value, str):
+    if not isinstance(value, str):  # the schema asks for a string, never a JSON number
         raise ParseError(f"coefficient {value!r} is not an exact rational string")
     match = _RATIONAL.fullmatch(value)
     if match is None:
@@ -63,6 +59,8 @@ def _load_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at position {exc.pos}: {exc.msg}") from exc
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply to decode") from None
 
 
 def _require_int(doc: dict, key: str, what: str) -> int:

@@ -182,3 +182,26 @@ def test_cone_text_output():
          "--test", "effective"]
     )
     assert (code, text) == (0, "false")
+
+
+def test_deeply_nested_class_document_is_a_parse_error():
+    # json.loads raises RecursionError past the interpreter's depth limit
+    for text in ("[" * 1000, "[" * 1000 + "]" * 1000, '{"n": 2, "terms": ' + "[" * 5000 + "}"):
+        code, doc = run_json(["cone", "--class", text, "--test", "nef"])
+        assert code == 2
+        assert doc["error"]["type"] == "ParseError"
+        assert "nested too deeply" in doc["error"]["message"]
+        code, out = run_command(["cone", "--class", text, "--test", "nef"])
+        assert (code, out) == (2, "error: invalid JSON: nested too deeply to decode")
+
+
+def test_deeply_nested_symbol_document_is_a_parse_error():
+    nested = '{"a": ' * 1500 + "1" + "}" * 1500
+    for argv in (
+        ["pair", "--n", "2", "--x", nested, "--y", '{"family":"A","i":0,"j":1}'],
+        ["pair", "--n", "2", "--x", '{"family":"A","i":0,"j":1}', "--y", nested],
+    ):
+        code, doc = run_json(argv)
+        assert code == 2
+        assert doc["error"]["type"] == "ParseError"
+        assert "nested too deeply" in doc["error"]["message"]

@@ -142,6 +142,15 @@ def test_pair_classes_examples():
     assert pair_classes(X, GradedClass.zero(2)) == 0
 
 
+def test_pair_classes_checks_the_ambient_of_the_zero_class():
+    a = GradedClass.from_symbol(S("A", 0, 1, 3))
+    for X, Y in ((GradedClass.zero(2), a), (a, GradedClass.zero(2)),
+                 (GradedClass.zero(2), GradedClass.zero(3))):
+        with pytest.raises(MixedAmbient):
+            pair_classes(X, Y)
+    assert pair_classes(GradedClass.zero(3), a) == 0
+
+
 def test_pair_classes_errors():
     a = GradedClass.from_symbol(S("A", 0, 1, 3))
     mixed = cls((1, S("A", 0, 1, 3)), (1, S("A", 0, 3, 3)))

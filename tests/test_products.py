@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hilb2 import (
+    BasisSymbol,
     GradedClass,
     InvalidExponent,
     InvalidInput,
@@ -239,3 +240,66 @@ def test_eval_monomial_equals_iterated_c_products():
             for b in range(0, n - a + 1):
                 assert eval_monomial(MonomialSpec(n, a, b)) == X, (n, a, b)
                 X = mul_c_top(X)
+
+
+# Exact core: plain integers inside the rules, Fractions at the surface.
+
+FRACTION_N = range(1, 8)
+
+
+def all_fractions(X):
+    return all(type(c) is Fraction for _, c in X.items())
+
+
+def test_products_and_pairings_return_only_fractions():
+    for n in FRACTION_N:
+        for a in range(1, n + 1):
+            assert all_fractions(bprime_top_power(n, a)), (n, a)
+            for b in range(0, n - a + 1):
+                assert all_fractions(eval_monomial(MonomialSpec(n, a, b))), (n, a, b)
+        ms = enumerate_basis(n, "MS")
+        for x in ms:
+            X = GradedClass.from_symbol(x, Fraction(3, 2))
+            if bprime_supported(x):
+                assert all_fractions(mul_bprime_top(X)), x
+                assert all_fractions(mul_bprime_top(GradedClass.from_symbol(x))), x
+            if c_supported(x):
+                assert all_fractions(mul_c_top(X)), x
+                assert all_fractions(mul_c_top(GradedClass.from_symbol(x))), x
+        for x in enumerate_basis(n, "ES"):
+            if x.family.value == "B":
+                assert all_fractions(to_ms(x)), x
+        for x in ms + enumerate_basis(n, "ES"):
+            for y in ms:
+                if x.codimension + y.codimension == 2 * n:
+                    assert type(pair_symbols(x, y)) is Fraction, (x, y)
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(-3, 7)])
+def test_products_commute_with_rational_scalars(q):
+    # integer and non-integer coefficients side by side in one class
+    for n in SMALL_N:
+        bsyms = [s for s in enumerate_basis(n, "MS") if bprime_supported(s)]
+        csyms = [s for s in bsyms if c_supported(s)]
+        for mul, syms in ((mul_bprime_top, bsyms), (mul_c_top, csyms)):
+            for p, x in enumerate(syms):
+                X = GradedClass(n, [(x, 1), (syms[(p * 7 + 3) % len(syms)], Fraction(5, 3))])
+                assert mul(q * X) == q * mul(X), (mul.__name__, x)
+                assert mul(X * 2) == mul(X) * 2, (mul.__name__, x)
+
+
+def test_mul_bprime_top_builds_each_output_symbol_once(monkeypatch):
+    X = bprime_top_power(40, 10)
+    built = []
+    post_init = BasisSymbol.__post_init__
+
+    def counting(self):
+        built.append((self.family, self.i, self.j))
+        post_init(self)
+
+    monkeypatch.setattr(BasisSymbol, "__post_init__", counting)
+    Y = mul_bprime_top(X)
+    monkeypatch.undo()
+    assert Y == bprime_top_power(40, 11)
+    assert len(built) <= len(Y.items()) == 21
+    assert len(set(built)) == len(built)

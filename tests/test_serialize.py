@@ -149,6 +149,8 @@ def test_coefficient_grammar_matches_the_schema():
     # pattern and the parser both refuse it (tested above).
     corpus = [c for c in REFUSED_COEFFICIENTS if c != "3\n"]
     corpus += ["0", "-0", "03", "-7/2", "1/2", "12/35", "-1", "00/10", "-", "/2", "1/", "1//2"]
+    # non-string JSON values: the schema types the coefficient as a string
+    corpus += [3, -1, 0, 10**30, 1.5, 2.0, True, False, None, ["1"], {"p": 1}]
     for coeff in corpus:
         doc = one_term_document(coeff)
         schema_ok = jsonschema.Draft202012Validator(CLASS_SCHEMA).is_valid(doc)
@@ -160,9 +162,20 @@ def test_coefficient_grammar_matches_the_schema():
         assert parsed == schema_ok, coeff
 
 
-def test_json_integer_coefficients_stay_accepted():
-    # The schema asks for strings; the parser still takes JSON integers.
-    assert parse_class(one_term_document(3)) == parse_class(one_term_document("3"))
+@pytest.mark.parametrize("coeff", [3, -1, 0])
+def test_json_integer_coefficients_are_refused(coeff):
+    # The schema asks for strings, so a JSON integer is not a coefficient.
+    with pytest.raises(ParseError, match="not an exact rational string"):
+        parse_class(one_term_document(coeff))
+    with pytest.raises(ParseError, match="not an exact rational string"):
+        parse_class(json.dumps(one_term_document(coeff)))
+    code, _ = run_command(
+        ["cone", "--class", json.dumps(one_term_document(coeff)), "--test", "nef"]
+    )
+    assert code == EXIT_VALIDATION
+    assert parse_class(one_term_document(str(coeff))).items() == (
+        () if coeff == 0 else ((validate_symbol("A", 0, 1, 2), Fraction(coeff)),)
+    )
 
 
 def test_overlong_coefficient_names_digit_count_and_limit():
