@@ -4,140 +4,63 @@ two points on projective n-space.
 Everything is exact: coefficients are arbitrary-precision rationals and no
 floating point enters any computation.  See the README for an overview and
 the ``hilb2`` command line tool for the same functionality from a shell.
+
+The public names below are loaded on first use: ``import hilb2`` imports no
+submodule, and the first access to a name imports the module defining it.
 """
 
-from .chow import (
-    BasisId,
-    BasisSymbol,
-    Family,
-    GradedClass,
-    chow_rank,
-    enumerate_basis,
-    linear_combine,
-    validate_symbol,
-)
-from .chern_secant import (
-    SecantProblem,
-    TautBundle,
-    chern_taut,
-    secant_degree,
-    secant_degree_mu_closed,
-    secant_degree_mu_intersection,
-    secant_oracle,
-)
-from .errors import (
-    Hilb2Error,
-    InvalidExponent,
-    InvalidGrading,
-    InvalidIndex,
-    InvalidInput,
-    MixedAmbient,
-    NotComplementary,
-    NotHomogeneous,
-    ParseError,
-    UnsupportedBasisPair,
-    UnsupportedError,
-    UnsupportedFamily,
-    UnsupportedFamilyPair,
-    UnsupportedMonomial,
-    UnsupportedTerm,
-    ValidationError,
-    WrongBasis,
-)
-from .fixed_points import (
-    IdealKind,
-    MonomialIdealDescriptor,
-    bb_cell_of,
-    enumerate_fixed_points,
-)
-from .pairing import (
-    DEFAULT_CONFIG,
-    IntersectionMatrix,
-    PairingConfig,
-    dual_generator,
-    effectivity_pairings,
-    has_complementary_indices,
-    intersection_matrix,
-    is_effective,
-    is_nef,
-    pair_classes,
-    pair_symbols,
-    partner_indices,
-)
-from .products import (
-    MonomialSpec,
-    bprime_top_power,
-    eval_monomial,
-    mul_bprime_top,
-    mul_c_top,
-    to_ms,
-)
-from .serialize import (
-    class_to_json,
-    emit_class,
-    parse_class,
-    parse_symbol,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasisId",
-    "BasisSymbol",
-    "DEFAULT_CONFIG",
-    "Family",
-    "GradedClass",
-    "Hilb2Error",
-    "IdealKind",
-    "IntersectionMatrix",
-    "InvalidExponent",
-    "InvalidGrading",
-    "InvalidIndex",
-    "InvalidInput",
-    "MixedAmbient",
-    "MonomialIdealDescriptor",
-    "MonomialSpec",
-    "NotComplementary",
-    "NotHomogeneous",
-    "PairingConfig",
-    "ParseError",
-    "SecantProblem",
-    "TautBundle",
-    "UnsupportedBasisPair",
-    "UnsupportedError",
-    "UnsupportedFamily",
-    "UnsupportedFamilyPair",
-    "UnsupportedMonomial",
-    "UnsupportedTerm",
-    "ValidationError",
-    "WrongBasis",
-    "bb_cell_of",
-    "bprime_top_power",
-    "chern_taut",
-    "chow_rank",
-    "class_to_json",
-    "dual_generator",
-    "effectivity_pairings",
-    "emit_class",
-    "enumerate_basis",
-    "enumerate_fixed_points",
-    "eval_monomial",
-    "has_complementary_indices",
-    "intersection_matrix",
-    "is_effective",
-    "is_nef",
-    "linear_combine",
-    "mul_bprime_top",
-    "mul_c_top",
-    "pair_classes",
-    "pair_symbols",
-    "parse_class",
-    "parse_symbol",
-    "partner_indices",
-    "secant_degree",
-    "secant_degree_mu_closed",
-    "secant_degree_mu_intersection",
-    "secant_oracle",
-    "to_ms",
-    "validate_symbol",
-]
+# Module -> the public names it defines, the one list of the package's API.
+_EXPORTS = {
+    "chow": (
+        "BasisId", "BasisSymbol", "Family", "GradedClass", "chow_rank",
+        "enumerate_basis", "linear_combine", "validate_symbol",
+    ),
+    "chern_secant": (
+        "SecantProblem", "TautBundle", "chern_taut", "secant_degree",
+        "secant_degree_mu_closed", "secant_degree_mu_intersection", "secant_oracle",
+    ),
+    "errors": (
+        "Hilb2Error", "InvalidExponent", "InvalidGrading", "InvalidIndex",
+        "InvalidInput", "MixedAmbient", "NotComplementary", "NotHomogeneous",
+        "ParseError", "UnsupportedBasisPair", "UnsupportedError", "UnsupportedFamily",
+        "UnsupportedFamilyPair", "UnsupportedMonomial", "UnsupportedTerm",
+        "ValidationError", "WrongBasis",
+    ),
+    "fixed_points": (
+        "IdealKind", "MonomialIdealDescriptor", "bb_cell_of", "enumerate_fixed_points",
+    ),
+    "pairing": (
+        "DEFAULT_CONFIG", "IntersectionMatrix", "PairingConfig", "dual_generator",
+        "effectivity_pairings", "has_complementary_indices", "intersection_matrix",
+        "is_effective", "is_nef", "pair_classes", "pair_symbols", "partner_indices",
+    ),
+    "products": (
+        "MonomialSpec", "bprime_top_power", "eval_monomial", "mul_bprime_top",
+        "mul_c_top", "to_ms",
+    ),
+    "serialize": ("class_to_json", "emit_class", "parse_class", "parse_symbol"),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    """Import the module that defines a public name (or a submodule named in
+    ``_EXPORTS``) and keep the result as a module attribute."""
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

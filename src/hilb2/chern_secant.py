@@ -24,28 +24,26 @@ the disagreement.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
 
-from .chow import BasisSymbol, Family, GradedClass, require_ambient
+from .chow import BasisSymbol, Family, GradedClass, require_ambient, value_type
 from .errors import InvalidInput
 from .pairing import pair_classes
 from .products import MonomialSpec, eval_monomial
 
 
-@dataclass(frozen=True)
-class TautBundle:
+class TautBundle(value_type("TautBundle", "n d")):
     """The rank-2 tautological bundle of ``O(d)`` on ``P^{n[2]}``."""
 
-    n: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        require_ambient(self.n)
-        if not isinstance(self.d, int) or self.d < 1:
-            raise InvalidInput(f"line bundle twist must be an integer >= 1, got {self.d!r}")
+    def __new__(cls, n: int, d: int):
+        require_ambient(n)
+        if not isinstance(d, int) or d < 1:
+            raise InvalidInput(f"line bundle twist must be an integer >= 1, got {d!r}")
+        return tuple.__new__(cls, (n, d))
 
 
 def chern_taut(bundle: TautBundle) -> tuple[GradedClass, GradedClass]:
@@ -72,38 +70,36 @@ def chern_taut(bundle: TautBundle) -> tuple[GradedClass, GradedClass]:
     return c1, c2
 
 
-@dataclass(frozen=True)
-class SecantProblem:
+class SecantProblem(value_type("SecantProblem", "n degrees mu1 variant")):
     """Degree problem for the secant variety of a complete intersection.
 
-    ``degrees`` are the hypersurface degrees, so ``m = n - len(degrees)`` is
-    the dimension of X.  ``mu1`` is the secant order, always user-supplied.
-    The degree computations additionally require ``2m + 1 < n``; problems
-    violating that are constructible but rejected by them, so the classical
-    oracle can still be consulted about out-of-range instances.
+    ``degrees`` are the hypersurface degrees, stored as a tuple, so
+    ``m = n - len(degrees)`` is the dimension of X.  ``mu1`` is the secant
+    order, always user-supplied.  The degree computations additionally
+    require ``2m + 1 < n``; problems violating that are constructible but
+    rejected by them, so the classical oracle can still be consulted about
+    out-of-range instances.
     """
 
-    n: int
-    degrees: tuple[int, ...]
-    mu1: int = 1
-    variant: str = "proof"
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(self.degrees))
-        require_ambient(self.n)
-        if not self.degrees:
+    def __new__(cls, n: int, degrees, mu1: int = 1, variant: str = "proof"):
+        degrees = tuple(degrees)
+        require_ambient(n)
+        if not degrees:
             raise InvalidInput("at least one hypersurface degree is required")
-        for d in self.degrees:
+        for d in degrees:
             if not isinstance(d, int) or d < 1:
                 raise InvalidInput(f"hypersurface degrees must be integers >= 1, got {d!r}")
-        if len(self.degrees) > self.n:
+        if len(degrees) > n:
             raise InvalidInput(
-                f"{len(self.degrees)} hypersurfaces in P^{self.n} leave negative dimension"
+                f"{len(degrees)} hypersurfaces in P^{n} leave negative dimension"
             )
-        if not isinstance(self.mu1, int) or self.mu1 < 1:
-            raise InvalidInput(f"secant order mu1 must be an integer >= 1, got {self.mu1!r}")
-        if self.variant not in ("proof", "intro"):
-            raise InvalidInput(f"variant must be 'proof' or 'intro', got {self.variant!r}")
+        if not isinstance(mu1, int) or mu1 < 1:
+            raise InvalidInput(f"secant order mu1 must be an integer >= 1, got {mu1!r}")
+        if variant not in ("proof", "intro"):
+            raise InvalidInput(f"variant must be 'proof' or 'intro', got {variant!r}")
+        return tuple.__new__(cls, (n, degrees, mu1, variant))
 
     @property
     def m(self) -> int:

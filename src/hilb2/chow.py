@@ -23,7 +23,7 @@ the nef cones; BB is the fixed-point cell basis (see ``fixed_points``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -103,28 +103,33 @@ def require_ambient(n, error: type[ValidationError] = InvalidInput) -> None:
         raise error(f"ambient dimension must be an integer >= 1, got {n!r}")
 
 
-@dataclass(frozen=True)
-class BasisSymbol:
+def value_type(name: str, fields: str) -> type:
+    """A named-tuple base for an immutable value class that validates in
+    ``__new__``; ``_make``, and so ``_replace``, goes through ``__new__`` too."""
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
+
+
+class BasisSymbol(value_type("BasisSymbol", "family i j n")):
     """One abstract cycle class ``F_{i,j}`` on ``P^{n[2]}``.
 
     Construction validates the index range for the family; out-of-range
     indices raise :class:`InvalidIndex`.
     """
 
-    family: Family
-    i: int
-    j: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        require_ambient(self.n, InvalidIndex)
-        if not (isinstance(self.i, int) and isinstance(self.j, int)):
-            raise InvalidIndex(f"indices must be integers, got ({self.i!r}, {self.j!r})")
-        if not in_range(self.family, self.i, self.j, self.n):
+    def __new__(cls, family: Family, i: int, j: int, n: int):
+        require_ambient(n, InvalidIndex)
+        if not (isinstance(i, int) and isinstance(j, int)):
+            raise InvalidIndex(f"indices must be integers, got ({i!r}, {j!r})")
+        if not in_range(family, i, j, n):
             raise InvalidIndex(
-                f"{self.family.value}_{{{self.i},{self.j}}} is not a valid class on P^{self.n}[2]: "
-                + _range_description(self.family)
+                f"{family.value}_{{{i},{j}}} is not a valid class on P^{n}[2]: "
+                + _range_description(family)
             )
+        return tuple.__new__(cls, (family, i, j, n))
 
     @property
     def dimension(self) -> int:

@@ -12,26 +12,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
 import json
 import sys
 
-from .chern_secant import SecantProblem, TautBundle, chern_taut, secant_degree, \
-    secant_degree_mu_closed, secant_degree_mu_intersection, secant_oracle
-from .chow import BasisId, GradedClass, chow_rank, enumerate_basis
+# Each handler imports the engine modules it needs, so a subcommand loads
+# only those; ``pairing`` (and through it ``chow``) validates --dprime-diag
+# on every subcommand.
+from .chow import BasisId, chow_rank, enumerate_basis
 from .errors import InvalidInput, UnsupportedError, ValidationError
-from .fixed_points import bb_cell_of, enumerate_fixed_points
-from .pairing import (
-    PairingConfig,
-    effectivity_pairings,
-    intersection_matrix,
-    is_effective,
-    is_nef,
-    pair_symbols,
-)
-from .products import MonomialSpec, eval_monomial
-from .serialize import emit_class, parse_class, parse_symbol, symbol_to_doc
+from .pairing import PairingConfig
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -133,6 +123,8 @@ def _cmd_rank(args, cfg):
 
 
 def _cmd_basis(args, cfg):
+    from .serialize import symbol_to_doc
+
     kwargs, kind, k = {}, "all", None
     if args.dim is not None:
         kwargs, kind, k = {"dim": args.dim}, "dim", args.dim
@@ -149,6 +141,9 @@ def _cmd_basis(args, cfg):
 
 
 def _cmd_fixed_points(args, cfg):
+    from .fixed_points import bb_cell_of, enumerate_fixed_points
+    from .serialize import symbol_to_doc
+
     records, lines = [], []
     points = enumerate_fixed_points(args.n)
     for fp in points:
@@ -172,6 +167,9 @@ def _cmd_fixed_points(args, cfg):
 
 
 def _cmd_pair(args, cfg):
+    from .pairing import pair_symbols
+    from .serialize import parse_symbol, symbol_to_doc
+
     x = parse_symbol(args.x, args.n)
     y = parse_symbol(args.y, args.n)
     value = pair_symbols(x, y, cfg)
@@ -185,6 +183,11 @@ def _cmd_pair(args, cfg):
 
 
 def _cmd_matrix(args, cfg):
+    import csv
+
+    from .pairing import intersection_matrix
+    from .serialize import symbol_to_doc
+
     M = intersection_matrix(args.n, args.k, BasisId(args.rows), BasisId(args.cols), cfg)
     header = [""] + [str(s) for s in M.col_symbols]
     grid = [
@@ -213,6 +216,9 @@ def _cmd_matrix(args, cfg):
 
 
 def _cmd_power(args, cfg):
+    from .products import MonomialSpec, eval_monomial
+    from .serialize import emit_class
+
     X = eval_monomial(MonomialSpec(args.n, args.k, args.c_exp))
     result = {
         "n": args.n,
@@ -224,12 +230,18 @@ def _cmd_power(args, cfg):
 
 
 def _cmd_chern(args, cfg):
+    from .chern_secant import TautBundle, chern_taut
+    from .serialize import emit_class
+
     c1, c2 = chern_taut(TautBundle(args.n, args.d))
     result = {"n": args.n, "d": args.d, "c1": emit_class(c1), "c2": emit_class(c2)}
     return result, f"c1 = {c1}\nc2 = {c2}", []
 
 
 def _cmd_secant(args, cfg):
+    from .chern_secant import (SecantProblem, secant_degree, secant_degree_mu_closed,
+                               secant_degree_mu_intersection, secant_oracle)
+
     degrees = _parse_degrees(args.degrees)
     problem = SecantProblem(args.n, degrees, mu1=args.mu1, variant=args.variant)
     warnings = []
@@ -266,6 +278,9 @@ def _cmd_secant(args, cfg):
 
 
 def _cmd_cone(args, cfg):
+    from .pairing import effectivity_pairings, is_effective, is_nef
+    from .serialize import parse_class, symbol_to_doc
+
     X = parse_class(args.class_doc)
     if args.test == "nef":
         member = is_nef(X, args.k)

@@ -16,10 +16,10 @@ which is how the BB basis arises:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 from enum import Enum
 
-from .chow import BasisSymbol, Family, require_ambient
+from .chow import BasisSymbol, Family, require_ambient, value_type
 from .errors import InvalidIndex
 
 
@@ -29,31 +29,32 @@ class IdealKind(str, Enum):
     K = "K"
 
 
-@dataclass(frozen=True)
-class MonomialIdealDescriptor:
+@functools.lru_cache(maxsize=1)
+def _variable_names(n: int) -> tuple[str, ...]:
+    """``("x0", ..., "xn")``, shared by the generators of every fixed point."""
+    return tuple(f"x{k}" for k in range(n + 1))
+
+
+class MonomialIdealDescriptor(value_type("MonomialIdealDescriptor", "kind i j n")):
     """One torus-fixed monomial ideal, identified by (kind, i, j)."""
 
-    kind: IdealKind
-    i: int
-    j: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        require_ambient(self.n)
-        if not 0 <= self.i < self.j <= self.n:
-            raise InvalidIndex(
-                f"{self.kind.value}_{{{self.i},{self.j}}} needs 0 <= i < j <= {self.n}"
-            )
+    def __new__(cls, kind: IdealKind, i: int, j: int, n: int):
+        require_ambient(n)
+        if not 0 <= i < j <= n:
+            raise InvalidIndex(f"{kind.value}_{{{i},{j}}} needs 0 <= i < j <= {n}")
+        return tuple.__new__(cls, (kind, i, j, n))
 
     def generators(self) -> list[str]:
         """Generators of the ideal, rendered as monomial strings."""
+        x, i, j = _variable_names(self.n), self.i, self.j
         quad = {
-            IdealKind.I: f"x{self.i}*x{self.j}",
-            IdealKind.J: f"x{self.j}^2",
-            IdealKind.K: f"x{self.i}^2",
+            IdealKind.I: f"{x[i]}*{x[j]}",
+            IdealKind.J: f"{x[j]}^2",
+            IdealKind.K: f"{x[i]}^2",
         }[self.kind]
-        linear = [f"x{k}" for k in range(self.n + 1) if k not in (self.i, self.j)]
-        return [quad] + linear
+        return [quad, *x[:i], *x[i + 1:j], *x[j + 1:]]
 
     def __str__(self):
         return f"{self.kind.value}_{{{self.i},{self.j}}}"

@@ -37,12 +37,11 @@ values ``0``, ``1`` and ``2``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Union
 
-from .chow import BasisId, BasisSymbol, Family, GradedClass, enumerate_basis
+from .chow import BasisId, BasisSymbol, Family, GradedClass, enumerate_basis, value_type
 from .errors import (
     InvalidGrading,
     InvalidInput,
@@ -80,19 +79,19 @@ _PAIR_TABLE = {
 }
 
 
-@dataclass(frozen=True)
-class PairingConfig:
+class PairingConfig(value_type("PairingConfig", "ap_a_diagonal")):
     """Values for the diagonal entries the duality argument leaves free.
 
     ``ap_a_diagonal`` is the common value of ``A'_{i,j} . A_{n-j,n-i}``;
     only its positivity is pinned down, so it is configurable.
     """
 
-    ap_a_diagonal: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.ap_a_diagonal, int) or self.ap_a_diagonal < 1:
-            raise InvalidInput(f"ap_a_diagonal must be an integer >= 1, got {self.ap_a_diagonal!r}")
+    def __new__(cls, ap_a_diagonal: int = 1):
+        if not isinstance(ap_a_diagonal, int) or ap_a_diagonal < 1:
+            raise InvalidInput(f"ap_a_diagonal must be an integer >= 1, got {ap_a_diagonal!r}")
+        return tuple.__new__(cls, (ap_a_diagonal,))
 
 
 DEFAULT_CONFIG = PairingConfig()
@@ -176,17 +175,17 @@ def pair_classes(
     return total
 
 
-@dataclass(frozen=True)
-class IntersectionMatrix:
-    """A pairing matrix together with the symbols labelling its rows/columns."""
+class IntersectionMatrix(
+    value_type("IntersectionMatrix", "n k rows cols row_symbols col_symbols entries")
+):
+    """A pairing matrix together with the symbols labelling its rows/columns.
 
-    n: int
-    k: int
-    rows: BasisId
-    cols: BasisId
-    row_symbols: tuple[BasisSymbol, ...]
-    col_symbols: tuple[BasisSymbol, ...]
-    entries: tuple[tuple[Fraction, ...], ...] = field(repr=False)
+    ``rows`` and ``cols`` are the bases, ``row_symbols`` and ``col_symbols``
+    tuples of :class:`BasisSymbol`, and ``entries`` a tuple of row tuples of
+    ``Fraction``, which the repr leaves out.
+    """
+
+    __slots__ = ()
 
     def entry(self, r: int, c: int) -> Fraction:
         return self.entries[r][c]
@@ -198,6 +197,10 @@ class IntersectionMatrix:
             for c in range(len(self.col_symbols))
             if r != c
         )
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields[:-1], self))
+        return f"IntersectionMatrix({shown})"
 
 
 _PARTNER_FAMILY = {Family.AP: Family.A, Family.B: Family.C, Family.C: Family.BP}

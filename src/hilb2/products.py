@@ -40,10 +40,9 @@ one ``GradedClass`` from the accumulated mapping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .chow import BasisSymbol, Family, GradedClass, in_range, require_ambient
+from .chow import BasisSymbol, Family, GradedClass, in_range, require_ambient, value_type
 from .errors import (
     InvalidExponent,
     InvalidInput,
@@ -188,22 +187,18 @@ def bprime_top_power(n: int, k: int) -> GradedClass:
     return _build(n, _linear(_ms_terms, closed, n))
 
 
-@dataclass(frozen=True)
-class MonomialSpec:
+class MonomialSpec(value_type("MonomialSpec", "n a b")):
     """Exponents of a monomial ``B'_{n-1,n-1}^a . C_{n-1,n-1}^b``."""
 
-    n: int
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        require_ambient(self.n)
-        if not isinstance(self.a, int) or not isinstance(self.b, int) or self.a < 0 or self.b < 0:
-            raise InvalidInput(f"exponents must be nonnegative integers, got a={self.a!r}, b={self.b!r}")
-        if self.a + self.b > self.n:
-            raise InvalidInput(
-                f"total codimension {2 * (self.a + self.b)} exceeds the ring dimension {2 * self.n}"
-            )
+    def __new__(cls, n: int, a: int, b: int):
+        require_ambient(n)
+        if not isinstance(a, int) or not isinstance(b, int) or a < 0 or b < 0:
+            raise InvalidInput(f"exponents must be nonnegative integers, got a={a!r}, b={b!r}")
+        if a + b > n:
+            raise InvalidInput(f"total codimension {2 * (a + b)} exceeds the ring dimension {2 * n}")
+        return tuple.__new__(cls, (n, a, b))
 
 
 def eval_monomial(spec: MonomialSpec) -> GradedClass:

@@ -171,6 +171,15 @@ def test_dprime_diag_flag():
     assert (code, text) == (0, "9")
 
 
+def test_dprime_diag_is_validated_on_every_subcommand():
+    # rank never pairs, yet a bad --dprime-diag is still refused
+    code, doc = run_json(["rank", "--n", "3", "--codim", "1", "--dprime-diag", "0"])
+    assert code == 2
+    assert doc["command"] == "rank"
+    assert doc["error"]["type"] == "InvalidInput"
+    assert "ap_a_diagonal must be an integer >= 1" in doc["error"]["message"]
+
+
 def test_basis_text_output():
     code, text = run_command(["basis", "--n", "3", "--basis", "MS", "--dim", "3"])
     assert (code, text) == (0, "A_{0,3} A_{1,2} B'_{1,2} C_{1,2}")

@@ -70,3 +70,17 @@ def test_generators():
     # n-1 linear generators plus one quadric, for every fixed point
     for fp in enumerate_fixed_points(4):
         assert len(fp.generators()) == 4
+
+
+def naive_generators(fp):
+    """The generators formatted afresh for one point, variable by variable."""
+    quad = {"I": f"x{fp.i}*x{fp.j}", "J": f"x{fp.j}^2", "K": f"x{fp.i}^2"}[fp.kind.value]
+    return [quad] + [f"x{k}" for k in range(fp.n + 1) if k not in (fp.i, fp.j)]
+
+
+def test_generators_match_naive_formatting():
+    # interleave two ambient dimensions so the shared name list is rebuilt
+    for n in range(1, 13):
+        for fp, other in zip(enumerate_fixed_points(n), enumerate_fixed_points(n + 1)):
+            assert fp.generators() == naive_generators(fp), fp
+            assert other.generators() == naive_generators(other), other

@@ -291,15 +291,16 @@ def test_products_commute_with_rational_scalars(q):
 def test_mul_bprime_top_builds_each_output_symbol_once(monkeypatch):
     X = bprime_top_power(40, 10)
     built = []
-    post_init = BasisSymbol.__post_init__
+    new = BasisSymbol.__new__  # the one constructor; it validates every symbol
 
-    def counting(self):
-        built.append((self.family, self.i, self.j))
-        post_init(self)
+    def counting(cls, family, i, j, n):
+        built.append((family, i, j))
+        return new(cls, family, i, j, n)
 
-    monkeypatch.setattr(BasisSymbol, "__post_init__", counting)
+    monkeypatch.setattr(BasisSymbol, "__new__", staticmethod(counting))
     Y = mul_bprime_top(X)
     monkeypatch.undo()
     assert Y == bprime_top_power(40, 11)
     assert len(built) <= len(Y.items()) == 21
     assert len(set(built)) == len(built)
+    assert built and set(built) <= {(s.family, s.i, s.j) for s, _ in Y.items()}

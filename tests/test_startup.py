@@ -1,0 +1,125 @@
+"""Start-up pays only for what is used.
+
+``import hilb2`` imports no submodule, ``import hilb2.cli`` avoids
+``dataclasses`` and ``inspect``, and a subcommand loads only the engine
+modules its handler imports.  The module checks run in fresh interpreters,
+because this test process has long since imported everything; a module the
+bare interpreter already loads at start-up is not blamed on the package.
+Nothing here is timed.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hilb2
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# The public API, by defining module: the 58 names of ``hilb2.__all__``.
+PUBLIC = {
+    "chow": [
+        "BasisId", "BasisSymbol", "Family", "GradedClass", "chow_rank",
+        "enumerate_basis", "linear_combine", "validate_symbol",
+    ],
+    "chern_secant": [
+        "SecantProblem", "TautBundle", "chern_taut", "secant_degree",
+        "secant_degree_mu_closed", "secant_degree_mu_intersection", "secant_oracle",
+    ],
+    "errors": [
+        "Hilb2Error", "InvalidExponent", "InvalidGrading", "InvalidIndex",
+        "InvalidInput", "MixedAmbient", "NotComplementary", "NotHomogeneous",
+        "ParseError", "UnsupportedBasisPair", "UnsupportedError", "UnsupportedFamily",
+        "UnsupportedFamilyPair", "UnsupportedMonomial", "UnsupportedTerm",
+        "ValidationError", "WrongBasis",
+    ],
+    "fixed_points": ["IdealKind", "MonomialIdealDescriptor", "bb_cell_of", "enumerate_fixed_points"],
+    "pairing": [
+        "DEFAULT_CONFIG", "IntersectionMatrix", "PairingConfig", "dual_generator",
+        "effectivity_pairings", "has_complementary_indices", "intersection_matrix",
+        "is_effective", "is_nef", "pair_classes", "pair_symbols", "partner_indices",
+    ],
+    "products": [
+        "MonomialSpec", "bprime_top_power", "eval_monomial", "mul_bprime_top",
+        "mul_c_top", "to_ms",
+    ],
+    "serialize": ["class_to_json", "emit_class", "parse_class", "parse_symbol"],
+}
+
+ENGINE = ["hilb2.products", "hilb2.chern_secant", "hilb2.fixed_points", "hilb2.serialize", "csv"]
+
+
+def modules_after(code: str) -> set[str]:
+    """The modules a fresh interpreter has loaded after running ``code``."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    script = f"{code}\nimport sys\nprint('\\n'.join(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+@pytest.fixture(scope="module")
+def bare() -> set[str]:
+    return modules_after("pass")
+
+
+def loaded_by(code: str, bare: set[str]) -> set[str]:
+    return modules_after(code) - bare
+
+
+def test_import_hilb2_loads_no_submodule(bare):
+    assert {m for m in loaded_by("import hilb2", bare) if m.startswith("hilb2.")} == set()
+
+
+def test_first_use_loads_only_the_defining_module(bare):
+    loaded = loaded_by("import hilb2\nhilb2.chow_rank", bare)
+    assert {m for m in loaded if m.startswith("hilb2")} == {"hilb2", "hilb2.chow", "hilb2.errors"}
+    # a submodule is reachable as an attribute of the package, as before
+    loaded = loaded_by("import hilb2\nassert hilb2.products.mul_c_top", bare)
+    assert {m for m in loaded if m.startswith("hilb2")} >= {"hilb2.products"}
+
+
+def test_import_cli_loads_neither_dataclasses_nor_inspect(bare):
+    loaded = loaded_by("import hilb2.cli", bare)
+    assert "hilb2.cli" in loaded
+    assert {"dataclasses", "inspect"} & loaded == set()
+
+
+def test_rank_loads_no_engine_module_it_does_not_use(bare):
+    code = ("from hilb2.cli import run_command\n"
+            "assert run_command(['rank', '--n', '3', '--codim', '1', '--format', 'json'])[0] == 0")
+    loaded = loaded_by(code, bare)
+    assert "hilb2.pairing" in loaded  # --dprime-diag is validated on every subcommand
+    assert sorted(set(ENGINE) & loaded) == []
+
+
+def test_all_is_the_public_api():
+    assert hilb2.__all__ == sorted(name for names in PUBLIC.values() for name in names)
+    assert len(hilb2.__all__) == 58
+
+
+@pytest.mark.parametrize("module", sorted(PUBLIC))
+def test_each_name_resolves_to_its_defining_module(module):
+    defining = importlib.import_module(f"hilb2.{module}")
+    assert getattr(hilb2, module) is defining
+    for name in PUBLIC[module]:
+        assert getattr(hilb2, name) is getattr(defining, name), name
+
+
+def test_star_import_binds_exactly_all():
+    namespace: dict = {}
+    exec("from hilb2 import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(hilb2.__all__)
+    assert set(hilb2.__all__) <= set(dir(hilb2))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hilb2.no_such_name
+    with pytest.raises(ImportError):
+        exec("from hilb2 import no_such_name", {})
