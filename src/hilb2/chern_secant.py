@@ -174,13 +174,8 @@ def secant_oracle(n: int, degrees) -> int | None:
     by adjunction, ``2g - 2 = D (sum d_i - n - 1)``.  Returns None for
     m >= 2, where no classical formula is wired in.
     """
-    degrees = tuple(degrees)
-    require_ambient(n)
-    if not degrees or any(not isinstance(d, int) or d < 1 for d in degrees):
-        raise InvalidInput(f"hypersurface degrees must be integers >= 1, got {degrees!r}")
-    m = n - len(degrees)
-    if m < 0:
-        raise InvalidInput(f"{len(degrees)} hypersurfaces in P^{n} leave negative dimension")
+    problem = SecantProblem(n, degrees)  # validates n and the degrees
+    m, degrees = problem.m, problem.degrees
     D = prod(degrees)
     if m == 0:
         return comb(D, 2)

@@ -73,6 +73,16 @@ _BASIS_FAMILIES = {
 }
 
 
+def as_basis(basis: Union[BasisId, str]) -> BasisId:
+    """The basis named by ``basis``; an unknown name raises ``InvalidInput``."""
+    if isinstance(basis, BasisId):
+        return basis
+    try:
+        return BasisId(basis)
+    except ValueError:
+        raise InvalidInput(f"unknown basis {basis!r}") from None
+
+
 # The index range of each family, ``lo <= i``, ``i + gap <= j <= n + top``,
 # as ``(lo, gap, top)``: the one statement that the validity test and the
 # error message both read.
@@ -101,6 +111,12 @@ def require_ambient(n, error: type[ValidationError] = InvalidInput) -> None:
     """Raise ``error`` unless ``n`` is a valid ambient dimension (an int >= 1)."""
     if not isinstance(n, int) or n < 1:
         raise error(f"ambient dimension must be an integer >= 1, got {n!r}")
+
+
+def require_grading(k, n: int, noun: str = "grading") -> None:
+    """Raise ``InvalidGrading`` unless ``k`` is an integer in ``[0, 2n]``."""
+    if not isinstance(k, int) or not 0 <= k <= 2 * n:
+        raise InvalidGrading(f"{noun} {k!r} outside [0, {2 * n}]")
 
 
 def value_type(name: str, fields: str) -> type:
@@ -361,11 +377,7 @@ def enumerate_basis(
     (A/A', B/B', C).
     """
     require_ambient(n)
-    if not isinstance(basis, BasisId):
-        try:
-            basis = BasisId(basis)
-        except ValueError:
-            raise InvalidInput(f"unknown basis {basis!r}") from None
+    basis = as_basis(basis)
     if dim is not None and codim is not None:
         raise InvalidInput("give at most one of dim and codim")
 
@@ -379,9 +391,7 @@ def enumerate_basis(
             out.extend(block)
         return out
 
-    requested = dim if dim is not None else codim
-    if not isinstance(requested, int) or not 0 <= requested <= 2 * n:
-        raise InvalidGrading(f"grading {requested!r} outside [0, {2 * n}]")
+    require_grading(dim if dim is not None else codim, n)
     if dim is not None:
         k, reverse = dim, False
     else:
@@ -408,8 +418,7 @@ def chow_rank(n: int, k: int) -> int:
     basis symbols in each of the three bases in that grading.
     """
     require_ambient(n)
-    if not isinstance(k, int) or not 0 <= k <= 2 * n:
-        raise InvalidGrading(f"codimension {k!r} outside [0, {2 * n}]")
+    require_grading(k, n, "codimension")
     if k in (0, 2 * n):
         return 1
     total = 0

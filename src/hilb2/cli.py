@@ -3,8 +3,8 @@
 Subcommands: rank, basis, fixed-points, pair, matrix, power, chern, secant,
 cone.  Global flags ``--format json|text`` (csv additionally for matrices)
 and ``--dprime-diag N`` (the configurable A'.A pairing diagonal) may appear
-before or after the subcommand.  Exit codes: 0 success, 2 validation error,
-3 unsupported operation.  JSON output follows
+anywhere in the arguments, spelled in full.  Exit codes: 0 success, 2
+validation or usage error, 3 unsupported operation.  JSON output follows
 ``schemas/cli_output.schema.json``.
 """
 
@@ -15,11 +15,12 @@ import contextlib
 import io
 import json
 import sys
+from collections import namedtuple
 
 # Each handler imports the engine modules it needs, so a subcommand loads
 # only those; ``pairing`` (and through it ``chow``) validates --dprime-diag
 # on every subcommand.
-from .chow import BasisId, chow_rank, enumerate_basis
+from .chow import chow_rank, enumerate_basis
 from .errors import InvalidInput, UnsupportedError, ValidationError
 from .pairing import PairingConfig
 
@@ -27,34 +28,53 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_UNSUPPORTED = 3
 
+# The one result type of every handler; only ``matrix`` has a csv rendering.
+_Output = namedtuple("_Output", "result text warnings csv", defaults=((), None))
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ``InvalidInput``, so they share the error path."""
+
+    def error(self, message):
+        raise InvalidInput(f"{self.prog}: {message}")
+
+
+def _int_or_text(text: str):
+    """An int, or the text for ``PairingConfig`` to refuse once --format is read."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
+# The global flags, taken out of argv wherever they appear.  No prefix
+# matching: "--d" (chern's twist) must not read as --dprime-diag.
+_GLOBALS = _Parser(prog="hilb2", add_help=False, allow_abbrev=False)
+_GLOBALS.add_argument(
+    "--format", choices=("text", "json", "csv"), default="text",
+    help="output format (csv is available for matrix only; default text)",
+)
+_GLOBALS.add_argument(
+    "--dprime-diag", type=_int_or_text, default=1, metavar="N",
+    help="value of the A'.A pairing diagonal (default 1)",
+)
+
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("text", "json", "csv"), default=argparse.SUPPRESS,
-        help="output format (csv is available for matrix only; default text)",
-    )
-    common.add_argument(
-        "--dprime-diag", type=int, default=argparse.SUPPRESS, metavar="N",
-        help="value of the A'.A pairing diagonal (default 1)",
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="hilb2",
+    parser = _Parser(
+        prog="hilb2", parents=[_GLOBALS], allow_abbrev=False,
         description="Exact intersection-theory calculator for the Hilbert scheme "
         "of two points on P^n.",
     )
-    parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--dprime-diag", type=int, default=1, metavar="N")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("rank", parents=[common], help="rank of a graded Chow group")
+    p = sub.add_parser("rank", help="rank of a graded Chow group")
     p.add_argument("--n", type=int, required=True)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--codim", type=int)
     g.add_argument("--dim", type=int)
 
-    p = sub.add_parser("basis", parents=[common], help="list basis symbols")
+    p = sub.add_parser("basis", help="list basis symbols")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--basis", choices=("BB", "ES", "MS"), required=True)
     g = p.add_mutually_exclusive_group()
@@ -62,31 +82,31 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--dim", type=int)
     g.add_argument("--all", action="store_true")
 
-    p = sub.add_parser("fixed-points", parents=[common], help="torus-fixed monomial ideals")
+    p = sub.add_parser("fixed-points", help="torus-fixed monomial ideals")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--generators", action="store_true", help="include ideal generators")
 
-    p = sub.add_parser("pair", parents=[common], help="intersection number of two symbols")
+    p = sub.add_parser("pair", help="intersection number of two symbols")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--x", required=True, metavar="JSON", help='e.g. {"family":"B\'","i":1,"j":1}')
     p.add_argument("--y", required=True, metavar="JSON")
 
-    p = sub.add_parser("matrix", parents=[common], help="complementary-codimension pairing matrix")
+    p = sub.add_parser("matrix", help="complementary-codimension pairing matrix")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True, help="rows have dimension k, columns codimension k")
     p.add_argument("--rows", choices=("ES", "MS"), default="ES")
     p.add_argument("--cols", choices=("MS",), default="MS")
 
-    p = sub.add_parser("power", parents=[common], help="evaluate B'_{n-1,n-1}^k . C_{n-1,n-1}^b")
+    p = sub.add_parser("power", help="evaluate B'_{n-1,n-1}^k . C_{n-1,n-1}^b")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True, help="exponent of B'_{n-1,n-1} (k >= 1)")
     p.add_argument("--c-exp", type=int, default=0, metavar="B", help="exponent of C_{n-1,n-1}")
 
-    p = sub.add_parser("chern", parents=[common], help="Chern classes of the tautological bundle of O(d)")
+    p = sub.add_parser("chern", help="Chern classes of the tautological bundle of O(d)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
 
-    p = sub.add_parser("secant", parents=[common], help="degree of the secant variety of a complete intersection")
+    p = sub.add_parser("secant", help="degree of the secant variety of a complete intersection")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--degrees", required=True, metavar="D1,D2,...")
     p.add_argument("--mu1", type=int, default=1)
@@ -94,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-oracle", action="store_true",
                    help="compare against the classical chord/curve formulas and the intersection route")
 
-    p = sub.add_parser("cone", parents=[common], help="nef / effective cone membership")
+    p = sub.add_parser("cone", help="nef / effective cone membership")
     p.add_argument("--class", dest="class_doc", required=True, metavar="JSON",
                    help="class document in MS coordinates")
     p.add_argument("--test", choices=("nef", "effective"), required=True)
@@ -119,25 +139,22 @@ def _cmd_rank(args, cfg):
     codim = args.codim if args.codim is not None else 2 * n - args.dim
     rank = chow_rank(n, codim)
     result = {"n": n, "codim": codim, "dim": 2 * n - codim, "rank": rank}
-    return result, str(rank), []
+    return _Output(result, str(rank))
 
 
 def _cmd_basis(args, cfg):
     from .serialize import symbol_to_doc
 
-    kwargs, kind, k = {}, "all", None
-    if args.dim is not None:
-        kwargs, kind, k = {"dim": args.dim}, "dim", args.dim
-    elif args.codim is not None:
-        kwargs, kind, k = {"codim": args.codim}, "codim", args.codim
-    symbols = enumerate_basis(args.n, BasisId(args.basis), **kwargs)
+    symbols = enumerate_basis(args.n, args.basis, dim=args.dim, codim=args.codim)
+    kind = "dim" if args.dim is not None else "codim" if args.codim is not None else "all"
+    k = args.dim if args.dim is not None else args.codim
     result = {
         "n": args.n,
         "basis": args.basis,
         "grading": {"kind": kind, "k": k},
         "symbols": [symbol_to_doc(s) for s in symbols],
     }
-    return result, " ".join(str(s) for s in symbols), []
+    return _Output(result, " ".join(str(s) for s in symbols))
 
 
 def _cmd_fixed_points(args, cfg):
@@ -163,7 +180,7 @@ def _cmd_fixed_points(args, cfg):
         records.append(rec)
         lines.append(line)
     result = {"n": args.n, "count": len(points), "fixed_points": records}
-    return result, "\n".join(lines), []
+    return _Output(result, "\n".join(lines))
 
 
 def _cmd_pair(args, cfg):
@@ -179,7 +196,7 @@ def _cmd_pair(args, cfg):
         "y": symbol_to_doc(y),
         "value": str(value),
     }
-    return result, str(value), []
+    return _Output(result, str(value))
 
 
 def _cmd_matrix(args, cfg):
@@ -188,7 +205,7 @@ def _cmd_matrix(args, cfg):
     from .pairing import intersection_matrix
     from .serialize import symbol_to_doc
 
-    M = intersection_matrix(args.n, args.k, BasisId(args.rows), BasisId(args.cols), cfg)
+    M = intersection_matrix(args.n, args.k, args.rows, args.cols, cfg)
     header = [""] + [str(s) for s in M.col_symbols]
     grid = [
         [str(r)] + [str(v) for v in row]
@@ -200,9 +217,7 @@ def _cmd_matrix(args, cfg):
         for line in [header] + grid
     ]
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(grid)
+    csv.writer(buf, lineterminator="\n").writerows([header] + grid)
     result = {
         "n": args.n,
         "k": args.k,
@@ -212,7 +227,7 @@ def _cmd_matrix(args, cfg):
         "col_symbols": [symbol_to_doc(s) for s in M.col_symbols],
         "entries": [[str(v) for v in row] for row in M.entries],
     }
-    return result, "\n".join(text_lines), [], buf.getvalue().rstrip("\n")
+    return _Output(result, "\n".join(text_lines), csv=buf.getvalue().rstrip("\n"))
 
 
 def _cmd_power(args, cfg):
@@ -226,7 +241,7 @@ def _cmd_power(args, cfg):
         "c_exponent": args.c_exp,
         "class": emit_class(X),
     }
-    return result, str(X), []
+    return _Output(result, str(X))
 
 
 def _cmd_chern(args, cfg):
@@ -235,12 +250,12 @@ def _cmd_chern(args, cfg):
 
     c1, c2 = chern_taut(TautBundle(args.n, args.d))
     result = {"n": args.n, "d": args.d, "c1": emit_class(c1), "c2": emit_class(c2)}
-    return result, f"c1 = {c1}\nc2 = {c2}", []
+    return _Output(result, f"c1 = {c1}\nc2 = {c2}")
 
 
 def _cmd_secant(args, cfg):
-    from .chern_secant import (SecantProblem, secant_degree, secant_degree_mu_closed,
-                               secant_degree_mu_intersection, secant_oracle)
+    from .chern_secant import (SecantProblem, secant_degree, secant_degree_mu_intersection,
+                               secant_oracle)
 
     degrees = _parse_degrees(args.degrees)
     problem = SecantProblem(args.n, degrees, mu1=args.mu1, variant=args.variant)
@@ -249,8 +264,8 @@ def _cmd_secant(args, cfg):
         warnings.append(
             "degree-1 hypersurfaces make X degenerate in P^n; the count is for its linear span"
         )
-    deg_mu = secant_degree_mu_closed(problem)
-    degree = secant_degree(problem)
+    degree = secant_degree(problem)  # the exponential closed route, run once
+    deg_mu = int(degree * args.mu1)
     result = {
         "n": args.n,
         "degrees": degrees,
@@ -274,7 +289,7 @@ def _cmd_secant(args, cfg):
         for name, v in checks.items():
             lines.append(f"{name} = {v}")
         lines.append("OK" if ok else "MISMATCH")
-    return result, "\n".join(lines), warnings
+    return _Output(result, "\n".join(lines), warnings)
 
 
 def _cmd_cone(args, cfg):
@@ -297,7 +312,7 @@ def _cmd_cone(args, cfg):
     result = {"n": X.n, "test": args.test, "k": k, "member": member}
     if pairings is not None:
         result["pairings"] = pairings
-    return result, "true" if member else "false", []
+    return _Output(result, "true" if member else "false")
 
 
 _HANDLERS = {
@@ -315,44 +330,29 @@ _HANDLERS = {
 
 def run_command(argv) -> tuple[int, str]:
     """Run one CLI invocation; returns (exit code, output text)."""
-    parser = _build_parser()
-    captured = io.StringIO()
+    args = argparse.Namespace(command=None)  # the subparser names the command
+    help_text = io.StringIO()
     try:
-        with contextlib.redirect_stdout(captured), contextlib.redirect_stderr(captured):
-            args = parser.parse_args(list(argv))
-    except SystemExit as exc:
-        text = captured.getvalue().rstrip("\n")
-        code = EXIT_OK if exc.code in (0, None) else EXIT_VALIDATION
-        return code, text
-
-    fmt = args.format
-    command = args.command
-    try:
-        cfg = PairingConfig(ap_a_diagonal=args.dprime_diag)
-        out = _HANDLERS[command](args, cfg)
-        result, text, warnings = out[0], out[1], out[2]
-        csv_text = out[3] if len(out) > 3 else None
-        if fmt == "csv":
-            if csv_text is None:
-                raise InvalidInput("csv format is available for the matrix command only")
-            return EXIT_OK, csv_text
-        if fmt == "json":
-            envelope = {"command": command, "result": result}
-            if warnings:
-                envelope["warnings"] = warnings
-            return EXIT_OK, json.dumps(envelope, indent=2)
-        if warnings:
-            text = "\n".join(f"warning: {w}" for w in warnings) + "\n" + text
-        return EXIT_OK, text
+        _, rest = _GLOBALS.parse_known_args(list(argv), args)
+        with contextlib.redirect_stdout(help_text):
+            _build_parser().parse_args(rest, args)
+        out = _HANDLERS[args.command](args, PairingConfig(ap_a_diagonal=args.dprime_diag))
+        if args.format == "csv" and out.csv is None:
+            raise InvalidInput("csv format is available for the matrix command only")
+        code, body = EXIT_OK, {"result": out.result}
+        if out.warnings:
+            body["warnings"] = out.warnings
+        warned = [f"warning: {w}" for w in out.warnings]
+        text = out.csv if args.format == "csv" else "\n".join([*warned, out.text])
+    except SystemExit:  # --help, after printing the help text
+        return EXIT_OK, help_text.getvalue().rstrip("\n")
     except (ValidationError, UnsupportedError) as exc:
         code = EXIT_VALIDATION if isinstance(exc, ValidationError) else EXIT_UNSUPPORTED
-        if fmt == "json":
-            envelope = {
-                "command": command,
-                "error": {"type": type(exc).__name__, "message": str(exc)},
-            }
-            return code, json.dumps(envelope, indent=2)
-        return code, f"error: {exc}"
+        body = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        text = f"error: {exc}"
+    if args.format == "json":  # one envelope for results and errors
+        return code, json.dumps({"command": args.command, **body}, indent=2)
+    return code, text
 
 
 def main(argv=None) -> int:

@@ -42,6 +42,8 @@ class MonomialIdealDescriptor(value_type("MonomialIdealDescriptor", "kind i j n"
 
     def __new__(cls, kind: IdealKind, i: int, j: int, n: int):
         require_ambient(n)
+        if not (isinstance(i, int) and isinstance(j, int)):
+            raise InvalidIndex(f"indices must be integers, got ({i!r}, {j!r})")
         if not 0 <= i < j <= n:
             raise InvalidIndex(f"{kind.value}_{{{i},{j}}} needs 0 <= i < j <= {n}")
         return tuple.__new__(cls, (kind, i, j, n))

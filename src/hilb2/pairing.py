@@ -41,9 +41,9 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Union
 
-from .chow import BasisId, BasisSymbol, Family, GradedClass, enumerate_basis, value_type
+from .chow import (BasisId, BasisSymbol, Family, GradedClass, as_basis, enumerate_basis,
+                   require_ambient, require_grading, value_type)
 from .errors import (
-    InvalidGrading,
     InvalidInput,
     MixedAmbient,
     NotComplementary,
@@ -233,11 +233,11 @@ def intersection_matrix(
     rows (a permutation of the canonical codimension-k enumeration), which
     is the order in which the matrix is literally diagonal.
     """
-    rows, cols = BasisId(rows), BasisId(cols)
+    rows, cols = as_basis(rows), as_basis(cols)
     if (rows, cols) not in ((BasisId.ES, BasisId.MS), (BasisId.MS, BasisId.MS)):
         raise UnsupportedBasisPair(f"no intersection matrix for ({rows.value}, {cols.value})")
-    if not isinstance(k, int) or not 0 <= k <= 2 * n:
-        raise InvalidGrading(f"grading {k!r} outside [0, {2 * n}]")
+    require_ambient(n)
+    require_grading(k, n)
     row_syms = tuple(enumerate_basis(n, rows, dim=k))
     if rows is BasisId.ES:
         col_syms = tuple(dual_generator(s) for s in row_syms)
@@ -259,18 +259,14 @@ def _require_ms(X: GradedClass, what: str) -> None:
         raise WrongBasis(f"{what} expects MS coordinates; found families {bad}")
 
 
-def _require_grading(X: GradedClass, k: int | None) -> None:
-    if k is not None and (not isinstance(k, int) or not 0 <= k <= 2 * X.n):
-        raise InvalidGrading(f"grading {k!r} outside [0, {2 * X.n}]")
-
-
 def is_nef(X: GradedClass, k: int | None = None) -> bool:
     """Whether a homogeneous codimension-k class in MS coordinates is nef.
 
     The MS generators span the nef cone in each grading, so this is a
     nonnegativity check on the coefficients.
     """
-    _require_grading(X, k)
+    if k is not None:
+        require_grading(k, X.n)
     if X.is_zero:
         return True
     _require_ms(X, "is_nef")
@@ -289,7 +285,8 @@ def is_effective(
     codimension k, so membership is a nonnegative pairing against every MS
     generator of codimension k.
     """
-    _require_grading(X, k)
+    if k is not None:
+        require_grading(k, X.n)
     if not X.is_zero:
         _require_ms(X, "is_effective")
         dim = X.dimension()  # raises NotHomogeneous

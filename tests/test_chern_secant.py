@@ -158,6 +158,21 @@ def test_secant_oracle_examples():
         secant_oracle(2, (2, 2, 2))
 
 
+@pytest.mark.parametrize("n, degrees", [
+    (0, (2,)), (2.5, (2,)), (3, ()), (3, (2, 0)), (3, (2, "2")), (3, (2, 1.0)), (2, (2, 2, 2)),
+])
+def test_secant_oracle_refuses_what_secant_problem_refuses(n, degrees):
+    with pytest.raises(InvalidInput) as expected:
+        SecantProblem(n, degrees)
+    with pytest.raises(InvalidInput) as got:
+        secant_oracle(n, degrees)
+    assert str(got.value) == str(expected.value)
+
+
+def test_secant_oracle_takes_any_iterable_of_degrees():
+    assert secant_oracle(4, (d for d in (2, 2, 2))) == 16
+
+
 def test_secant_degree_examples():
     assert secant_degree(SecantProblem(4, (2, 2, 2), mu1=1)) == 16
     assert secant_degree(SecantProblem(4, (2, 2, 2), mu1=2)) == 8

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -157,6 +158,25 @@ def test_chow_rank_bad_grading():
         chow_rank(2, 5)
     with pytest.raises(InvalidGrading):
         chow_rank(2, -1)
+
+
+def test_require_grading_messages():
+    from hilb2.chow import require_grading
+
+    require_grading(0, 2)
+    require_grading(4, 2)
+    for k in (-1, 5, 1.0, "1", None):
+        with pytest.raises(InvalidGrading, match=rf"^grading {re.escape(repr(k))} outside \[0, 4\]$"):
+            require_grading(k, 2)
+    with pytest.raises(InvalidGrading, match=r"^codimension 9 outside \[0, 4\]$"):
+        chow_rank(2, 9)
+    with pytest.raises(InvalidGrading, match=r"^grading 9 outside \[0, 4\]$"):
+        enumerate_basis(2, "MS", codim=9)
+
+
+def test_unknown_basis_name_is_invalid_input():
+    with pytest.raises(InvalidInput, match="unknown basis 'XX'"):
+        enumerate_basis(2, "XX")
 
 
 def test_linear_combine_examples():

@@ -90,9 +90,10 @@ def test_bad_flags_exit_2():
 
 
 def test_help_exits_zero():
-    code, text = run_command(["--help"])
-    assert code == 0
-    assert "hilb2" in text
+    for argv in (["--help"], ["-h"], ["rank", "--help"], ["--format", "json", "rank", "-h"]):
+        code, text = run_command(argv)
+        assert code == 0
+        assert text.startswith("usage: hilb2"), argv
 
 
 def test_json_outputs_validate_against_schema():
@@ -214,3 +215,98 @@ def test_deeply_nested_symbol_document_is_a_parse_error():
         assert code == 2
         assert doc["error"]["type"] == "ParseError"
         assert "nested too deeply" in doc["error"]["message"]
+
+
+RANK_ARGS = ["rank", "--n", "3", "--codim", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--format", "json", *RANK_ARGS],
+    [*RANK_ARGS, "--format", "json"],
+    ["--format=json", *RANK_ARGS],
+    [*RANK_ARGS, "--format=json"],
+    ["rank", "--format", "json", "--n", "3", "--codim", "1"],
+    ["--dprime-diag", "2", "rank", "--n", "3", "--format=json", "--codim", "1"],
+])
+def test_global_flags_anywhere(argv):
+    code, text = run_command(argv)
+    assert code == 0
+    assert json.loads(text) == {"command": "rank",
+                                "result": {"n": 3, "codim": 1, "dim": 5, "rank": 2}}
+
+
+def test_dprime_diag_after_subcommand_option_values():
+    pair = ["pair", "--n", "2", "--x", '{"family":"A\'","i":0,"j":2}',
+            "--y", '{"family":"A","i":0,"j":2}']
+    assert run_command([*pair[:4], "--dprime-diag=9", *pair[4:]]) == (0, "9")
+
+
+def test_chern_twist_is_not_read_as_dprime_diag():
+    code, doc = run_json(["chern", "--n", "3", "--d", "2"])
+    assert code == 0
+    assert doc["result"]["d"] == 2
+    code, doc = run_json(["chern", "--n", "3", "--d", "2", "--dprime-diag", "5"])
+    assert code == 0
+    assert doc["result"]["d"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    [*RANK_ARGS, "--form", "json"],
+    ["--form", "json", *RANK_ARGS],
+    [*RANK_ARGS, "--dprime", "2"],
+])
+def test_abbreviated_global_flag_is_a_usage_error(argv):
+    code, text = run_command(argv)
+    assert code == 2
+    assert text.startswith("error: hilb2: ")
+
+
+def test_subcommand_options_keep_prefix_matching():
+    assert run_command(["rank", "--n", "3", "--co", "1"]) == (0, "2")
+    assert run_command(["basis", "--n", "2", "--bas", "MS", "--di", "1"]) == (0, "A_{0,1} B'_{0,1}")
+
+
+@pytest.mark.parametrize("argv", [[], ["frobnicate"], ["--dprime-diag", "2"]])
+def test_usage_error_without_a_subcommand_names_none(argv):
+    code, doc = run_json(argv)
+    assert code == 2
+    assert doc == {"command": None, "error": {"type": "InvalidInput", "message": doc["error"]["message"]}}
+    assert doc["error"]["message"].startswith("hilb2: ")
+
+
+@pytest.mark.parametrize("argv", [
+    [*RANK_ARGS, "--dprime-diag", "x", "--format", "json"],
+    ["--format", "json", *RANK_ARGS, "--dprime-diag", "x"],
+])
+def test_non_integer_dprime_diag_is_refused_in_the_requested_format(argv):
+    code, text = run_command(argv)
+    assert code == 2
+    assert json.loads(text) == {"command": "rank", "error": {
+        "type": "InvalidInput", "message": "ap_a_diagonal must be an integer >= 1, got 'x'"}}
+    assert run_command(RANK_ARGS + ["--dprime-diag", "x"]) == (
+        2, "error: ap_a_diagonal must be an integer >= 1, got 'x'")
+
+
+def test_bad_format_value_is_a_usage_error():
+    code, text = run_command([*RANK_ARGS, "--format", "xml"])
+    assert code == 2
+    assert text.startswith("error: hilb2: argument --format: invalid choice: 'xml'")
+
+
+def test_subcommand_help_omits_global_flags():
+    top = run_command(["--help"])[1]
+    assert "--format" in top and "--dprime-diag" in top
+    sub = run_command(["rank", "--help"])[1]
+    assert "--codim" in sub
+    assert "--format" not in sub and "--dprime-diag" not in sub
+
+
+def test_secant_runs_the_closed_route_once(monkeypatch):
+    import hilb2.chern_secant as cs
+
+    calls = []
+    closed = cs.secant_degree_mu_closed
+    monkeypatch.setattr(cs, "secant_degree_mu_closed", lambda p: calls.append(p) or closed(p))
+    code, text = run_command(["secant", "--n", "4", "--degrees", "2,2,2", "--mu1", "2"])
+    assert (code, text) == (0, "deg(Sec X) * mu1 = 16\ndeg(Sec X) = 8")
+    assert len(calls) == 1

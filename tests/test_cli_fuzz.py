@@ -1,8 +1,9 @@
 """Seeded fuzz test of the command line.
 
 About 300 argument lists over all nine subcommands, with ambient dimensions
-in [-1, 12], gradings and exponents outside their ranges, and malformed
-class and symbol documents.  Every run must end in exit code 0, 2 or 3
+in [-1, 12], gradings and exponents outside their ranges, malformed class
+and symbol documents, and some usage errors (a non-integer ``--n``, a
+missing required flag).  Every run must end in exit code 0, 2 or 3
 without an exception, and every ``--format json`` output must validate
 against ``cli_output.schema.json``.  Secant calls list at most 8 degrees:
 the closed route visits ``2^r`` subsets and has no cap of its own.
@@ -170,12 +171,23 @@ def subcommand_args(rng, command):
     return args
 
 
+def usage_error(rng, argv):
+    """Break the argument list itself: the first flag of every subcommand is
+    required, and that of all but ``cone`` is the integer ``--n``."""
+    if argv[1] == "--n" and rng.random() < 0.5:
+        return argv[:2] + [rng.choice(["x", "2.5", ""])] + argv[3:]
+    return argv[:1] + argv[3:]
+
+
 def fuzz_cases():
     rng = random.Random(SEED)
+    breaker = random.Random(SEED + 1)  # leaves the other cases as they were
     cases = []
     for case in range(CASES):
         command = COMMANDS[case % len(COMMANDS)]
         argv = [command] + subcommand_args(rng, command)
+        if breaker.random() < 0.05:
+            argv = usage_error(breaker, argv)
         csv_share = 0.3 if command == "matrix" else 0.03  # csv is for matrices only
         fmt = "csv" if rng.random() < csv_share else rng.choice(["text", "json", "json"])
         flags = ["--format", fmt]
@@ -187,10 +199,12 @@ def fuzz_cases():
 
 def test_cli_fuzz_ends_in_a_contract_exit_code():
     seen = {code: 0 for code in (0, 2, 3)}
+    usage_errors = 0
     for command, argv in fuzz_cases():
         code, text = run_command(argv)  # an exception fails the test here
         assert code in seen, argv
         seen[code] += 1
+        usage_errors += f"hilb2 {command}: " in text  # argparse names the subcommand
         if argv[argv.index("--format") + 1] == "json":
             doc = json.loads(text)
             errors = sorted(VALIDATOR.iter_errors(doc), key=str)
@@ -198,6 +212,7 @@ def test_cli_fuzz_ends_in_a_contract_exit_code():
             assert doc["command"] == command
             assert ("result" in doc) == (code == 0), argv
     assert all(seen.values()), seen
+    assert usage_errors >= 5, usage_errors
 
 
 @pytest.mark.parametrize("argv", [
@@ -209,4 +224,11 @@ def test_cli_fuzz_ends_in_a_contract_exit_code():
 def test_usage_errors_exit_2(argv):
     code, text = run_command(argv + ["--format", "json"])
     assert code == 2, argv
-    assert text.startswith("usage:")
+    doc = json.loads(text)
+    assert not list(VALIDATOR.iter_errors(doc)), doc
+    assert doc["command"] == argv[0]
+    assert doc["error"]["type"] == "InvalidInput"
+    assert doc["error"]["message"].startswith(f"hilb2 {argv[0]}: ")
+    code, text = run_command(argv)
+    assert code == 2, argv
+    assert text.startswith(f"error: hilb2 {argv[0]}: ")

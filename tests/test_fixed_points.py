@@ -32,6 +32,10 @@ def test_descriptor_validation():
         MonomialIdealDescriptor(IdealKind.I, 1, 1, 3)
     with pytest.raises(InvalidIndex):
         MonomialIdealDescriptor(IdealKind.J, 0, 4, 3)
+    with pytest.raises(InvalidIndex, match=r"indices must be integers, got \(0\.5, 1\)"):
+        MonomialIdealDescriptor(IdealKind.I, 0.5, 1, 2)
+    with pytest.raises(InvalidIndex, match="indices must be integers"):
+        MonomialIdealDescriptor(IdealKind.K, 0, "1", 2)
 
 
 def test_bb_cell_examples():

@@ -199,6 +199,18 @@ def test_intersection_matrix_rejects_other_basis_pairs():
         intersection_matrix(2, 2, "BB", "MS")
 
 
+def test_intersection_matrix_validates_like_enumerate_basis():
+    with pytest.raises(InvalidInput, match="unknown basis 'XX'"):
+        intersection_matrix(2, 2, rows="XX")
+    with pytest.raises(InvalidInput, match="unknown basis 'XX'"):
+        intersection_matrix(2, 2, cols="XX")
+    for n in ("x", 0, 2.5):  # the ambient is checked before the grading
+        with pytest.raises(InvalidInput, match="ambient dimension"):
+            intersection_matrix(n, 1)
+    with pytest.raises(InvalidGrading, match=r"^grading 5 outside \[0, 4\]$"):
+        intersection_matrix(2, 5)
+
+
 def test_es_ms_duality_small_n():
     for n in range(1, 7):
         for k in range(0, 2 * n + 1):
