@@ -5,7 +5,7 @@ For the rank-2 tautological bundle of ``O(d)`` on ``P^{n[2]}``,
     c1 = (d-1) A_{n-1,n}     + C_{n-1,n},
     c2 = C(d,2) B'_{n-1,n-1} + d C_{n-1,n-1},
 
-with the second terms absent when n = 1.  For a complete intersection
+with the C terms out of range (zero) when n = 1.  For a complete intersection
 ``X c P^n`` of dimension m cut out by hypersurfaces of degrees d_1..d_{n-m}
 (with 2m+1 < n and X not 1-defective),
 
@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
 
-from .chow import BasisSymbol, Family, GradedClass, require_ambient, value_type
+from .chow import BasisSymbol, Family, GradedClass, in_range, is_int, require_ambient, value_type
 from .errors import InvalidInput
 from .pairing import pair_classes
 from .products import MonomialSpec, eval_monomial
@@ -41,7 +41,7 @@ class TautBundle(value_type("TautBundle", "n d")):
 
     def __new__(cls, n: int, d: int):
         require_ambient(n)
-        if not isinstance(d, int) or d < 1:
+        if not is_int(d) or d < 1:
             raise InvalidInput(f"line bundle twist must be an integer >= 1, got {d!r}")
         return tuple.__new__(cls, (n, d))
 
@@ -49,25 +49,13 @@ class TautBundle(value_type("TautBundle", "n d")):
 def chern_taut(bundle: TautBundle) -> tuple[GradedClass, GradedClass]:
     """First and second Chern classes of the bundle, in MS coordinates."""
     n, d = bundle.n, bundle.d
-    if n == 1:
-        c1 = GradedClass(n, [(BasisSymbol(Family.A, 0, 1, n), d - 1)])
-        c2 = GradedClass(n, [(BasisSymbol(Family.BP, 0, 0, n), comb(d, 2))])
-    else:
-        c1 = GradedClass(
-            n,
-            [
-                (BasisSymbol(Family.A, n - 1, n, n), d - 1),
-                (BasisSymbol(Family.C, n - 1, n, n), 1),
-            ],
-        )
-        c2 = GradedClass(
-            n,
-            [
-                (BasisSymbol(Family.BP, n - 1, n - 1, n), comb(d, 2)),
-                (BasisSymbol(Family.C, n - 1, n - 1, n), d),
-            ],
-        )
-    return c1, c2
+    c1 = [(Family.A, n - 1, n, d - 1), (Family.C, n - 1, n, 1)]
+    c2 = [(Family.BP, n - 1, n - 1, comb(d, 2)), (Family.C, n - 1, n - 1, d)]
+    return tuple(
+        GradedClass(n, [(BasisSymbol(f, i, j, n), c)
+                        for f, i, j, c in terms if in_range(f, i, j, n)])
+        for terms in (c1, c2)
+    )
 
 
 class SecantProblem(value_type("SecantProblem", "n degrees mu1 variant")):
@@ -89,13 +77,13 @@ class SecantProblem(value_type("SecantProblem", "n degrees mu1 variant")):
         if not degrees:
             raise InvalidInput("at least one hypersurface degree is required")
         for d in degrees:
-            if not isinstance(d, int) or d < 1:
+            if not is_int(d) or d < 1:
                 raise InvalidInput(f"hypersurface degrees must be integers >= 1, got {d!r}")
         if len(degrees) > n:
             raise InvalidInput(
                 f"{len(degrees)} hypersurfaces in P^{n} leave negative dimension"
             )
-        if not isinstance(mu1, int) or mu1 < 1:
+        if not is_int(mu1) or mu1 < 1:
             raise InvalidInput(f"secant order mu1 must be an integer >= 1, got {mu1!r}")
         if variant not in ("proof", "intro"):
             raise InvalidInput(f"variant must be 'proof' or 'intro', got {variant!r}")

@@ -39,7 +39,8 @@ from .errors import (
 
 
 class Family(str, Enum):
-    """The five class families.  ``AP`` renders as ``A'``, ``BP`` as ``B'``."""
+    """The five class families.  ``AP`` renders as ``A'``, ``BP`` as ``B'``.
+    The values sort in declaration order, so symbols sort as canonical terms."""
 
     A = "A"
     AP = "A'"
@@ -49,9 +50,6 @@ class Family(str, Enum):
 
     def __repr__(self):  # pragma: no cover - cosmetic
         return f"Family.{self.name}"
-
-
-_FAMILY_SORT = {f: pos for pos, f in enumerate(Family)}
 
 
 class BasisId(str, Enum):
@@ -73,14 +71,18 @@ _BASIS_FAMILIES = {
 }
 
 
+def as_member(enum: type[Enum], value, error: type[ValidationError], noun: str):
+    """The member of ``enum`` that is or has the value ``value``; any other
+    value raises ``error("unknown <noun> <value>")``."""
+    try:
+        return enum(value)
+    except ValueError:
+        raise error(f"unknown {noun} {value!r}") from None
+
+
 def as_basis(basis: Union[BasisId, str]) -> BasisId:
     """The basis named by ``basis``; an unknown name raises ``InvalidInput``."""
-    if isinstance(basis, BasisId):
-        return basis
-    try:
-        return BasisId(basis)
-    except ValueError:
-        raise InvalidInput(f"unknown basis {basis!r}") from None
+    return as_member(BasisId, basis, InvalidInput, "basis")
 
 
 # The index range of each family, ``lo <= i``, ``i + gap <= j <= n + top``,
@@ -107,15 +109,20 @@ def _range_description(family: Family) -> str:
     return f"family requires 0 {strict[lo]} i {strict[gap]} j <= n{top or ''}"
 
 
+def is_int(value) -> bool:
+    """Whether ``value`` is an integer argument: an ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and value.__class__ is not bool
+
+
 def require_ambient(n, error: type[ValidationError] = InvalidInput) -> None:
     """Raise ``error`` unless ``n`` is a valid ambient dimension (an int >= 1)."""
-    if not isinstance(n, int) or n < 1:
+    if not (n.__class__ is int or is_int(n)) or n < 1:  # plain ints skip the call
         raise error(f"ambient dimension must be an integer >= 1, got {n!r}")
 
 
 def require_grading(k, n: int, noun: str = "grading") -> None:
     """Raise ``InvalidGrading`` unless ``k`` is an integer in ``[0, 2n]``."""
-    if not isinstance(k, int) or not 0 <= k <= 2 * n:
+    if not is_int(k) or not 0 <= k <= 2 * n:
         raise InvalidGrading(f"{noun} {k!r} outside [0, {2 * n}]")
 
 
@@ -130,15 +137,18 @@ def value_type(name: str, fields: str) -> type:
 class BasisSymbol(value_type("BasisSymbol", "family i j n")):
     """One abstract cycle class ``F_{i,j}`` on ``P^{n[2]}``.
 
-    Construction validates the index range for the family; out-of-range
-    indices raise :class:`InvalidIndex`.
+    ``family`` is a :class:`Family` or its value (``"B'"``).  Construction
+    validates the family, the ambient dimension, the indices and their
+    range, in that order, raising :class:`InvalidIndex`.
     """
 
     __slots__ = ()
 
-    def __new__(cls, family: Family, i: int, j: int, n: int):
+    def __new__(cls, family: Union[Family, str], i: int, j: int, n: int):
+        if family.__class__ is not Family:
+            family = as_member(Family, family, InvalidIndex, "family")
         require_ambient(n, InvalidIndex)
-        if not (isinstance(i, int) and isinstance(j, int)):
+        if not (i.__class__ is j.__class__ is int or is_int(i) and is_int(j)):
             raise InvalidIndex(f"indices must be integers, got ({i!r}, {j!r})")
         if not in_range(family, i, j, n):
             raise InvalidIndex(
@@ -155,11 +165,8 @@ class BasisSymbol(value_type("BasisSymbol", "family i j n")):
     def codimension(self) -> int:
         return 2 * self.n - self.i - self.j
 
-    def in_basis(self, basis: BasisId) -> bool:
-        return self.family in basis.families
-
     def sort_key(self):
-        return (_FAMILY_SORT[self.family], self.i, self.j)
+        return self[:3]
 
     def __str__(self):
         return f"{self.family.value}_{{{self.i},{self.j}}}"
@@ -168,14 +175,7 @@ class BasisSymbol(value_type("BasisSymbol", "family i j n")):
         return f"BasisSymbol({self}, n={self.n})"
 
 
-def validate_symbol(family: Union[Family, str], i: int, j: int, n: int) -> BasisSymbol:
-    """Return the symbol ``F_{i,j}`` on ``P^{n[2]}``, or raise InvalidIndex."""
-    if not isinstance(family, Family):
-        try:
-            family = Family(family)
-        except ValueError:
-            raise InvalidIndex(f"unknown family {family!r}") from None
-    return BasisSymbol(family, i, j, n)
+validate_symbol = BasisSymbol  # the same constructor under a second public name
 
 
 def _coerce_rational(value) -> Fraction:
@@ -221,8 +221,7 @@ class GradedClass:
             self,
             "_terms",
             tuple(sorted(
-                ((s, c if isinstance(c, Fraction) else Fraction(c)) for s, c in acc.items() if c),
-                key=lambda kv: kv[0].sort_key(),
+                (s, c if isinstance(c, Fraction) else Fraction(c)) for s, c in acc.items() if c
             )),
         )
 
@@ -353,14 +352,6 @@ def linear_combine(pairs: Iterable[tuple]) -> GradedClass:
     return GradedClass(n, terms)
 
 
-def _family_symbols_of_dimension(family: Family, n: int, k: int):
-    """Symbols of ``family`` with ``i + j = k``, by increasing first index."""
-    for i in range(0, k // 2 + 1):
-        j = k - i
-        if in_range(family, i, j, n):
-            yield BasisSymbol(family, i, j, n)
-
-
 def enumerate_basis(
     n: int,
     basis: Union[BasisId, str],
@@ -382,28 +373,19 @@ def enumerate_basis(
         raise InvalidInput("give at most one of dim and codim")
 
     if dim is None and codim is None:
-        out = []
-        for family in basis.families:
-            block = []
-            for k in range(0, 2 * n + 1):
-                block.extend(_family_symbols_of_dimension(family, n, k))
-            block.sort(key=lambda s: (s.i, s.j))
-            out.extend(block)
-        return out
-
-    require_grading(dim if dim is not None else codim, n)
-    if dim is not None:
-        k, reverse = dim, False
+        pairs = [(i, j) for i in range(n + 1) for j in range(i, n + 1)]
     else:
-        k, reverse = 2 * n - codim, True
-
-    out = []
-    for family in basis.families:
-        block = list(_family_symbols_of_dimension(family, n, k))
-        if reverse:
-            block.reverse()
-        out.extend(block)
-    return out
+        require_grading(dim if dim is not None else codim, n)
+        k = dim if dim is not None else 2 * n - codim
+        pairs = [(i, k - i) for i in range(k // 2 + 1)]
+        if dim is None:
+            pairs.reverse()
+    return [
+        BasisSymbol(family, i, j, n)
+        for family in basis.families
+        for i, j in pairs
+        if in_range(family, i, j, n)
+    ]
 
 
 def _ceil_half(x: int) -> int:

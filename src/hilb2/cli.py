@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import sys
 from collections import namedtuple
 
@@ -293,25 +294,20 @@ def _cmd_secant(args, cfg):
 
 
 def _cmd_cone(args, cfg):
-    from .pairing import effectivity_pairings, is_effective, is_nef
+    from .pairing import _checked_pairings, is_nef
     from .serialize import parse_class, symbol_to_doc
 
     X = parse_class(args.class_doc)
     if args.test == "nef":
-        member = is_nef(X, args.k)
-        pairings = None
+        member, extra = is_nef(X, args.k), {}
     else:
-        member = is_effective(X, args.k, cfg)
-        pairings = [
-            {"symbol": symbol_to_doc(sym), "value": str(v)}
-            for sym, v in effectivity_pairings(X, cfg)
-        ]
+        vector = _checked_pairings(X, args.k, cfg)  # the one vector is_effective reads
+        member = all(v >= 0 for _, v in vector)
+        extra = {"pairings": [{"symbol": symbol_to_doc(s), "value": str(v)} for s, v in vector]}
     k = args.k
     if k is None and not X.is_zero:
         k = X.codimension() if args.test == "nef" else X.dimension()
-    result = {"n": X.n, "test": args.test, "k": k, "member": member}
-    if pairings is not None:
-        result["pairings"] = pairings
+    result = {"n": X.n, "test": args.test, "k": k, "member": member, **extra}
     return _Output(result, "true" if member else "false")
 
 
@@ -358,7 +354,11 @@ def run_command(argv) -> tuple[int, str]:
 def main(argv=None) -> int:
     code, text = run_command(sys.argv[1:] if argv is None else argv)
     if text:
-        print(text, file=sys.stderr if code else sys.stdout)
+        stream = sys.stderr if code else sys.stdout
+        try:
+            print(text, file=stream, flush=True)
+        except BrokenPipeError:  # the reader left (``| head``): the flush at exit goes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     return code
 
 

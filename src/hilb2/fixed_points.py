@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 from enum import Enum
 
-from .chow import BasisSymbol, Family, require_ambient, value_type
+from .chow import BasisSymbol, Family, as_member, is_int, require_ambient, value_type
 from .errors import InvalidIndex
 
 
@@ -36,13 +36,16 @@ def _variable_names(n: int) -> tuple[str, ...]:
 
 
 class MonomialIdealDescriptor(value_type("MonomialIdealDescriptor", "kind i j n")):
-    """One torus-fixed monomial ideal, identified by (kind, i, j)."""
+    """One torus-fixed monomial ideal, identified by (kind, i, j); the kind
+    is an :class:`IdealKind` or its value (``"J"``)."""
 
     __slots__ = ()
 
-    def __new__(cls, kind: IdealKind, i: int, j: int, n: int):
+    def __new__(cls, kind: IdealKind | str, i: int, j: int, n: int):
+        if kind.__class__ is not IdealKind:
+            kind = as_member(IdealKind, kind, InvalidIndex, "kind")
         require_ambient(n)
-        if not (isinstance(i, int) and isinstance(j, int)):
+        if not (is_int(i) and is_int(j)):
             raise InvalidIndex(f"indices must be integers, got ({i!r}, {j!r})")
         if not 0 <= i < j <= n:
             raise InvalidIndex(f"{kind.value}_{{{i},{j}}} needs 0 <= i < j <= {n}")

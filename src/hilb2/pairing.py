@@ -42,7 +42,7 @@ from itertools import product
 from typing import Iterable, Union
 
 from .chow import (BasisId, BasisSymbol, Family, GradedClass, as_basis, enumerate_basis,
-                   require_ambient, require_grading, value_type)
+                   is_int, require_ambient, require_grading, value_type)
 from .errors import (
     InvalidInput,
     MixedAmbient,
@@ -52,7 +52,7 @@ from .errors import (
     WrongBasis,
 )
 
-_MS_FAMILIES = frozenset({Family.A, Family.BP, Family.C})
+_MS_FAMILIES = frozenset(BasisId.MS.families)
 # Shared pairing values: Fractions are immutable, so one object per value.
 _ZERO, _ONE, _TWO = Fraction(0), Fraction(1), Fraction(2)
 _VALUE = {0: _ZERO, 1: _ONE, 2: _TWO}
@@ -89,7 +89,7 @@ class PairingConfig(value_type("PairingConfig", "ap_a_diagonal")):
     __slots__ = ()
 
     def __new__(cls, ap_a_diagonal: int = 1):
-        if not isinstance(ap_a_diagonal, int) or ap_a_diagonal < 1:
+        if not is_int(ap_a_diagonal) or ap_a_diagonal < 1:
             raise InvalidInput(f"ap_a_diagonal must be an integer >= 1, got {ap_a_diagonal!r}")
         return tuple.__new__(cls, (ap_a_diagonal,))
 
@@ -254,7 +254,7 @@ def intersection_matrix(
 
 
 def _require_ms(X: GradedClass, what: str) -> None:
-    bad = [f.value for f in sorted(X.families() - _MS_FAMILIES, key=lambda f: f.value)]
+    bad = [f.value for f in sorted(X.families() - _MS_FAMILIES)]
     if bad:
         raise WrongBasis(f"{what} expects MS coordinates; found families {bad}")
 
@@ -285,6 +285,11 @@ def is_effective(
     codimension k, so membership is a nonnegative pairing against every MS
     generator of codimension k.
     """
+    return all(v >= 0 for _, v in _checked_pairings(X, k, cfg))
+
+
+def _checked_pairings(X: GradedClass, k: int | None, cfg: PairingConfig) -> list:
+    """The checks of :func:`is_effective`, then the pairing vector it reads."""
     if k is not None:
         require_grading(k, X.n)
     if not X.is_zero:
@@ -292,7 +297,7 @@ def is_effective(
         dim = X.dimension()  # raises NotHomogeneous
         if k is not None and k != dim:
             raise InvalidInput(f"class has dimension {dim}, not {k}")
-    return all(v >= 0 for _, v in effectivity_pairings(X, cfg))
+    return effectivity_pairings(X, cfg)
 
 
 def effectivity_pairings(

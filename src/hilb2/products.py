@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .chow import BasisSymbol, Family, GradedClass, in_range, require_ambient, value_type
+from .chow import BasisSymbol, Family, GradedClass, in_range, is_int, require_ambient, value_type
 from .errors import (
     InvalidExponent,
     InvalidInput,
@@ -178,7 +178,7 @@ def bprime_top_power(n: int, k: int) -> GradedClass:
     the MS form of the module docstring.
     """
     require_ambient(n)
-    if not isinstance(k, int) or not 1 <= k <= n:
+    if not is_int(k) or not 1 <= k <= n:
         raise InvalidExponent(f"exponent {k!r} outside [1, {n}]")
     c, lead = n - k, 2 ** (k - 1)
     closed = [((Family.BP, c, c), lead)] + [
@@ -194,7 +194,7 @@ class MonomialSpec(value_type("MonomialSpec", "n a b")):
 
     def __new__(cls, n: int, a: int, b: int):
         require_ambient(n)
-        if not isinstance(a, int) or not isinstance(b, int) or a < 0 or b < 0:
+        if not (is_int(a) and is_int(b)) or a < 0 or b < 0:
             raise InvalidInput(f"exponents must be nonnegative integers, got a={a!r}, b={b!r}")
         if a + b > n:
             raise InvalidInput(f"total codimension {2 * (a + b)} exceeds the ring dimension {2 * n}")

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from typing import Union
 
-from .chow import BasisId, BasisSymbol, Family, GradedClass
+from .chow import BasisId, BasisSymbol, Family, GradedClass, as_member, is_int
 from .errors import ParseError
 
 
@@ -67,7 +67,7 @@ def _require_int(doc: dict, key: str, what: str) -> int:
     if key not in doc:
         raise ParseError(f"{what} is missing field {key!r}")
     value = doc[key]
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not is_int(value):
         raise ParseError(f"{what} field {key!r} must be an integer, got {value!r}")
     return value
 
@@ -77,11 +77,7 @@ def parse_symbol(source: Union[str, dict], n: int) -> BasisSymbol:
     doc = _load_json(source) if isinstance(source, str) else source
     if not isinstance(doc, dict):
         raise ParseError(f"symbol document must be an object, got {doc!r}")
-    fam = doc.get("family")
-    try:
-        family = Family(fam)
-    except ValueError:
-        raise ParseError(f"unknown family {fam!r}") from None
+    family = as_member(Family, doc.get("family"), ParseError, "family")
     i = _require_int(doc, "i", "symbol document")
     j = _require_int(doc, "j", "symbol document")
     return BasisSymbol(family, i, j, n)  # InvalidIndex propagates

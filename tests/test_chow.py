@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+import hilb2
 from hilb2 import (
     BasisId,
     BasisSymbol,
@@ -61,6 +62,40 @@ def test_validate_symbol_rejects_bad_ambient():
         validate_symbol("A", 0, 1, 0)
 
 
+def test_validate_symbol_is_the_symbol_constructor():
+    assert hilb2.validate_symbol is hilb2.BasisSymbol
+
+
+@pytest.mark.parametrize("family", list(Family), ids=[f.value for f in Family])
+def test_symbol_from_a_name_is_the_symbol_from_its_family(family):
+    by_name, by_member = BasisSymbol(family.value, 1, 2, 3), BasisSymbol(family, 1, 2, 3)
+    assert by_name.family is family
+    assert by_name == by_member and hash(by_name) == hash(by_member)
+    assert (str(by_name), repr(by_name)) == (str(by_member), repr(by_member))
+
+
+@pytest.mark.parametrize("family", ["X", "a", "", None, 3, ["A"], BasisId.MS], ids=repr)
+def test_unknown_family_is_invalid_index(family):
+    with pytest.raises(InvalidIndex, match=re.escape(f"unknown family {family!r}")):
+        BasisSymbol(family, 0, 1, 2)
+
+
+def test_unknown_family_is_reported_before_the_ambient_dimension():
+    with pytest.raises(InvalidIndex, match="unknown family 'X'"):
+        validate_symbol("X", 0, 1, 0)
+
+
+def test_family_values_sort_in_declaration_order():
+    """The canonical term order is the symbols' own tuple order."""
+    assert list(Family) == sorted(Family)
+    symbols = list({*enumerate_basis(3, "BB"), *enumerate_basis(3, "ES"), *enumerate_basis(3, "MS")})
+    random.Random(7).shuffle(symbols)
+    declared = list(Family)
+    canonical = sorted(symbols, key=lambda s: (declared.index(s.family), s.i, s.j))
+    assert sorted(symbols) == canonical
+    assert [s for s, _ in GradedClass(3, [(s, 1) for s in symbols]).items()] == canonical
+
+
 def test_symbol_grading():
     sym = validate_symbol("A", 1, 3, 4)
     assert sym.dimension == 4
@@ -89,12 +124,26 @@ def test_enumerate_basis_examples():
 
 
 def test_enumerate_basis_matches_brute_force():
-    for n in range(1, 7):
+    """Every mode of every basis, order included, against a per-(i, j) filter:
+    lexicographic for all, increasing i for dim=k, decreasing i for codim=k."""
+    for n in range(1, 13):
         for basis in BasisId:
             families = tuple(f.value for f in basis.families)
+
+            def listed(**grading):
+                return [(s.family.value, s.i, s.j) for s in enumerate_basis(n, basis, **grading)]
+
+            assert listed() == [
+                (fam, i, j) for fam in families for (i, j) in brute_index_pairs(fam, n)
+            ]
             for k in range(0, 2 * n + 1):
-                got = [(s.family.value, s.i, s.j) for s in enumerate_basis(n, basis, dim=k)]
-                assert sorted(got) == sorted(brute_basis(n, families, k))
+                assert listed(dim=k) == brute_basis(n, families, k)
+                assert listed(codim=k) == [
+                    (fam, i, j)
+                    for fam in families
+                    for (i, j) in reversed(brute_index_pairs(fam, n))
+                    if i + j == 2 * n - k
+                ]
 
 
 def test_enumerate_basis_ordering_conventions():

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -310,3 +313,34 @@ def test_secant_runs_the_closed_route_once(monkeypatch):
     code, text = run_command(["secant", "--n", "4", "--degrees", "2,2,2", "--mu1", "2"])
     assert (code, text) == (0, "deg(Sec X) * mu1 = 16\ndeg(Sec X) = 8")
     assert len(calls) == 1
+
+
+def test_cone_effective_builds_the_pairing_vector_once(monkeypatch):
+    import hilb2.pairing as pairing
+
+    calls = []
+    vector = pairing.effectivity_pairings
+    monkeypatch.setattr(pairing, "effectivity_pairings", lambda X, cfg: calls.append(X) or vector(X, cfg))
+    doc = '{"n":2,"terms":[{"family":"A","i":0,"j":2,"coeff":"1"},{"family":"C","i":1,"j":1,"coeff":"-1"}]}'
+    code, out = run_json(["cone", "--class", doc, "--test", "effective"])
+    assert code == 0 and len(calls) == 1
+    assert out["result"]["member"] is False
+    assert [p["value"] for p in out["result"]["pairings"]] == ["1", "-1", "0"]
+    # The checks of is_effective still come first, with their messages.
+    ap = '{"n":2,"terms":[{"family":"A\'","i":0,"j":2,"coeff":"1"}]}'
+    assert run_command(["cone", "--class", ap, "--test", "effective"]) == (
+        2, "error: is_effective expects MS coordinates; found families [\"A'\"]")
+    assert run_command(["cone", "--class", doc, "--test", "effective", "--k", "1"]) == (
+        2, "error: class has dimension 2, not 1")
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    """``hilb2 ... | head -1``: the reader leaves after one line of about 600 KB."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    argv = [sys.executable, "-m", "hilb2.cli", "fixed-points", "--n", "40", "--generators"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().startswith(b"I_{0,1} -> A_{0,1}")
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    assert b"Traceback" not in stderr and stderr == b""

@@ -38,6 +38,20 @@ def test_descriptor_validation():
         MonomialIdealDescriptor(IdealKind.K, 0, "1", 2)
 
 
+@pytest.mark.parametrize("kind", list(IdealKind), ids=[k.value for k in IdealKind])
+def test_descriptor_from_a_name_is_the_descriptor_from_its_kind(kind):
+    by_name, by_member = MonomialIdealDescriptor(kind.value, 0, 2, 2), MonomialIdealDescriptor(kind, 0, 2, 2)
+    assert by_name.kind is kind
+    assert by_name == by_member and hash(by_name) == hash(by_member)
+    assert str(by_name) == str(by_member) and by_name.generators() == by_member.generators()
+
+
+@pytest.mark.parametrize("kind", ["Z", "i", None, 0, Family.A], ids=repr)
+def test_unknown_kind_is_invalid_index(kind):
+    with pytest.raises(InvalidIndex, match="unknown kind"):
+        MonomialIdealDescriptor(kind, 0, 1, 2)
+
+
 def test_bb_cell_examples():
     sym, dim = bb_cell_of(MonomialIdealDescriptor(IdealKind.K, 0, 1, 1))
     assert (str(sym), dim) == ("C_{1,1}", 2)

@@ -1,7 +1,8 @@
 """The seven value classes are immutable named tuples that validate on
 every construction path: the constructor, ``_replace``, ``copy`` and
 ``pickle``.  They unpack, index and compare equal to a plain tuple of their
-fields."""
+fields.  Their integer fields, like every integer argument of the library,
+take an ``int`` and refuse a ``bool``."""
 
 import copy
 import pickle
@@ -11,6 +12,7 @@ import pytest
 from hilb2 import (
     BasisSymbol,
     Family,
+    GradedClass,
     IdealKind,
     IntersectionMatrix,
     InvalidIndex,
@@ -20,7 +22,16 @@ from hilb2 import (
     PairingConfig,
     SecantProblem,
     TautBundle,
+    ValidationError,
+    bprime_top_power,
+    chow_rank,
+    enumerate_basis,
     intersection_matrix,
+    is_effective,
+    is_nef,
+    parse_class,
+    parse_symbol,
+    secant_oracle,
 )
 
 # class -> (a valid instance, fields that fail validation, the error they raise)
@@ -116,3 +127,48 @@ def test_secant_problem_stores_degrees_as_a_tuple():
     assert p == SecantProblem(5, (2, 2, 3), 2, "intro")
     assert hash(p) == hash(SecantProblem(5, iter([2, 2, 3]), 2, "intro"))
     assert p.m == 2
+
+
+# One integer slot of a constructor or entry point each, as a function of the
+# value put there; every other argument is valid.
+_POINT = GradedClass.from_symbol(BasisSymbol(Family.BP, 0, 0, 2))
+INTEGER_SLOTS = {
+    "chow_rank n": lambda x: chow_rank(x, 0),
+    "chow_rank k": lambda x: chow_rank(2, x),
+    "enumerate_basis dim": lambda x: enumerate_basis(2, "MS", dim=x),
+    "GradedClass n": lambda x: GradedClass(x),
+    "BasisSymbol i": lambda x: BasisSymbol(Family.A, x, 2, 2),
+    "BasisSymbol j": lambda x: BasisSymbol(Family.A, 0, x, 2),
+    "BasisSymbol n": lambda x: BasisSymbol(Family.B, 0, 0, x),
+    "MonomialIdealDescriptor i": lambda x: MonomialIdealDescriptor(IdealKind.I, x, 2, 2),
+    "MonomialIdealDescriptor j": lambda x: MonomialIdealDescriptor(IdealKind.I, 0, x, 2),
+    "MonomialIdealDescriptor n": lambda x: MonomialIdealDescriptor(IdealKind.I, 0, 1, x),
+    "MonomialSpec n": lambda x: MonomialSpec(x, 1, 0),
+    "MonomialSpec a": lambda x: MonomialSpec(2, x, 0),
+    "MonomialSpec b": lambda x: MonomialSpec(2, 1, x),
+    "bprime_top_power n": lambda x: bprime_top_power(x, 1),
+    "bprime_top_power k": lambda x: bprime_top_power(2, x),
+    "TautBundle n": lambda x: TautBundle(x, 2),
+    "TautBundle d": lambda x: TautBundle(2, x),
+    "SecantProblem n": lambda x: SecantProblem(x, (2,)),
+    "SecantProblem degree": lambda x: SecantProblem(5, (2, x)),
+    "SecantProblem mu1": lambda x: SecantProblem(5, (2, 2), mu1=x),
+    "secant_oracle degree": lambda x: secant_oracle(5, (2, x)),
+    "PairingConfig": lambda x: PairingConfig(x),
+    "intersection_matrix n": lambda x: intersection_matrix(x, 1),
+    "intersection_matrix k": lambda x: intersection_matrix(2, x),
+    "is_nef k": lambda x: is_nef(_POINT, x),
+    "is_effective k": lambda x: is_effective(_POINT, x),
+    "parse_class n": lambda x: parse_class({"n": x, "terms": []}),
+    "parse_symbol i": lambda x: parse_symbol({"family": "A", "i": x, "j": 2}, 2),
+}
+
+
+@pytest.mark.parametrize("call", INTEGER_SLOTS.values(), ids=INTEGER_SLOTS)
+def test_a_bool_is_refused_like_a_float(call):
+    raised = []
+    for value in (1.5, True, False):
+        with pytest.raises(ValidationError) as info:
+            call(value)
+        raised.append(type(info.value))
+    assert raised[1] is raised[0] and raised[2] is raised[0]
