@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Union
 
 from .errors import (
@@ -179,9 +180,10 @@ validate_symbol = BasisSymbol  # the same constructor under a second public name
 
 
 def _coerce_rational(value) -> Fraction:
-    """Exact coefficient coercion.  Floats are refused: the ring is exact."""
-    if isinstance(value, float):
-        raise InvalidInput(f"float coefficient {value!r} rejected; use Fraction, int or 'p/q'")
+    """Exact coefficient coercion.  Floats and bools are refused: the ring is exact."""
+    if isinstance(value, (float, bool)):
+        kind = "bool" if isinstance(value, bool) else "float"
+        raise InvalidInput(f"{kind} coefficient {value!r} rejected; use Fraction, int or 'p/q'")
     try:
         return Fraction(value)
     except (TypeError, ValueError) as exc:
@@ -197,9 +199,9 @@ class GradedClass:
 
     Coefficients: ``int`` and ``Fraction`` values are summed as they arrive
     (repeated symbols add up); anything else goes through an exact rational
-    coercion, and floats are refused (:class:`InvalidInput`).  Zero sums are
-    dropped and each surviving coefficient is stored as a ``Fraction``, so
-    :meth:`items` yields only ``Fraction`` coefficients.
+    coercion, and floats and bools are refused (:class:`InvalidInput`).  Zero
+    sums are dropped and each surviving coefficient is stored as a
+    ``Fraction``, so :meth:`items` yields only ``Fraction`` coefficients.
     """
 
     __slots__ = ("n", "_terms")
@@ -213,17 +215,13 @@ class GradedClass:
                 raise InvalidInput(f"term key {sym!r} is not a BasisSymbol")
             if sym.n != n:
                 raise MixedAmbient(f"symbol {sym} lives on P^{sym.n}[2], class on P^{n}[2]")
-            if not isinstance(coeff, (int, Fraction)):
+            if coeff.__class__ is bool or not isinstance(coeff, (int, Fraction)):
                 coeff = _coerce_rational(coeff)
-            acc[sym] = acc.get(sym, 0) + coeff
+            acc[sym] = acc[sym] + coeff if sym in acc else coeff  # a first one as it is, no 0 + c
         object.__setattr__(self, "n", n)
-        object.__setattr__(
-            self,
-            "_terms",
-            tuple(sorted(
-                (s, c if isinstance(c, Fraction) else Fraction(c)) for s, c in acc.items() if c
-            )),
-        )
+        object.__setattr__(self, "_terms", tuple(sorted(
+            (s, c if isinstance(c, Fraction) else Fraction(c)) for s, c in acc.items() if c
+        )))
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedClass is immutable")
@@ -292,7 +290,7 @@ class GradedClass:
             return NotImplemented
         if other.n != self.n:
             raise MixedAmbient(f"cannot add classes on P^{self.n}[2] and P^{other.n}[2]")
-        return GradedClass(self.n, list(self._terms) + list(other._terms))
+        return GradedClass(self.n, self._terms + other._terms)
 
     def __sub__(self, other):
         if not isinstance(other, GradedClass):
@@ -325,6 +323,13 @@ class GradedClass:
 
     def __repr__(self):
         return f"GradedClass(n={self.n}, {self})"
+
+
+def scaled_terms(X: GradedClass) -> tuple[list[tuple[BasisSymbol, int]], int]:
+    """The terms of X as ``(symbol, int numerator)`` over the lcm of their
+    denominators, and that lcm: linear maps add ``int``s and divide once."""
+    d = lcm(*(c.denominator for _, c in X.items()))
+    return [(s, c.numerator * (d // c.denominator)) for s, c in X.items()], d
 
 
 def linear_combine(pairs: Iterable[tuple]) -> GradedClass:

@@ -294,14 +294,15 @@ def _cmd_secant(args, cfg):
 
 
 def _cmd_cone(args, cfg):
-    from .pairing import _checked_pairings, is_nef
+    from .pairing import _check_effective, effectivity_pairings, is_nef
     from .serialize import parse_class, symbol_to_doc
 
     X = parse_class(args.class_doc)
     if args.test == "nef":
         member, extra = is_nef(X, args.k), {}
     else:
-        vector = _checked_pairings(X, args.k, cfg)  # the one vector is_effective reads
+        _check_effective(X, args.k)  # then one vector, whose signs decide as is_effective does
+        vector = effectivity_pairings(X, cfg)
         member = all(v >= 0 for _, v in vector)
         extra = {"pairings": [{"symbol": symbol_to_doc(s), "value": str(v)} for s, v in vector]}
     k = args.k

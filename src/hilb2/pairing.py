@@ -24,15 +24,15 @@ class in MS coordinates is nef iff its coefficients are nonnegative, and a
 dimension-k class is effective iff it pairs nonnegatively with every MS
 generator of codimension k.
 
-Because a symbol meets only the (at most three) symbols at its complementary
-indices, every bilinear routine here groups one side by index pair and lets
-each term of the other side look up its partners.  The costs are
-``O(|X| + |Y|)`` for :func:`pair_classes`, ``O(rank + |X|)`` for
-:func:`effectivity_pairings` and :func:`is_effective`, and
-``O(rank)`` calls of :func:`pair_symbols` for :func:`intersection_matrix`
-(plus its ``rank^2`` zero entries, which share one ``Fraction(0)``).
-:func:`pair_symbols` returns shared ``Fraction`` constants for the table
-values ``0``, ``1`` and ``2``.
+A symbol meets only the (at most three) symbols at its complementary indices,
+so each term of one side looks up only its partners on the other: the costs
+are ``O(|X| + |Y|)`` for :func:`pair_classes`, ``O(|X|)`` for
+:func:`is_effective`, ``O(rank + |X|)`` for :func:`effectivity_pairings`, and
+``O(rank)`` reads for :func:`intersection_matrix` (its ``rank^2`` zero
+entries share one ``Fraction(0)``).  Every value comes from one table reader,
+:func:`_table_value`: :func:`pair_symbols` checks each symbol pair first; the
+bulk routines check once per call, then read it on integer numerators over
+one common denominator (``chow.scaled_terms``), one ``Fraction`` per output.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from itertools import product
 from typing import Iterable, Union
 
 from .chow import (BasisId, BasisSymbol, Family, GradedClass, as_basis, enumerate_basis,
-                   is_int, require_ambient, require_grading, value_type)
+                   in_range, is_int, require_ambient, require_grading, scaled_terms, value_type)
 from .errors import (
     InvalidInput,
     MixedAmbient,
@@ -52,7 +52,7 @@ from .errors import (
     WrongBasis,
 )
 
-_MS_FAMILIES = frozenset(BasisId.MS.families)
+_MS_FAMILIES = BasisId.MS.families
 # Shared pairing values: Fractions are immutable, so one object per value.
 _ZERO, _ONE, _TWO = Fraction(0), Fraction(1), Fraction(2)
 _VALUE = {0: _ZERO, 1: _ONE, 2: _TWO}
@@ -122,28 +122,36 @@ def _unsupported(fx: Family, fy: Family) -> UnsupportedFamilyPair:
     return UnsupportedFamilyPair(f"no intersection rule for {fx.value} . {fy.value}")
 
 
+def _table_value(fx: Family, fy: Family, i: int, j: int, cfg: PairingConfig) -> int:
+    """The pairing of ``fx_{i,j}`` with its complementary partner in family
+    ``fy``: the one reader of ``_PAIR_TABLE`` and its special cases.  No checks."""
+    if fx is fy is Family.BP and i == j:
+        return 2
+    if fx is Family.B and fy is Family.C and i == j == 0:
+        return 1  # point class against the fundamental class
+    entry = _PAIR_TABLE[fx, fy]
+    return cfg.ap_a_diagonal if entry == "cfg" else entry  # cfg: the caller's choice
+
+
+def _shared(v: int) -> Fraction:  # one object for each of the table values 0, 1, 2
+    return _VALUE[v] if v in _VALUE else Fraction(v)
+
+
 def pair_symbols(
     x: BasisSymbol, y: BasisSymbol, cfg: PairingConfig = DEFAULT_CONFIG
 ) -> Fraction:
     """Intersection number of two symbols of complementary codimension."""
     if x.n != y.n:
         raise MixedAmbient(f"{x} lives on P^{x.n}[2], {y} on P^{y.n}[2]")
-    entry = _PAIR_TABLE.get((x.family, y.family))
-    if entry is None:
+    if (x.family, y.family) not in _PAIR_TABLE:
         raise _unsupported(x.family, y.family)
     if x.codimension + y.codimension != 2 * x.n:
         raise NotComplementary(
             f"codim {x.codimension} + codim {y.codimension} != {2 * x.n} for {x} . {y}"
         )
-    if not entry or not has_complementary_indices(x, y):
+    if not has_complementary_indices(x, y):
         return _ZERO
-    if entry == "cfg":
-        return Fraction(cfg.ap_a_diagonal)  # the one value the caller chooses
-    if x.family is Family.BP and y.family is Family.BP and x.i == x.j:
-        return _TWO
-    if x.family is Family.B and x.i == x.j == 0:
-        return _ONE  # point class against the fundamental class
-    return _VALUE[entry]
+    return _shared(_table_value(x.family, y.family, x.i, x.j, cfg))
 
 
 def pair_classes(
@@ -167,12 +175,13 @@ def pair_classes(
     for fx, fy in product(Family, Family):
         if fx in fams_x and fy in fams_y and (fx, fy) not in _PAIR_TABLE:
             raise _unsupported(fx, fy)
-    partners = _by_indices(Y.items())
-    total = _ZERO
-    for sx, a in X.items():
+    (xs, dx), (ys, dy) = scaled_terms(X), scaled_terms(Y)
+    partners = _by_indices(ys)
+    total = 0
+    for sx, a in xs:
         for sy, b in partners.get(partner_indices(sx), ()):
-            total += a * b * pair_symbols(sx, sy, cfg)
-    return total
+            total += a * b * _table_value(sx.family, sy.family, sx.i, sx.j, cfg)
+    return Fraction(total, dx * dy)
 
 
 class IntersectionMatrix(
@@ -248,13 +257,13 @@ def intersection_matrix(
     for r in row_syms:
         row = [_ZERO] * len(col_syms)
         for c, pos in columns.get(partner_indices(r), ()):
-            row[pos] = pair_symbols(r, c, cfg)
+            row[pos] = _shared(_table_value(r.family, c.family, r.i, r.j, cfg))
         entries.append(tuple(row))
     return IntersectionMatrix(n, k, rows, cols, row_syms, col_syms, tuple(entries))
 
 
 def _require_ms(X: GradedClass, what: str) -> None:
-    bad = [f.value for f in sorted(X.families() - _MS_FAMILIES)]
+    bad = [f.value for f in sorted(X.families().difference(_MS_FAMILIES))]
     if bad:
         raise WrongBasis(f"{what} expects MS coordinates; found families {bad}")
 
@@ -283,13 +292,14 @@ def is_effective(
 
     The effective cone in dimension k is dual to the nef cone in
     codimension k, so membership is a nonnegative pairing against every MS
-    generator of codimension k.
+    generator of codimension k; only the generators X's terms meet can fail.
     """
-    return all(v >= 0 for _, v in _checked_pairings(X, k, cfg))
+    _check_effective(X, k)
+    return all(v >= 0 for v in _partner_sums(X, cfg)[0].values())
 
 
-def _checked_pairings(X: GradedClass, k: int | None, cfg: PairingConfig) -> list:
-    """The checks of :func:`is_effective`, then the pairing vector it reads."""
+def _check_effective(X: GradedClass, k: int | None) -> None:
+    """The checks of :func:`is_effective`, which ``hilb2 cone`` runs too."""
     if k is not None:
         require_grading(k, X.n)
     if not X.is_zero:
@@ -297,7 +307,21 @@ def _checked_pairings(X: GradedClass, k: int | None, cfg: PairingConfig) -> list
         dim = X.dimension()  # raises NotHomogeneous
         if k is not None and k != dim:
             raise InvalidInput(f"class has dimension {dim}, not {k}")
-    return effectivity_pairings(X, cfg)
+
+
+def _partner_sums(X: GradedClass, cfg: PairingConfig) -> tuple[dict, int]:
+    """``(sums, d)``: the pairings of an MS class with the generators its terms
+    meet, as ``{(family, i, j, n): int numerator}`` over one denominator ``d``.
+    A generator is a tuple, so it looks itself up in ``sums``."""
+    terms, d = scaled_terms(X)
+    sums = {}
+    for x, a in terms:
+        i, j = partner_indices(x)
+        for fy in _MS_FAMILIES:
+            if in_range(fy, i, j, X.n):
+                key = (fy, i, j, X.n)
+                sums[key] = sums.get(key, 0) + a * _table_value(x.family, fy, x.i, x.j, cfg)
+    return sums, d
 
 
 def effectivity_pairings(
@@ -308,9 +332,5 @@ def effectivity_pairings(
         return []
     _require_ms(X, "effectivity_pairings")
     generators = enumerate_basis(X.n, BasisId.MS, codim=X.dimension())
-    values = [_ZERO] * len(generators)
-    slots = _by_indices((y, pos) for pos, y in enumerate(generators))
-    for x, a in X.items():
-        for y, pos in slots.get(partner_indices(x), ()):
-            values[pos] += a * pair_symbols(x, y, cfg)
-    return list(zip(generators, values))
+    sums, d = _partner_sums(X, cfg)
+    return [(g, _ZERO if (v := sums.get(g)) is None else Fraction(v, d)) for g in generators]

@@ -32,17 +32,18 @@ Iterating reproduces the closed form
 
 with the sum running to k-1 while 2k-1 <= n and to n-k once n <= 2k-1.
 
-Coefficients stay plain ``int`` through the rules; a class coefficient with
-denominator 1 enters as its numerator.  :func:`_apply` builds each distinct
-output symbol once, through the validating ``BasisSymbol`` constructor, and
-one ``GradedClass`` from the accumulated mapping.
+Coefficients stay plain ``int`` through the rules: :func:`_apply` scales a
+class to integer numerators over one common denominator and divides once per
+output coefficient, building each output symbol once, through the validating
+``BasisSymbol`` constructor, and one ``GradedClass``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .chow import BasisSymbol, Family, GradedClass, in_range, is_int, require_ambient, value_type
+from .chow import (BasisSymbol, Family, GradedClass, in_range, is_int, require_ambient,
+                   scaled_terms, value_type)
 from .errors import (
     InvalidExponent,
     InvalidInput,
@@ -61,18 +62,19 @@ def _linear(rule, terms, n: int) -> dict:
     return acc
 
 
-def _build(n: int, acc: dict) -> GradedClass:
-    """The class of a key -> coefficient dict: one symbol per nonzero key."""
-    return GradedClass(n, {BasisSymbol(f, i, j, n): c for (f, i, j), c in acc.items() if c})
+def _build(n: int, acc: dict, d: int = 1) -> GradedClass:
+    """The class of a key -> numerator dict over the denominator ``d``: one
+    symbol and one division per nonzero key (none when ``d`` is 1)."""
+    return GradedClass(n, {
+        BasisSymbol(f, i, j, n): c if d == 1 else Fraction(c, d)
+        for (f, i, j), c in acc.items() if c
+    })
 
 
 def _apply(rule, X: GradedClass) -> GradedClass:
     """Extend a per-key rule linearly: ``sum c * rule(s)`` over the terms of X."""
-    terms = (
-        ((s.family, s.i, s.j), c.numerator if c.denominator == 1 else c)
-        for s, c in X.items()
-    )
-    return _build(X.n, _linear(rule, terms, X.n))
+    terms, d = scaled_terms(X)
+    return _build(X.n, _linear(rule, (((s.family, s.i, s.j), c) for s, c in terms), X.n), d)
 
 
 def _term(family: Family, i: int, j: int, n: int, coeff: int) -> list:

@@ -433,23 +433,25 @@ def test_sparse_intersection_matrix_matches_dense_oracle():
                     assert M.entries == dense_entries(M, cfg), (n, k, rows)
 
 
-def count_pair_symbols(monkeypatch):
-    """Route every pair_symbols call inside hilb2.pairing through a counter."""
+def count_table_reads(monkeypatch):
+    """Route every read of the pairing table inside hilb2.pairing through a
+    counter.  The bulk routines read the table directly, after their
+    block-level checks, so this counts the pairings they evaluate."""
     import hilb2.pairing as pairing
 
     calls = []
-    real = pairing.pair_symbols
+    real = pairing._table_value
 
-    def counting(x, y, cfg=pairing.DEFAULT_CONFIG):
-        calls.append((x, y))
-        return real(x, y, cfg)
+    def counting(fx, fy, i, j, cfg):
+        calls.append((fx, fy, i, j))
+        return real(fx, fy, i, j, cfg)
 
-    monkeypatch.setattr(pairing, "pair_symbols", counting)
+    monkeypatch.setattr(pairing, "_table_value", counting)
     return calls
 
 
 def test_intersection_matrix_pairs_only_partner_columns(monkeypatch):
-    calls = count_pair_symbols(monkeypatch)
+    calls = count_table_reads(monkeypatch)
     M = intersection_matrix(40, 40, "MS", "MS")
     rows = len(M.row_symbols)
     assert rows > 3
@@ -457,7 +459,7 @@ def test_intersection_matrix_pairs_only_partner_columns(monkeypatch):
 
 
 def test_class_routes_pair_only_partner_terms(monkeypatch):
-    calls = count_pair_symbols(monkeypatch)
+    calls = count_table_reads(monkeypatch)
     X = GradedClass(40, [(s, 1) for s in enumerate_basis(40, "MS", dim=40)])
     vec = effectivity_pairings(X)
     assert len(vec) == len(X.items())
@@ -469,3 +471,84 @@ def test_class_routes_pair_only_partner_terms(monkeypatch):
     Y = GradedClass(40, [(s, 1) for s in enumerate_basis(40, "MS", codim=40)])
     pair_classes(X, Y)
     assert 0 < len(calls) <= 3 * len(X.items())
+
+
+def test_is_effective_enumerates_no_basis(monkeypatch):
+    # is_effective reads only the partners of X's terms, never the whole
+    # codimension-k generator list
+    import hilb2.pairing as pairing
+
+    calls = []
+    real = pairing.enumerate_basis
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pairing, "enumerate_basis", counting)
+    X = GradedClass(40, [(s, 1) for s in enumerate_basis(40, "MS", dim=40)])
+    assert is_effective(X) and is_effective(X, 40)
+    assert not is_effective(-X)
+    assert calls == []
+    effectivity_pairings(X)  # the reporting vector lists every generator
+    assert len(calls) == 1
+
+
+# Common denominators: coprime and very large denominators in one class,
+# numerators far beyond machine words, against the dense Fraction loops.
+
+DENOMINATORS = (1, 2, 3, 7, 97, 2**61 - 1)
+
+
+def wide_combination(rng, symbols):
+    """A seeded class whose coefficients mix the denominators above with
+    numerators of either sign up to 10^30; possibly zero."""
+    return GradedClass(symbols[0].n, [
+        (s, Fraction(rng.randint(-10**30, 10**30), rng.choice(DENOMINATORS)))
+        for s in symbols if rng.random() < 0.6
+    ])
+
+
+def absolute(X):
+    return GradedClass(X.n, [(s, abs(c)) for s, c in X.items()])
+
+
+def test_common_denominator_pairings_match_dense_oracles():
+    rng = random.Random(808)
+    for n in range(1, 8):
+        for k in range(0, 2 * n + 1):
+            ms_dim_k = enumerate_basis(n, "MS", dim=k)
+            ms_codim_k = enumerate_basis(n, "MS", codim=k)
+            es_dim_k = enumerate_basis(n, "ES", dim=k)
+            for cfg in CONFIGS:
+                for _ in range(2):
+                    X = wide_combination(rng, ms_dim_k)
+                    Y = wide_combination(rng, ms_codim_k)
+                    E = wide_combination(rng, es_dim_k)
+                    assert pair_classes(X, Y, cfg) == dense_pair_classes(X, Y, cfg), (n, k)
+                    assert pair_classes(E, Y, cfg) == dense_pair_classes(E, Y, cfg), (n, k)
+                    for Z in (X, absolute(X)):
+                        if Z.is_zero:
+                            continue
+                        want = dense_effectivity(Z, cfg)
+                        assert effectivity_pairings(Z, cfg) == want, (n, k, str(Z))
+                        assert is_effective(Z, k, cfg) == all(v >= 0 for _, v in want)
+                        assert all(type(v) is Fraction for _, v in effectivity_pairings(Z, cfg))
+                    assert type(pair_classes(X, Y, cfg)) is Fraction
+
+
+def test_positive_classes_are_effective_and_negative_terms_are_not():
+    # every MS x MS table value is >= 0, so a class with positive
+    # coefficients is effective; a single negative term always meets a
+    # partner with a positive table value, so it is not
+    rng = random.Random(909)
+    for n in range(1, 8):
+        for k in range(0, 2 * n + 1):
+            gens = enumerate_basis(n, "MS", dim=k)
+            X = absolute(wide_combination(rng, gens))
+            assert X.is_zero or is_effective(X, k)
+            for s in gens:
+                q = Fraction(rng.randint(1, 10**30), rng.choice(DENOMINATORS))
+                T = GradedClass.from_symbol(s, -q)
+                assert not is_effective(T, k)
+                assert min(v for _, v in dense_effectivity(T)) < 0

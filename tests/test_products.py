@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -273,6 +274,29 @@ def test_products_and_pairings_return_only_fractions():
             for y in ms:
                 if x.codimension + y.codimension == 2 * n:
                     assert type(pair_symbols(x, y)) is Fraction, (x, y)
+
+
+DENOMINATORS = (1, 2, 3, 7, 97, 2**61 - 1)
+
+
+def test_products_of_wide_coefficients_are_sums_of_term_products():
+    # one common denominator for coprime and very large denominators and
+    # numerators far beyond machine words: the product of the class is the
+    # sum of the products of its terms, each taken alone
+    rng = random.Random(707)
+    for n in SMALL_N:
+        bsyms = [s for s in enumerate_basis(n, "MS") if bprime_supported(s)]
+        csyms = [s for s in bsyms if c_supported(s)]
+        for mul, syms in ((mul_bprime_top, bsyms), (mul_c_top, csyms)):
+            for _ in range(6):
+                terms = [
+                    (s, Fraction(rng.randint(-10**30, 10**30), rng.choice(DENOMINATORS)))
+                    for s in syms if rng.random() < 0.5
+                ]
+                X = GradedClass(n, terms)
+                got = mul(X)
+                assert got == sum((mul(GradedClass(n, [t])) for t in terms), GradedClass.zero(n))
+                assert all_fractions(got), (mul.__name__, str(X))
 
 
 @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(-3, 7)])

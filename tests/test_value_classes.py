@@ -2,7 +2,8 @@
 every construction path: the constructor, ``_replace``, ``copy`` and
 ``pickle``.  They unpack, index and compare equal to a plain tuple of their
 fields.  Their integer fields, like every integer argument of the library,
-take an ``int`` and refuse a ``bool``."""
+take an ``int`` and refuse a ``bool``; a class coefficient refuses a
+``bool`` as it refuses a float."""
 
 import copy
 import pickle
@@ -29,6 +30,7 @@ from hilb2 import (
     intersection_matrix,
     is_effective,
     is_nef,
+    linear_combine,
     parse_class,
     parse_symbol,
     secant_oracle,
@@ -164,7 +166,19 @@ INTEGER_SLOTS = {
 }
 
 
-@pytest.mark.parametrize("call", INTEGER_SLOTS.values(), ids=INTEGER_SLOTS)
+# The coefficient entry points: a bool is not read as 0 or 1.
+_A01 = BasisSymbol(Family.A, 0, 1, 2)
+COEFFICIENT_SLOTS = {
+    "GradedClass coefficient": lambda x: GradedClass(2, [(_A01, x)]),
+    "GradedClass repeated coefficient": lambda x: GradedClass(2, [(_A01, 1), (_A01, x)]),
+    "scalar *": lambda x: GradedClass.from_symbol(_A01) * x,
+    "scalar * (right)": lambda x: x * GradedClass.from_symbol(_A01),
+    "linear_combine coefficient": lambda x: linear_combine([(x, _A01)]),
+}
+SLOTS = {**INTEGER_SLOTS, **COEFFICIENT_SLOTS}
+
+
+@pytest.mark.parametrize("call", SLOTS.values(), ids=SLOTS)
 def test_a_bool_is_refused_like_a_float(call):
     raised = []
     for value in (1.5, True, False):
