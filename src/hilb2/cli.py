@@ -294,17 +294,16 @@ def _cmd_secant(args, cfg):
 
 
 def _cmd_cone(args, cfg):
-    from .pairing import _check_effective, effectivity_pairings, is_nef
+    from .pairing import effectivity_pairings, is_effective, is_nef
     from .serialize import parse_class, symbol_to_doc
 
     X = parse_class(args.class_doc)
     if args.test == "nef":
         member, extra = is_nef(X, args.k), {}
     else:
-        _check_effective(X, args.k)  # then one vector, whose signs decide as is_effective does
-        vector = effectivity_pairings(X, cfg)
-        member = all(v >= 0 for _, v in vector)
-        extra = {"pairings": [{"symbol": symbol_to_doc(s), "value": str(v)} for s, v in vector]}
+        member = is_effective(X, args.k, cfg)
+        extra = {"pairings": [{"symbol": symbol_to_doc(s), "value": str(v)}
+                              for s, v in effectivity_pairings(X, cfg)]}
     k = args.k
     if k is None and not X.is_zero:
         k = X.codimension() if args.test == "nef" else X.dimension()

@@ -9,14 +9,14 @@ pattern.  On complementary indices the nonzero products are
     ES x MS:  A'.A = configurable positive diagonal (default 1),
               B.C  = 2,   C.B' = 1,
 
-while A.C, C.C, A'.B', A'.C, B.A and B.B' are identically zero.  One corner
+and the other seven family pairs against an MS family (A.C, C.A, C.C, A'.B',
+A'.C, B.A and B.B') are identically zero.  One corner
 of the B.C block deviates: ``B_{0,0} . C_{n,n} = 1``, because ``B_{0,0}`` is
 the point class (equal to ``B'_{0,0}``) and ``C_{n,n}`` the fundamental
 class, so their product is the degree of a point; the multiplicity-2
 argument behind the generic entry needs a ``C_{n-k,n-k}`` term that does not
 exist in dimension zero.  Pairs whose
-first argument is not an ES or MS family symbol, or whose second argument is
-not an MS family symbol (so any ES x ES pairing, for instance), are refused
+second argument is not an MS family symbol (an A' or B symbol) are refused
 rather than guessed.
 
 The ES/MS duality makes both cone tests coordinate checks: a codimension-k
@@ -38,7 +38,6 @@ one common denominator (``chow.scaled_terms``), one ``Fraction`` per output.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from typing import Iterable, Union
 
 from .chow import (BasisId, BasisSymbol, Family, GradedClass, as_basis, enumerate_basis,
@@ -57,24 +56,17 @@ _MS_FAMILIES = BasisId.MS.families
 _ZERO, _ONE, _TWO = Fraction(0), Fraction(1), Fraction(2)
 _VALUE = {0: _ZERO, 1: _ONE, 2: _TWO}
 
-# Supported (x.family, y.family) combos; value 0 marks an identically zero
-# block, "cfg" the configurable A'.A diagonal.  A combo missing here is
-# refused.
+# The nonzero (x.family, y.family) blocks; "cfg" marks the configurable A'.A
+# diagonal.  Every other pairing against an MS family is identically zero, and
+# a pairing against any other family is refused.
 _PAIR_TABLE = {
     (Family.A, Family.A): 1,
     (Family.A, Family.BP): 1,
-    (Family.A, Family.C): 0,
     (Family.BP, Family.A): 1,
     (Family.BP, Family.BP): 1,  # 2 on balanced indices, handled below
     (Family.BP, Family.C): 1,
-    (Family.C, Family.A): 0,
     (Family.C, Family.BP): 1,
-    (Family.C, Family.C): 0,
     (Family.AP, Family.A): "cfg",
-    (Family.AP, Family.BP): 0,
-    (Family.AP, Family.C): 0,
-    (Family.B, Family.A): 0,
-    (Family.B, Family.BP): 0,
     (Family.B, Family.C): 2,
 }
 
@@ -129,7 +121,7 @@ def _table_value(fx: Family, fy: Family, i: int, j: int, cfg: PairingConfig) -> 
         return 2
     if fx is Family.B and fy is Family.C and i == j == 0:
         return 1  # point class against the fundamental class
-    entry = _PAIR_TABLE[fx, fy]
+    entry = _PAIR_TABLE.get((fx, fy), 0)
     return cfg.ap_a_diagonal if entry == "cfg" else entry  # cfg: the caller's choice
 
 
@@ -143,7 +135,7 @@ def pair_symbols(
     """Intersection number of two symbols of complementary codimension."""
     if x.n != y.n:
         raise MixedAmbient(f"{x} lives on P^{x.n}[2], {y} on P^{y.n}[2]")
-    if (x.family, y.family) not in _PAIR_TABLE:
+    if y.family not in _MS_FAMILIES:
         raise _unsupported(x.family, y.family)
     if x.codimension + y.codimension != 2 * x.n:
         raise NotComplementary(
@@ -168,13 +160,11 @@ def pair_classes(
     cx, cy = X.codimension(), Y.codimension()  # raises NotHomogeneous
     if cx + cy != 2 * X.n:
         raise NotComplementary(f"codim {cx} + codim {cy} != {2 * X.n}")
-    # Refuse an unsupported family combination even where no indices
-    # complement.  ``Family`` iterates in canonical term order, so the
-    # combination named is the first one a term-by-term pass would meet.
-    fams_x, fams_y = X.families(), Y.families()
-    for fx, fy in product(Family, Family):
-        if fx in fams_x and fy in fams_y and (fx, fy) not in _PAIR_TABLE:
-            raise _unsupported(fx, fy)
+    # Refuse a non-MS family in Y even where no indices complement, naming
+    # the first pair a term-by-term pass in canonical order would meet.
+    bad = Y.families().difference(_MS_FAMILIES)
+    if bad:
+        raise _unsupported(min(X.families()), min(bad))
     (xs, dx), (ys, dy) = scaled_terms(X), scaled_terms(Y)
     partners = _by_indices(ys)
     total = 0
@@ -212,7 +202,8 @@ class IntersectionMatrix(
         return f"IntersectionMatrix({shown})"
 
 
-_PARTNER_FAMILY = {Family.AP: Family.A, Family.B: Family.C, Family.C: Family.BP}
+# Each ES family meets exactly one MS family: A' -> A, B -> C, C -> B'.
+_PARTNER_FAMILY = {fx: fy for fx, fy in _PAIR_TABLE if fx in BasisId.ES.families}
 
 
 def dual_generator(sym: BasisSymbol) -> BasisSymbol:
@@ -294,19 +285,15 @@ def is_effective(
     codimension k, so membership is a nonnegative pairing against every MS
     generator of codimension k; only the generators X's terms meet can fail.
     """
-    _check_effective(X, k)
-    return all(v >= 0 for v in _partner_sums(X, cfg)[0].values())
-
-
-def _check_effective(X: GradedClass, k: int | None) -> None:
-    """The checks of :func:`is_effective`, which ``hilb2 cone`` runs too."""
     if k is not None:
         require_grading(k, X.n)
-    if not X.is_zero:
-        _require_ms(X, "is_effective")
-        dim = X.dimension()  # raises NotHomogeneous
-        if k is not None and k != dim:
-            raise InvalidInput(f"class has dimension {dim}, not {k}")
+    if X.is_zero:
+        return True
+    _require_ms(X, "is_effective")
+    dim = X.dimension()  # raises NotHomogeneous
+    if k is not None and k != dim:
+        raise InvalidInput(f"class has dimension {dim}, not {k}")
+    return all(v >= 0 for v in _partner_sums(X, cfg)[0].values())
 
 
 def _partner_sums(X: GradedClass, cfg: PairingConfig) -> tuple[dict, int]:

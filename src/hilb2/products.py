@@ -1,30 +1,30 @@
 """Products with the two top codimension-2 classes.
 
-Every product is one mechanism: a *rule* maps the index key ``(family, i,
-j)`` of one basis symbol to a sparse list of ``(key, int)`` terms, and
-:func:`_apply` extends it linearly to a class.  A rule output whose indices
-leave the family's range (``chow.in_range``) is the zero class and is simply
-not listed.  The engine multiplies by ``B'_{n-1,n-1}`` or ``C_{n-1,n-1}``,
-the only multipliers with complete rule sets.  Base rules:
+Every product is one mechanism: a *rule* maps the key ``(family, i, j, n)``
+of one basis symbol (a ``BasisSymbol`` is its own key) to a sparse list of
+``(key, int)`` terms, and :func:`_apply` extends it linearly to a class.  A
+rule output whose indices leave the family's range (``chow.in_range``) is the
+zero class and is simply not listed.  The engine multiplies by
+``B'_{n-1,n-1}`` or ``C_{n-1,n-1}``, the only multipliers with complete rule
+sets.  The six base rules:
 
     B'_{n-1,n-1} . A_{i,j}  = 2 B'_{i-1,j-1}
     B'_{n-1,n-1} . B_{i,j}  = 2 B_{i-2,j}
+    B'_{n-1,n-1} . B'_{i,j} = 2 B'_{i-1,j-1} + 2 B'_{i-2,j} - 2 A_{i-2,j}
     B'_{n-1,n-1} . C_{i,i}  =   B'_{i-1,i-1}
     C_{n-1,n-1}  . A_{i,j}  =   A_{i-1,j-1}
     C_{n-1,n-1}  . B'_{i,j} =   B'_{i-1,j-1}
 
-Products by ``B'_{n-1,n-1}`` of B' terms are not hard-coded: the rule for a
-B' key is derived from the basis-change identities, written on doubled
-integers so that no ``Fraction`` is needed,
+The B' rule (for i < j and i = j alike, with ``B'_{0,0} -> 0``) follows
+from the other three ``B'_{n-1,n-1}`` rules and the basis-change identities
 
     2 B'_{i,j} = B_{i,j} + 2 A_{i,j}        for i < j,
     2 B'_{i,i} = B_{i,i} + 4 C_{i,i}        for i > 0,
-    2 B'_{0,0} = 2 B_{0,0},
+    2 B'_{0,0} = 2 B_{0,0}:
 
-by applying the base rules to the right-hand side, converting any B output
-back to MS coordinates, and halving the sums.  The halving is exact: the
-``1/2`` sits only on the B term, and the base rule for B carries a factor 2,
-so every doubled sum is even (an odd one would give a ``Fraction``).
+multiply the right-hand side, rewrite the B output in MS coordinates
+(:func:`to_ms`) and halve.  ``tests/test_products.py`` carries that
+derivation out through the public API and checks the stated rule against it.
 Iterating reproduces the closed form
 
     B'_{n-1,n-1}^k = 2^(k-1) (B'_{n-k,n-k}
@@ -53,11 +53,11 @@ from .errors import (
 )
 
 
-def _linear(rule, terms, n: int) -> dict:
-    """``sum c * rule(key)`` over ``(key, c)`` terms, as a key -> coefficient dict."""
+def _linear(rule, terms, *args) -> dict:
+    """``sum c * rule(key, *args)`` over ``(key, c)`` terms, as a key -> coefficient dict."""
     acc: dict = {}
     for key, c in terms:
-        for out, v in rule(key, n):
+        for out, v in rule(key, *args):
             acc[out] = acc.get(out, 0) + c * v
     return acc
 
@@ -66,32 +66,31 @@ def _build(n: int, acc: dict, d: int = 1) -> GradedClass:
     """The class of a key -> numerator dict over the denominator ``d``: one
     symbol and one division per nonzero key (none when ``d`` is 1)."""
     return GradedClass(n, {
-        BasisSymbol(f, i, j, n): c if d == 1 else Fraction(c, d)
-        for (f, i, j), c in acc.items() if c
+        BasisSymbol(*key): c if d == 1 else Fraction(c, d) for key, c in acc.items() if c
     })
 
 
-def _apply(rule, X: GradedClass) -> GradedClass:
-    """Extend a per-key rule linearly: ``sum c * rule(s)`` over the terms of X."""
+def _apply(rule, X: GradedClass, *args) -> GradedClass:
+    """Extend a per-key rule linearly: ``sum c * rule(s, *args)`` over the terms of X."""
     terms, d = scaled_terms(X)
-    return _build(X.n, _linear(rule, (((s.family, s.i, s.j), c) for s, c in terms), X.n), d)
+    return _build(X.n, _linear(rule, terms, *args), d)
 
 
 def _term(family: Family, i: int, j: int, n: int, coeff: int) -> list:
-    """``[((F, i, j), coeff)]``, or no term when the indices are out of range."""
-    return [((family, i, j), coeff)] if in_range(family, i, j, n) else []
+    """``[((F, i, j, n), coeff)]``, or no term when the indices are out of range."""
+    return [((family, i, j, n), coeff)] if in_range(family, i, j, n) else []
 
 
-def _ms_terms(key: tuple, n: int) -> list:
+def _ms_terms(key: tuple) -> list:
     """Rule: a B key in MS coordinates; any other key stays as it is."""
-    family, i, j = key
+    family, i, j, n = key
     if family is not Family.B:
         return [(key, 1)]
     if i == j == 0:
-        return [((Family.BP, 0, 0), 1)]
+        return [((Family.BP, 0, 0, n), 1)]
     if i == j:
-        return [((Family.BP, i, i), 2), ((Family.C, i, i), -4)]
-    return [((Family.BP, i, j), 2), ((Family.A, i, j), -2)]
+        return [((Family.BP, i, i, n), 2), ((Family.C, i, i, n), -4)]
+    return [((Family.BP, i, j, n), 2), ((Family.A, i, j, n), -2)]
 
 
 def to_ms(x: BasisSymbol) -> GradedClass:
@@ -103,31 +102,16 @@ def to_ms(x: BasisSymbol) -> GradedClass:
     """
     if x.family is not Family.B:
         raise UnsupportedFamily(f"to_ms converts family B only, got {x}")
-    return _build(x.n, dict(_ms_terms((x.family, x.i, x.j), x.n)))
+    return _build(x.n, dict(_ms_terms(x)))
 
 
-def _doubled_bprime(i: int, j: int) -> list:
-    """``2 B'_{i,j}`` in A, B, C: ``B_{i,j} + 2A_{i,j}`` (i < j),
-    ``B_{i,i} + 4C_{i,i}`` (i > 0), ``2B_{0,0}``."""
-    if i == j == 0:
-        return [((Family.B, 0, 0), 2)]
-    if i == j:
-        return [((Family.B, i, i), 1), ((Family.C, i, i), 4)]
-    return [((Family.B, i, j), 1), ((Family.A, i, j), 2)]
-
-
-def _half(v: int):
-    return v // 2 if v % 2 == 0 else Fraction(v, 2)
-
-
-def _bprime_rule(key: tuple, n: int) -> list:
-    """Rule for ``B'_{n-1,n-1} . F_{i,j}``: the base rules for A, B and
-    balanced C; a B' key is expanded into A/B/C (doubled), multiplied,
-    returned to MS and halved."""
-    family, i, j = key
+def _bprime_rule(key: tuple) -> list:
+    """Rule for ``B'_{n-1,n-1} . F_{i,j}``: the base rules for A, B, B' and
+    balanced C."""
+    family, i, j, n = key
     if family is Family.BP:
-        doubled = _linear(_ms_terms, _linear(_bprime_rule, _doubled_bprime(i, j), n).items(), n)
-        return [(out, _half(v)) for out, v in doubled.items() if v]
+        return (_term(Family.BP, i - 1, j - 1, n, 2) + _term(Family.BP, i - 2, j, n, 2)
+                + _term(Family.A, i - 2, j, n, -2))
     if family is Family.A:
         return _term(Family.BP, i - 1, j - 1, n, 2)
     if family is Family.B:
@@ -135,31 +119,30 @@ def _bprime_rule(key: tuple, n: int) -> list:
     if family is Family.C:
         if i != j:
             raise UnsupportedTerm(
-                f"no rule for B'_{{{n-1},{n-1}}} . {BasisSymbol(*key, n)} (unbalanced C)"
+                f"no rule for B'_{{{n-1},{n-1}}} . {key} (unbalanced C)"
             )
         return _term(Family.BP, i - 1, i - 1, n, 1)
-    raise UnsupportedTerm(f"no rule for B'_{{{n-1},{n-1}}} . {BasisSymbol(*key, n)}")
+    raise UnsupportedTerm(f"no rule for B'_{{{n-1},{n-1}}} . {key}")
 
 
-def _c_shift(key: tuple, n: int, b: int = 1) -> list:
+def _c_shift(key: tuple, b: int = 1) -> list:
     """Rule for ``C_{n-1,n-1}^b . F_{i,j}`` on an A or B' key.
 
     Both C rules lower the index pair by (1, 1), and a pair that falls below
     its lower bound never comes back into range, so b products are one shift
     by (b, b).
     """
-    family, i, j = key
+    family, i, j, n = key
     if family not in (Family.A, Family.BP):
-        raise UnsupportedTerm(f"no rule for C_{{{n-1},{n-1}}} . {BasisSymbol(*key, n)}")
+        raise UnsupportedTerm(f"no rule for C_{{{n-1},{n-1}}} . {key}")
     return _term(family, i - b, j - b, n, 1)
 
 
 def mul_bprime_top(X: GradedClass) -> GradedClass:
     """Multiply a class by ``B'_{n-1,n-1}``.
 
-    Terms may be A, B, B', or balanced C; B' terms are expanded through the
-    basis-change identities and the resulting B parts converted back, so the
-    image of an MS-coordinate class stays in MS coordinates.
+    Terms may be A, B, B', or balanced C; the image of an MS-coordinate
+    class stays in MS coordinates.
     """
     return _apply(_bprime_rule, X)
 
@@ -183,10 +166,10 @@ def bprime_top_power(n: int, k: int) -> GradedClass:
     if not is_int(k) or not 1 <= k <= n:
         raise InvalidExponent(f"exponent {k!r} outside [1, {n}]")
     c, lead = n - k, 2 ** (k - 1)
-    closed = [((Family.BP, c, c), lead)] + [
-        ((Family.B, c - i, c + i), lead // 2) for i in range(1, min(k - 1, c) + 1)
+    closed = [((Family.BP, c, c, n), lead)] + [
+        ((Family.B, c - i, c + i, n), lead // 2) for i in range(1, min(k - 1, c) + 1)
     ]
-    return _build(n, _linear(_ms_terms, closed, n))
+    return _build(n, _linear(_ms_terms, closed))
 
 
 class MonomialSpec(value_type("MonomialSpec", "n a b")):
@@ -210,4 +193,4 @@ def eval_monomial(spec: MonomialSpec) -> GradedClass:
     """
     if spec.a == 0:
         raise UnsupportedMonomial("no rule for pure powers of C_{n-1,n-1} (a = 0)")
-    return _apply(lambda key, n: _c_shift(key, n, spec.b), bprime_top_power(spec.n, spec.a))
+    return _apply(_c_shift, bprime_top_power(spec.n, spec.a), spec.b)

@@ -125,6 +125,38 @@ def test_closed_form_equals_iteration():
             X = mul_bprime_top(X)
 
 
+def derived_bprime_product(x):
+    """``B'_{n-1,n-1} . x`` for a B' symbol x, derived rather than stated:
+    the A, B and balanced-C rules applied to the basis-change identities
+    ``2B'_{i,j} = B_{i,j} + 2A_{i,j}`` (i < j), ``B_{i,i} + 4C_{i,i}``
+    (i > 0) and ``2B_{0,0}`` (i = j = 0), the B output put into MS
+    coordinates through ``to_ms``, and the sum halved."""
+    n, i, j = x.n, x.i, x.j
+    if i < j:
+        doubled = cls((1, S("B", i, j, n)), (2, S("A", i, j, n)))
+    elif i > 0:
+        doubled = cls((1, S("B", i, i, n)), (4, S("C", i, i, n)))
+    else:
+        doubled = cls((2, S("B", 0, 0, n)))
+    product = mul_bprime_top(doubled)
+    if product.is_zero:
+        return product
+    return linear_combine(
+        [(c / 2, to_ms(s) if s.family.value == "B" else s) for s, c in product.items()]
+    )
+
+
+def test_stated_bprime_rule_equals_its_derivation():
+    checked = 0
+    for n in range(1, 13):
+        for x in enumerate_basis(n, "MS"):
+            if x.family.value == "B'":
+                X = GradedClass.from_symbol(x)
+                assert mul_bprime_top(X) == derived_bprime_product(x), x
+                checked += 1
+    assert checked == 364
+
+
 def test_products_lower_dimension_by_two():
     for n in range(2, 8):
         for k in range(1, n):
