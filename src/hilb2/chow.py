@@ -332,6 +332,16 @@ def scaled_terms(X: GradedClass) -> tuple[list[tuple[BasisSymbol, int]], int]:
     return [(s, c.numerator * (d // c.denominator)) for s, c in X.items()], d
 
 
+def linear_sum(rule, terms, *args) -> dict:
+    """``sum c * rule(key, *args)`` over ``(key, c)`` terms, as a key -> coefficient
+    dict: the linear extension of a per-symbol rule, shared by products and pairings."""
+    acc: dict = {}
+    for key, c in terms:
+        for out, v in rule(key, *args):
+            acc[out] = acc.get(out, 0) + c * v
+    return acc
+
+
 def linear_combine(pairs: Iterable[tuple]) -> GradedClass:
     """Exact sparse sum ``sum(c_k * X_k)``; zero coefficients pruned.
 

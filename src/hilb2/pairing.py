@@ -24,24 +24,25 @@ class in MS coordinates is nef iff its coefficients are nonnegative, and a
 dimension-k class is effective iff it pairs nonnegatively with every MS
 generator of codimension k.
 
-A symbol meets only the (at most three) symbols at its complementary indices,
-so each term of one side looks up only its partners on the other: the costs
-are ``O(|X| + |Y|)`` for :func:`pair_classes`, ``O(|X|)`` for
-:func:`is_effective`, ``O(rank + |X|)`` for :func:`effectivity_pairings`, and
-``O(rank)`` reads for :func:`intersection_matrix` (its ``rank^2`` zero
-entries share one ``Fraction(0)``).  Every value comes from one table reader,
-:func:`_table_value`: :func:`pair_symbols` checks each symbol pair first; the
-bulk routines check once per call, then read it on integer numerators over
-one common denominator (``chow.scaled_terms``), one ``Fraction`` per output.
+Every pairing is one linear map, stated per symbol by the rule :func:`_duals`:
+``x`` goes to the (at most three) MS symbols at its complementary indices that
+it meets in a nonzero block, each valued by :func:`_table_value`, the table's
+one reader.  ``chow.linear_sum`` extends it to a class on integer numerators
+over one common denominator, as it extends the product rules.  A symbol is its
+own key: :func:`pair_symbols` looks ``y`` up in the image of ``x``, the class
+routines read the image of X, :func:`intersection_matrix` places each row's
+image in its columns, and :func:`dual_generator` is the one key in the image
+of an ES symbol.  Each routine makes its checks first, once per call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 from .chow import (BasisId, BasisSymbol, Family, GradedClass, as_basis, enumerate_basis,
-                   in_range, is_int, require_ambient, require_grading, scaled_terms, value_type)
+                   in_range, is_int, linear_sum, require_ambient, require_grading,
+                   scaled_terms, value_type)
 from .errors import (
     InvalidInput,
     MixedAmbient,
@@ -51,7 +52,9 @@ from .errors import (
     WrongBasis,
 )
 
-_MS_FAMILIES = BasisId.MS.families
+_MS_FAMILIES, _ES_FAMILIES = BasisId.MS.families, BasisId.ES.families
+# Members bound once: an Enum attribute lookup costs more than the rest of a table read.
+_BP, _B, _C = Family.BP, Family.B, Family.C
 # Shared pairing values: Fractions are immutable, so one object per value.
 _ZERO, _ONE, _TWO = Fraction(0), Fraction(1), Fraction(2)
 _VALUE = {0: _ZERO, 1: _ONE, 2: _TWO}
@@ -98,35 +101,36 @@ def has_complementary_indices(x: BasisSymbol, y: BasisSymbol) -> bool:
     return (y.i, y.j) == partner_indices(x)
 
 
-def _by_indices(entries: Iterable[tuple[BasisSymbol, object]]) -> dict:
-    """Group ``(symbol, value)`` entries by the symbol's index pair ``(i, j)``.
-
-    This is the partner lookup: the entries a symbol ``x`` can pair nonzero
-    with are those at ``partner_indices(x)``.
-    """
-    table: dict[tuple[int, int], list] = {}
-    for sym, value in entries:
-        table.setdefault((sym.i, sym.j), []).append((sym, value))
-    return table
-
-
 def _unsupported(fx: Family, fy: Family) -> UnsupportedFamilyPair:
     return UnsupportedFamilyPair(f"no intersection rule for {fx.value} . {fy.value}")
 
 
 def _table_value(fx: Family, fy: Family, i: int, j: int, cfg: PairingConfig) -> int:
-    """The pairing of ``fx_{i,j}`` with its complementary partner in family
-    ``fy``: the one reader of ``_PAIR_TABLE`` and its special cases.  No checks."""
-    if fx is fy is Family.BP and i == j:
+    """The pairing of ``fx_{i,j}`` with its complementary partner in family ``fy``
+    (a block of ``_PAIR_TABLE``): the one reader of the table.  No checks."""
+    if fx is fy is _BP and i == j:
         return 2
-    if fx is Family.B and fy is Family.C and i == j == 0:
+    if fx is _B and fy is _C and i == j == 0:
         return 1  # point class against the fundamental class
-    entry = _PAIR_TABLE.get((fx, fy), 0)
+    entry = _PAIR_TABLE[fx, fy]
     return cfg.ap_a_diagonal if entry == "cfg" else entry  # cfg: the caller's choice
 
 
 def _shared(v: int) -> Fraction:  # one object for each of the table values 0, 1, 2
     return _VALUE[v] if v in _VALUE else Fraction(v)
+
+
+# The MS families each family meets in a nonzero block of ``_PAIR_TABLE``.
+_BLOCKS = {fx: tuple(fy for gx, fy in _PAIR_TABLE if gx is fx) for fx in Family}
+
+
+def _duals(x: BasisSymbol, cfg: PairingConfig) -> list:
+    """Rule: ``[((fy, k, l, n), value)]``, one term per MS symbol ``x`` meets at its
+    complementary indices ``(k, l)`` in a nonzero block; the rest pair to zero."""
+    fx, i, j, n = x
+    k, l = partner_indices(x)
+    return [((fy, k, l, n), _table_value(fx, fy, i, j, cfg))
+            for fy in _BLOCKS[fx] if in_range(fy, k, l, n)]
 
 
 def pair_symbols(
@@ -141,9 +145,7 @@ def pair_symbols(
         raise NotComplementary(
             f"codim {x.codimension} + codim {y.codimension} != {2 * x.n} for {x} . {y}"
         )
-    if not has_complementary_indices(x, y):
-        return _ZERO
-    return _shared(_table_value(x.family, y.family, x.i, x.j, cfg))
+    return _shared(dict(_duals(x, cfg)).get(y, 0))
 
 
 def pair_classes(
@@ -151,7 +153,7 @@ def pair_classes(
 ) -> Fraction:
     """Bilinear extension of :func:`pair_symbols` to homogeneous classes.
 
-    Each term of X meets only the terms of Y at its complementary indices.
+    The image of X under the rule :func:`_duals`, dotted with Y's terms.
     """
     if X.n != Y.n:
         raise MixedAmbient(f"classes live on P^{X.n}[2] and P^{Y.n}[2]")
@@ -166,12 +168,8 @@ def pair_classes(
     if bad:
         raise _unsupported(min(X.families()), min(bad))
     (xs, dx), (ys, dy) = scaled_terms(X), scaled_terms(Y)
-    partners = _by_indices(ys)
-    total = 0
-    for sx, a in xs:
-        for sy, b in partners.get(partner_indices(sx), ()):
-            total += a * b * _table_value(sx.family, sy.family, sx.i, sx.j, cfg)
-    return Fraction(total, dx * dy)
+    sums = linear_sum(_duals, xs, cfg)
+    return Fraction(sum(b * sums.get(y, 0) for y, b in ys), dx * dy)
 
 
 class IntersectionMatrix(
@@ -202,20 +200,16 @@ class IntersectionMatrix(
         return f"IntersectionMatrix({shown})"
 
 
-# Each ES family meets exactly one MS family: A' -> A, B -> C, C -> B'.
-_PARTNER_FAMILY = {fx: fy for fx, fy in _PAIR_TABLE if fx in BasisId.ES.families}
-
-
 def dual_generator(sym: BasisSymbol) -> BasisSymbol:
     """MS symbol pairing nonzero with an ES symbol: its complementary partner.
 
     The family swap is A' -> A, B -> C, C -> B'; the indices are the
     complementary pair, which is always in range for the swapped family.
     """
-    if sym.family not in _PARTNER_FAMILY:
+    if sym.family not in _ES_FAMILIES:
         raise UnsupportedFamilyPair(f"{sym} is not an ES basis symbol")
-    i, j = partner_indices(sym)
-    return BasisSymbol(_PARTNER_FAMILY[sym.family], i, j, sym.n)
+    ((key, _),) = _duals(sym, DEFAULT_CONFIG)
+    return BasisSymbol(*key)
 
 
 def intersection_matrix(
@@ -243,12 +237,12 @@ def intersection_matrix(
         col_syms = tuple(dual_generator(s) for s in row_syms)
     else:
         col_syms = tuple(enumerate_basis(n, cols, codim=k))
-    columns = _by_indices((c, pos) for pos, c in enumerate(col_syms))
+    column = {c: pos for pos, c in enumerate(col_syms)}
     entries = []
     for r in row_syms:
         row = [_ZERO] * len(col_syms)
-        for c, pos in columns.get(partner_indices(r), ()):
-            row[pos] = _shared(_table_value(r.family, c.family, r.i, r.j, cfg))
+        for key, v in _duals(r, cfg):
+            row[column[key]] = _shared(v)
         entries.append(tuple(row))
     return IntersectionMatrix(n, k, rows, cols, row_syms, col_syms, tuple(entries))
 
@@ -293,22 +287,7 @@ def is_effective(
     dim = X.dimension()  # raises NotHomogeneous
     if k is not None and k != dim:
         raise InvalidInput(f"class has dimension {dim}, not {k}")
-    return all(v >= 0 for v in _partner_sums(X, cfg)[0].values())
-
-
-def _partner_sums(X: GradedClass, cfg: PairingConfig) -> tuple[dict, int]:
-    """``(sums, d)``: the pairings of an MS class with the generators its terms
-    meet, as ``{(family, i, j, n): int numerator}`` over one denominator ``d``.
-    A generator is a tuple, so it looks itself up in ``sums``."""
-    terms, d = scaled_terms(X)
-    sums = {}
-    for x, a in terms:
-        i, j = partner_indices(x)
-        for fy in _MS_FAMILIES:
-            if in_range(fy, i, j, X.n):
-                key = (fy, i, j, X.n)
-                sums[key] = sums.get(key, 0) + a * _table_value(x.family, fy, x.i, x.j, cfg)
-    return sums, d
+    return all(v >= 0 for v in linear_sum(_duals, scaled_terms(X)[0], cfg).values())
 
 
 def effectivity_pairings(
@@ -319,5 +298,6 @@ def effectivity_pairings(
         return []
     _require_ms(X, "effectivity_pairings")
     generators = enumerate_basis(X.n, BasisId.MS, codim=X.dimension())
-    sums, d = _partner_sums(X, cfg)
+    terms, d = scaled_terms(X)
+    sums = linear_sum(_duals, terms, cfg)  # numerators over d, keyed by generator
     return [(g, _ZERO if (v := sums.get(g)) is None else Fraction(v, d)) for g in generators]

@@ -2,11 +2,11 @@
 
 Every product is one mechanism: a *rule* maps the key ``(family, i, j, n)``
 of one basis symbol (a ``BasisSymbol`` is its own key) to a sparse list of
-``(key, int)`` terms, and :func:`_apply` extends it linearly to a class.  A
-rule output whose indices leave the family's range (``chow.in_range``) is the
-zero class and is simply not listed.  The engine multiplies by
-``B'_{n-1,n-1}`` or ``C_{n-1,n-1}``, the only multipliers with complete rule
-sets.  The six base rules:
+``(key, int)`` terms, and :func:`_apply` extends it linearly to a class by
+``chow.linear_sum``, the loop the pairing rule shares.  A rule output whose
+indices leave the family's range (``chow.in_range``) is the zero class and is
+simply not listed.  The engine multiplies by ``B'_{n-1,n-1}`` or
+``C_{n-1,n-1}``, the only multipliers with complete rule sets.  The six base rules:
 
     B'_{n-1,n-1} . A_{i,j}  = 2 B'_{i-1,j-1}
     B'_{n-1,n-1} . B_{i,j}  = 2 B_{i-2,j}
@@ -42,8 +42,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .chow import (BasisSymbol, Family, GradedClass, in_range, is_int, require_ambient,
-                   scaled_terms, value_type)
+from .chow import (BasisSymbol, Family, GradedClass, in_range, is_int, linear_sum,
+                   require_ambient, scaled_terms, value_type)
 from .errors import (
     InvalidExponent,
     InvalidInput,
@@ -51,15 +51,6 @@ from .errors import (
     UnsupportedMonomial,
     UnsupportedTerm,
 )
-
-
-def _linear(rule, terms, *args) -> dict:
-    """``sum c * rule(key, *args)`` over ``(key, c)`` terms, as a key -> coefficient dict."""
-    acc: dict = {}
-    for key, c in terms:
-        for out, v in rule(key, *args):
-            acc[out] = acc.get(out, 0) + c * v
-    return acc
 
 
 def _build(n: int, acc: dict, d: int = 1) -> GradedClass:
@@ -73,7 +64,7 @@ def _build(n: int, acc: dict, d: int = 1) -> GradedClass:
 def _apply(rule, X: GradedClass, *args) -> GradedClass:
     """Extend a per-key rule linearly: ``sum c * rule(s, *args)`` over the terms of X."""
     terms, d = scaled_terms(X)
-    return _build(X.n, _linear(rule, terms, *args), d)
+    return _build(X.n, linear_sum(rule, terms, *args), d)
 
 
 def _term(family: Family, i: int, j: int, n: int, coeff: int) -> list:
@@ -169,7 +160,7 @@ def bprime_top_power(n: int, k: int) -> GradedClass:
     closed = [((Family.BP, c, c, n), lead)] + [
         ((Family.B, c - i, c + i, n), lead // 2) for i in range(1, min(k - 1, c) + 1)
     ]
-    return _build(n, _linear(_ms_terms, closed))
+    return _build(n, linear_sum(_ms_terms, closed))
 
 
 class MonomialSpec(value_type("MonomialSpec", "n a b")):

@@ -4,7 +4,9 @@ A class document is ``{"n": int, "basis": tag, "terms": [...]}`` with one
 record ``{"family": "A"|"A'"|"B"|"B'"|"C", "i": int, "j": int, "coeff": "p"
 or "p/q"}`` per term.  Coefficients travel as exact rational strings, never
 as floats.  ``parse_class(emit_class(X)) == X`` for every canonical class;
-emission is deterministic (canonical term order).
+emission is deterministic (canonical term order).  :func:`parse_class` accepts
+what ``schemas/class_document.schema.json`` accepts, but for integral floats
+(``2.0``): ``json`` reads ``2.0000000000000001`` as ``2.0`` too.
 """
 
 from __future__ import annotations
@@ -63,6 +65,16 @@ def _load_json(text: str):
         raise ParseError("invalid JSON: nested too deeply to decode") from None
 
 
+# The keys the class-document schema allows, in a document and in a term.
+_CLASS_KEYS = frozenset(("n", "basis", "terms"))
+_TERM_KEYS = frozenset(("family", "i", "j", "coeff"))
+
+
+def _require_keys(doc: dict, known: frozenset, what: str) -> None:
+    if not doc.keys() <= known:
+        raise ParseError(f"{what} has unknown field {next(k for k in doc if k not in known)!r}")
+
+
 def _require_int(doc: dict, key: str, what: str) -> int:
     if key not in doc:
         raise ParseError(f"{what} is missing field {key!r}")
@@ -103,7 +115,10 @@ def parse_class(source: Union[str, dict]) -> GradedClass:
     doc = _load_json(source) if isinstance(source, str) else source
     if not isinstance(doc, dict):
         raise ParseError(f"class document must be an object, got {doc!r}")
+    _require_keys(doc, _CLASS_KEYS, "class document")
     n = _require_int(doc, "n", "class document")
+    if doc.get("basis", "MS") not in ("BB", "ES", "MS", "mixed"):
+        raise ParseError(f"class document field 'basis' is not a basis tag: {doc['basis']!r}")
     terms_doc = doc.get("terms")
     if not isinstance(terms_doc, list):
         raise ParseError("class document is missing the list field 'terms'")
@@ -111,6 +126,7 @@ def parse_class(source: Union[str, dict]) -> GradedClass:
     for record in terms_doc:
         if not isinstance(record, dict):
             raise ParseError(f"term record must be an object, got {record!r}")
+        _require_keys(record, _TERM_KEYS, "term record")
         if "coeff" not in record:
             raise ParseError(f"term record {record!r} is missing field 'coeff'")
         sym = parse_symbol(record, n)

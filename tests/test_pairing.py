@@ -473,6 +473,35 @@ def test_class_routes_pair_only_partner_terms(monkeypatch):
     assert 0 < len(calls) <= 3 * len(X.items())
 
 
+def test_every_pairing_routine_reaches_the_one_rule(monkeypatch):
+    import hilb2.pairing as pairing
+
+    calls = []
+    real = pairing._duals
+
+    def counting(x, cfg):
+        calls.append(x)
+        return real(x, cfg)
+
+    monkeypatch.setattr(pairing, "_duals", counting)
+    n = 4
+    X = GradedClass(n, [(s, 1) for s in enumerate_basis(n, "MS", dim=n)])
+    Y = GradedClass(n, [(s, 1) for s in enumerate_basis(n, "MS", codim=n)])
+    routes = {
+        "pair_symbols": lambda: pair_symbols(S("B'", 1, 1, n), S("B'", 3, 3, n)),
+        "pair_classes": lambda: pair_classes(X, Y),
+        "is_effective": lambda: is_effective(X),
+        "effectivity_pairings": lambda: effectivity_pairings(X),
+        "intersection_matrix ES rows": lambda: intersection_matrix(n, n, "ES", "MS"),
+        "intersection_matrix MS rows": lambda: intersection_matrix(n, n, "MS", "MS"),
+        "dual_generator": lambda: dual_generator(S("B", 1, 1, n)),
+    }
+    for name, route in routes.items():
+        calls.clear()
+        route()
+        assert calls, name
+
+
 def test_is_effective_enumerates_no_basis(monkeypatch):
     # is_effective reads only the partners of X's terms, never the whole
     # codimension-k generator list

@@ -11,6 +11,7 @@ from hilb2 import (
     GradedClass,
     InvalidIndex,
     ParseError,
+    ValidationError,
     class_to_json,
     emit_class,
     enumerate_basis,
@@ -160,6 +161,71 @@ def test_coefficient_grammar_matches_the_schema():
         except ParseError:
             parsed = False
         assert parsed == schema_ok, coeff
+
+
+A01 = {"family": "A", "i": 0, "j": 1, "coeff": "1"}
+
+# Documents the class-document schema refuses for an unknown key or a basis
+# that is not a tag.
+SCHEMA_REFUSED_DOCUMENTS = [
+    {"n": 2, "basis": "XX", "terms": []},
+    {"n": 2, "basis": None, "terms": []},
+    {"n": 2, "terms": [], "comment": "an unknown top-level key"},
+    {"n": 2, "terms": [{**A01, "weight": 1}]},
+]
+
+
+@pytest.mark.parametrize("doc", SCHEMA_REFUSED_DOCUMENTS)
+def test_documents_outside_the_schema_are_refused(doc):
+    with pytest.raises(ParseError):
+        parse_class(doc)
+    code, out = run_command(["cone", "--class", json.dumps(doc), "--test", "nef",
+                             "--format", "json"])
+    assert code == EXIT_VALIDATION
+    assert json.loads(out)["error"]["type"] == "ParseError"
+
+
+def test_class_documents_parse_exactly_when_the_schema_validates():
+    # In-range indices only: the schema cannot see a family's index range,
+    # which the parser checks (InvalidIndex).  Integral floats are the one
+    # deliberate difference, tested below.
+    corpus = [{"n": 2, "terms": []}, {"n": 2, "terms": [A01]}]
+    corpus += [{"n": 2, "basis": b, "terms": [A01]} for b in ("BB", "ES", "MS", "mixed")]
+    corpus += [{"n": 2, "basis": "ES", "terms": [{**A01, "family": "B'", "i": 1}]}]
+    corpus += SCHEMA_REFUSED_DOCUMENTS
+    corpus += [{"n": 2, "basis": b, "terms": []} for b in ("", "ms", 3, ["MS"], {"MS": 1})]
+    corpus += [{"n": n, "terms": []} for n in (0, -1, "2", True, None, [2])]
+    corpus += [{"terms": []}, {"n": 2}, {"n": 2, "terms": {}}, {"n": 2, "terms": None}]
+    corpus += [{"n": 2, "terms": [A01], "": 1}, {"basis": "MS", "n": 2, "terms": [], "x": None}]
+    corpus += [{"n": 2, "terms": [{k: v for k, v in A01.items() if k != key}]} for key in A01]
+    corpus += [{"n": 2, "terms": [{**A01, key: value}]}
+               for key, value in (("family", "Q"), ("family", None), ("i", "0"), ("j", True),
+                                  ("i", -1), ("extra", "1"), ("Coeff", "1"))]
+    corpus += [{"n": 2, "terms": [record]} for record in (None, [], "A", 1)]
+    corpus += [[], "doc", None, 2]
+    validator = jsonschema.Draft202012Validator(CLASS_SCHEMA)
+    for doc in corpus:
+        try:
+            parse_class(doc)
+            parsed = True
+        except ValidationError:
+            parsed = False
+        assert parsed == validator.is_valid(doc), doc
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 2.0, "terms": []},
+    {"n": 2, "terms": [{**A01, "i": 0.0}]},
+    {"n": 2, "terms": [{**A01, "j": 1.0}]},
+])
+def test_integral_floats_are_refused_though_the_schema_accepts_them(doc):
+    # JSON cannot tell 2.0 from 2.0000000000000001 once decoded, so the
+    # parser keeps integers exact by refusing every float.
+    assert jsonschema.Draft202012Validator(CLASS_SCHEMA).is_valid(doc)
+    with pytest.raises(ParseError, match="must be an integer"):
+        parse_class(doc)
+    with pytest.raises(ParseError, match="must be an integer"):
+        parse_class(json.dumps(doc))
 
 
 @pytest.mark.parametrize("coeff", [3, -1, 0])
