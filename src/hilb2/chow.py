@@ -24,10 +24,12 @@ the nef cones; BB is the fixed-point cell basis (see ``fixed_points``).
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Union
+from operator import itemgetter
+from typing import Union
 
 from .errors import (
     InvalidGrading,
@@ -148,9 +150,10 @@ class BasisSymbol(value_type("BasisSymbol", "family i j n")):
     def __new__(cls, family: Union[Family, str], i: int, j: int, n: int):
         if family.__class__ is not Family:
             family = as_member(Family, family, InvalidIndex, "family")
-        require_ambient(n, InvalidIndex)
-        if not (i.__class__ is j.__class__ is int or is_int(i) and is_int(j)):
-            raise InvalidIndex(f"indices must be integers, got ({i!r}, {j!r})")
+        if not (n.__class__ is i.__class__ is j.__class__ is int and n >= 1):  # plain ints: no calls
+            require_ambient(n, InvalidIndex)
+            if not (is_int(i) and is_int(j)):
+                raise InvalidIndex(f"indices must be integers, got ({i!r}, {j!r})")
         if not in_range(family, i, j, n):
             raise InvalidIndex(
                 f"{family.value}_{{{i},{j}}} is not a valid class on P^{n}[2]: "
@@ -210,18 +213,27 @@ class GradedClass:
         require_ambient(n)
         acc: dict[BasisSymbol, Union[int, Fraction]] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
+        # Exact-class tests first: the isinstance fallbacks only see subclasses and refusals.
         for sym, coeff in items:
-            if not isinstance(sym, BasisSymbol):
+            if sym.__class__ is not BasisSymbol and not isinstance(sym, BasisSymbol):
                 raise InvalidInput(f"term key {sym!r} is not a BasisSymbol")
             if sym.n != n:
                 raise MixedAmbient(f"symbol {sym} lives on P^{sym.n}[2], class on P^{n}[2]")
-            if coeff.__class__ is bool or not isinstance(coeff, (int, Fraction)):
+            kind = coeff.__class__
+            if kind is not Fraction and kind is not int and (
+                    kind is bool or not isinstance(coeff, (int, Fraction))):
                 coeff = _coerce_rational(coeff)
             acc[sym] = acc[sym] + coeff if sym in acc else coeff  # a first one as it is, no 0 + c
+        stored = []  # nonzero sums, each as a Fraction (a Fraction subclass stays as it is)
+        for sym, c in acc.items():
+            if c:
+                kind = c.__class__
+                if kind is not Fraction and (kind is int or not isinstance(c, Fraction)):
+                    c = Fraction(c)
+                stored.append((sym, c))
+        stored.sort(key=itemgetter(0))  # the symbols are distinct: no coefficient is compared
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_terms", tuple(sorted(
-            (s, c if isinstance(c, Fraction) else Fraction(c)) for s, c in acc.items() if c
-        )))
+        object.__setattr__(self, "_terms", tuple(stored))
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedClass is immutable")
@@ -328,8 +340,9 @@ class GradedClass:
 def scaled_terms(X: GradedClass) -> tuple[list[tuple[BasisSymbol, int]], int]:
     """The terms of X as ``(symbol, int numerator)`` over the lcm of their
     denominators, and that lcm: linear maps add ``int``s and divide once."""
-    d = lcm(*(c.denominator for _, c in X.items()))
-    return [(s, c.numerator * (d // c.denominator)) for s, c in X.items()], d
+    ratios = [(s, c.as_integer_ratio()) for s, c in X.items()]
+    d = lcm(*[q for _, (_, q) in ratios])
+    return [(s, p * (d // q)) for s, (p, q) in ratios], d
 
 
 def linear_sum(rule, terms, *args) -> dict:
@@ -380,27 +393,27 @@ def enumerate_basis(
     increasing first index; with ``codim=k`` the codimension-k symbols by
     decreasing first index; with neither, every symbol, ordered
     lexicographically.  Families always appear in basis order
-    (A/A', B/B', C).
+    (A/A', B/B', C).  Each family's index range is walked directly, so
+    only in-range symbols are built.
     """
     require_ambient(n)
     basis = as_basis(basis)
     if dim is not None and codim is not None:
         raise InvalidInput("give at most one of dim and codim")
 
-    if dim is None and codim is None:
-        pairs = [(i, j) for i in range(n + 1) for j in range(i, n + 1)]
-    else:
+    if dim is not None or codim is not None:
         require_grading(dim if dim is not None else codim, n)
         k = dim if dim is not None else 2 * n - codim
-        pairs = [(i, k - i) for i in range(k // 2 + 1)]
-        if dim is None:
-            pairs.reverse()
-    return [
-        BasisSymbol(family, i, j, n)
-        for family in basis.families
-        for i, j in pairs
-        if in_range(family, i, j, n)
-    ]
+    out = []
+    for family in basis.families:  # in range: lo <= i, i + gap <= j <= n + top
+        lo, gap, top = _RANGES[family]
+        if dim is None and codim is None:
+            out += [BasisSymbol(family, i, j, n)
+                    for i in range(lo, n + top - gap + 1) for j in range(i + gap, n + top + 1)]
+        else:  # j = k - i
+            ids = range(max(lo, k - n - top), (k - gap) // 2 + 1)
+            out += [BasisSymbol(family, i, k - i, n) for i in (ids if codim is None else ids[::-1])]
+    return out
 
 
 def _ceil_half(x: int) -> int:

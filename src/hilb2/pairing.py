@@ -29,10 +29,12 @@ Every pairing is one linear map, stated per symbol by the rule :func:`_duals`:
 it meets in a nonzero block, each valued by :func:`_table_value`, the table's
 one reader.  ``chow.linear_sum`` extends it to a class on integer numerators
 over one common denominator, as it extends the product rules.  A symbol is its
-own key: :func:`pair_symbols` looks ``y`` up in the image of ``x``, the class
-routines read the image of X, :func:`intersection_matrix` places each row's
-image in its columns, and :func:`dual_generator` is the one key in the image
-of an ES symbol.  Each routine makes its checks first, once per call.
+own key: :func:`pair_symbols` scans the image of ``x`` for ``y``, the class
+routines read the image of X, and :func:`dual_generator` is the one key in the
+image of an ES symbol.  :func:`intersection_matrix` applies the rule once per
+row and places the image in its columns; an ES row's image is that one key,
+which labels the row's column and gives the diagonal value.  Each routine
+makes its checks first, once per call.
 """
 
 from __future__ import annotations
@@ -128,9 +130,12 @@ def _duals(x: BasisSymbol, cfg: PairingConfig) -> list:
     """Rule: ``[((fy, k, l, n), value)]``, one term per MS symbol ``x`` meets at its
     complementary indices ``(k, l)`` in a nonzero block; the rest pair to zero."""
     fx, i, j, n = x
-    k, l = partner_indices(x)
-    return [((fy, k, l, n), _table_value(fx, fy, i, j, cfg))
-            for fy in _BLOCKS[fx] if in_range(fy, k, l, n)]
+    k, l = n - j, n - i  # partner_indices(x), without the call
+    image = []  # a loop, not a comprehension: no closure per call
+    for fy in _BLOCKS[fx]:
+        if in_range(fy, k, l, n):
+            image.append(((fy, k, l, n), _table_value(fx, fy, i, j, cfg)))
+    return image
 
 
 def pair_symbols(
@@ -145,7 +150,10 @@ def pair_symbols(
         raise NotComplementary(
             f"codim {x.codimension} + codim {y.codimension} != {2 * x.n} for {x} . {y}"
         )
-    return _shared(dict(_duals(x, cfg)).get(y, 0))
+    for key, v in _duals(x, cfg):  # at most three terms
+        if key == y:
+            return _shared(v)
+    return _ZERO
 
 
 def pair_classes(
@@ -233,15 +241,16 @@ def intersection_matrix(
     require_ambient(n)
     require_grading(k, n)
     row_syms = tuple(enumerate_basis(n, rows, dim=k))
-    if rows is BasisId.ES:
-        col_syms = tuple(dual_generator(s) for s in row_syms)
+    images = [_duals(r, cfg) for r in row_syms]
+    if rows is BasisId.ES:  # one term per image: its key labels the column, the matrix is diagonal
+        col_syms = tuple(BasisSymbol(*key) for ((key, _),) in images)
     else:
         col_syms = tuple(enumerate_basis(n, cols, codim=k))
     column = {c: pos for pos, c in enumerate(col_syms)}
     entries = []
-    for r in row_syms:
+    for image in images:
         row = [_ZERO] * len(col_syms)
-        for key, v in _duals(r, cfg):
+        for key, v in image:
             row[column[key]] = _shared(v)
         entries.append(tuple(row))
     return IntersectionMatrix(n, k, rows, cols, row_syms, col_syms, tuple(entries))

@@ -56,9 +56,9 @@ from .errors import (
 def _build(n: int, acc: dict, d: int = 1) -> GradedClass:
     """The class of a key -> numerator dict over the denominator ``d``: one
     symbol and one division per nonzero key (none when ``d`` is 1)."""
-    return GradedClass(n, {
-        BasisSymbol(*key): c if d == 1 else Fraction(c, d) for key, c in acc.items() if c
-    })
+    return GradedClass(n, [
+        (BasisSymbol(*key), c if d == 1 else Fraction(c, d)) for key, c in acc.items() if c
+    ])
 
 
 def _apply(rule, X: GradedClass, *args) -> GradedClass:
@@ -101,8 +101,9 @@ def _bprime_rule(key: tuple) -> list:
     balanced C."""
     family, i, j, n = key
     if family is Family.BP:
-        return (_term(Family.BP, i - 1, j - 1, n, 2) + _term(Family.BP, i - 2, j, n, 2)
-                + _term(Family.A, i - 2, j, n, -2))
+        terms = (((Family.BP, i - 1, j - 1, n), 2), ((Family.BP, i - 2, j, n), 2),
+                 ((Family.A, i - 2, j, n), -2))
+        return [term for term in terms if in_range(*term[0])]
     if family is Family.A:
         return _term(Family.BP, i - 1, j - 1, n, 2)
     if family is Family.B:

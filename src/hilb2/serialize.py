@@ -37,6 +37,8 @@ def symbol_to_doc(sym: BasisSymbol) -> dict:
 # The class-document schema's coefficient pattern.  ``[0-9]`` refuses
 # non-ASCII digits, and ``fullmatch`` refuses a trailing newline.
 _RATIONAL = re.compile(r"-?([0-9]+)(?:/([1-9][0-9]*))?")
+# Python's cap on str -> int conversion, read per call; interpreters before 3.10.7 have none.
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def _parse_rational(value) -> Fraction:
@@ -45,15 +47,15 @@ def _parse_rational(value) -> Fraction:
     match = _RATIONAL.fullmatch(value)
     if match is None:
         raise ParseError(f"bad rational string {value!r}")
-    # Python's cap on str -> int conversion; interpreters before 3.10.7 have none.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    digits = max(map(len, match.groups("")))
+    p, q = match.groups("")  # the numbers come from these groups: the string is read once
+    limit, digits = _digit_limit(), max(len(p), len(q))
     if limit and digits > limit:
         raise ParseError(
             f"coefficient has a {digits}-digit part, over Python's limit of {limit}"
             " digits for converting a string to int"
         )
-    return Fraction(value)
+    num = -int(p) if value[0] == "-" else int(p)
+    return Fraction(num, int(q)) if q else Fraction(num)
 
 
 def _load_json(text: str):
@@ -117,6 +119,8 @@ def parse_class(source: Union[str, dict]) -> GradedClass:
         raise ParseError(f"class document must be an object, got {doc!r}")
     _require_keys(doc, _CLASS_KEYS, "class document")
     n = _require_int(doc, "n", "class document")
+    if n < 1:  # the schema's minimum, before any term is read
+        raise ParseError(f"class document field 'n' must be >= 1, got {n!r}")
     if doc.get("basis", "MS") not in ("BB", "ES", "MS", "mixed"):
         raise ParseError(f"class document field 'basis' is not a basis tag: {doc['basis']!r}")
     terms_doc = doc.get("terms")

@@ -185,6 +185,20 @@ def test_documents_outside_the_schema_are_refused(doc):
     assert json.loads(out)["error"]["type"] == "ParseError"
 
 
+@pytest.mark.parametrize("terms", [[], [A01]])
+@pytest.mark.parametrize("n", [0, -1])
+def test_ambient_below_one_is_a_parse_error(n, terms):
+    # The schema's minimum is 1: the parser refuses before reading a term.
+    doc = {"n": n, "terms": terms}
+    for source in (doc, json.dumps(doc)):
+        with pytest.raises(ParseError, match=f"field 'n' must be >= 1, got {n}"):
+            parse_class(source)
+    code, out = run_command(["cone", "--class", json.dumps(doc), "--test", "nef",
+                             "--format", "json"])
+    assert code == EXIT_VALIDATION
+    assert json.loads(out)["error"]["type"] == "ParseError"
+
+
 def test_class_documents_parse_exactly_when_the_schema_validates():
     # In-range indices only: the schema cannot see a family's index range,
     # which the parser checks (InvalidIndex).  Integral floats are the one
