@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
 
-from .chow import BasisSymbol, Family, GradedClass, in_range, is_int, require_ambient, value_type
+from .chow import BasisSymbol, Family, GradedClass, is_int, require_ambient, term, value_type
 from .errors import InvalidInput
 from .pairing import pair_classes
 from .products import MonomialSpec, eval_monomial
@@ -49,13 +49,10 @@ class TautBundle(value_type("TautBundle", "n d")):
 def chern_taut(bundle: TautBundle) -> tuple[GradedClass, GradedClass]:
     """First and second Chern classes of the bundle, in MS coordinates."""
     n, d = bundle.n, bundle.d
-    c1 = [(Family.A, n - 1, n, d - 1), (Family.C, n - 1, n, 1)]
-    c2 = [(Family.BP, n - 1, n - 1, comb(d, 2)), (Family.C, n - 1, n - 1, d)]
-    return tuple(
-        GradedClass(n, [(BasisSymbol(f, i, j, n), c)
-                        for f, i, j, c in terms if in_range(f, i, j, n)])
-        for terms in (c1, c2)
-    )
+    c1 = term(Family.A, n - 1, n, n, d - 1) + term(Family.C, n - 1, n, n, 1)
+    c2 = term(Family.BP, n - 1, n - 1, n, comb(d, 2)) + term(Family.C, n - 1, n - 1, n, d)
+    return tuple(GradedClass(n, [(BasisSymbol(*key), c) for key, c in terms])
+                 for terms in (c1, c2))
 
 
 class SecantProblem(value_type("SecantProblem", "n degrees mu1 variant")):
@@ -105,20 +102,20 @@ def secant_degree_mu_closed(p: SecantProblem) -> int:
     """``deg(Sec X) * mu1`` by the closed subset-sum formula.
 
     The exponent of 2 is ``k-1`` for the default ``proof`` variant and
-    ``k-1-m`` for ``intro``.
+    ``k-1-m`` for ``intro``: the ``proof`` sum shifted right by m, which is
+    exact because every k is at least m+1.
     """
     _require_expected_dimension(p)
     m, ds = p.m, p.degrees
     total = 0
     for k in range(m + 1, p.n - m + 1):
-        e = k - 1 if p.variant == "proof" else k - 1 - m
         for S in combinations(range(len(ds)), k):
             chosen = set(S)
-            term = 2**e
+            summand = 2 ** (k - 1)
             for idx, d in enumerate(ds):
-                term *= comb(d, 2) if idx in chosen else d
-            total += term
-    return total
+                summand *= comb(d, 2) if idx in chosen else d
+            total += summand
+    return total if p.variant == "proof" else total >> m
 
 
 @functools.lru_cache(maxsize=None)

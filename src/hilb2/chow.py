@@ -23,6 +23,7 @@ the nef cones; BB is the fixed-point cell basis (see ``fixed_points``).
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from enum import Enum
@@ -74,13 +75,20 @@ _BASIS_FAMILIES = {
 }
 
 
+@functools.cache
+def _members(enum: type[Enum]) -> dict:
+    """``enum``'s value -> member dict, built once per enum.  A member is a
+    ``str`` equal to its value, so it finds itself."""
+    return {member.value: member for member in enum}
+
+
 def as_member(enum: type[Enum], value, error: type[ValidationError], noun: str):
     """The member of ``enum`` that is or has the value ``value``; any other
-    value raises ``error("unknown <noun> <value>")``."""
-    try:
-        return enum(value)
-    except ValueError:
-        raise error(f"unknown {noun} {value!r}") from None
+    value, a non-``str`` one first, raises ``error("unknown <noun> <value>")``."""
+    member = _members(enum).get(value) if isinstance(value, str) else None
+    if member is None:
+        raise error(f"unknown {noun} {value!r}")
+    return member
 
 
 def as_basis(basis: Union[BasisId, str]) -> BasisId:
@@ -104,6 +112,12 @@ def in_range(family: Family, i: int, j: int, n: int) -> bool:
     """Whether ``(i, j)`` indexes a class of ``family`` on ``P^{n[2]}``."""
     lo, gap, top = _RANGES[family]
     return lo <= i and i + gap <= j <= n + top
+
+
+def term(family: Family, i: int, j: int, n: int, coeff: int) -> list:
+    """``[((family, i, j, n), coeff)]``, or no term when the indices are out of
+    range: one term of a rule's sparse image, the zero class left unlisted."""
+    return [((family, i, j, n), coeff)] if in_range(family, i, j, n) else []
 
 
 def _range_description(family: Family) -> str:

@@ -24,17 +24,18 @@ class in MS coordinates is nef iff its coefficients are nonnegative, and a
 dimension-k class is effective iff it pairs nonnegatively with every MS
 generator of codimension k.
 
-Every pairing is one linear map, stated per symbol by the rule :func:`_duals`:
-``x`` goes to the (at most three) MS symbols at its complementary indices that
-it meets in a nonzero block, each valued by :func:`_table_value`, the table's
-one reader.  ``chow.linear_sum`` extends it to a class on integer numerators
-over one common denominator, as it extends the product rules.  A symbol is its
-own key: :func:`pair_symbols` scans the image of ``x`` for ``y``, the class
-routines read the image of X, and :func:`dual_generator` is the one key in the
-image of an ES symbol.  :func:`intersection_matrix` applies the rule once per
-row and places the image in its columns; an ES row's image is that one key,
-which labels the row's column and gives the diagonal value.  Each routine
-makes its checks first, once per call.
+Every pairing is one linear map, stated per family by the rule :func:`_duals`
+as the products state theirs: ``x`` goes to the (at most three) MS symbols at
+its complementary indices that the table above values nonzero, each term built
+by ``chow.term``, which lists none out of range.  ``chow.linear_sum`` extends
+the rule to a class on integer numerators over one common denominator, as it
+extends the product rules.  A symbol is its own key: :func:`pair_symbols` scans
+the image of ``x`` for ``y``, the class routines read the image of X, and
+:func:`dual_generator` is the one key in the image of an ES symbol.
+:func:`intersection_matrix` applies the rule once per row and places the image
+in its columns; an ES row's image is that one key, which labels the row's
+column and gives the diagonal value.  Each routine makes its checks first,
+once per call.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from fractions import Fraction
 from typing import Union
 
 from .chow import (BasisId, BasisSymbol, Family, GradedClass, as_basis, enumerate_basis,
-                   in_range, is_int, linear_sum, require_ambient, require_grading,
-                   scaled_terms, value_type)
+                   is_int, linear_sum, require_ambient, require_grading, scaled_terms,
+                   term, value_type)
 from .errors import (
     InvalidInput,
     MixedAmbient,
@@ -55,25 +56,9 @@ from .errors import (
 )
 
 _MS_FAMILIES, _ES_FAMILIES = BasisId.MS.families, BasisId.ES.families
-# Members bound once: an Enum attribute lookup costs more than the rest of a table read.
-_BP, _B, _C = Family.BP, Family.B, Family.C
-# Shared pairing values: Fractions are immutable, so one object per value.
-_ZERO, _ONE, _TWO = Fraction(0), Fraction(1), Fraction(2)
-_VALUE = {0: _ZERO, 1: _ONE, 2: _TWO}
-
-# The nonzero (x.family, y.family) blocks; "cfg" marks the configurable A'.A
-# diagonal.  Every other pairing against an MS family is identically zero, and
-# a pairing against any other family is refused.
-_PAIR_TABLE = {
-    (Family.A, Family.A): 1,
-    (Family.A, Family.BP): 1,
-    (Family.BP, Family.A): 1,
-    (Family.BP, Family.BP): 1,  # 2 on balanced indices, handled below
-    (Family.BP, Family.C): 1,
-    (Family.C, Family.BP): 1,
-    (Family.AP, Family.A): "cfg",
-    (Family.B, Family.C): 2,
-}
+# Members bound once: an Enum attribute lookup costs more than the rest of a rule term.
+_A, _AP, _BP, _C = Family.A, Family.AP, Family.BP, Family.C
+_ZERO = Fraction(0)  # the one shared value: every vanishing pairing
 
 
 class PairingConfig(value_type("PairingConfig", "ap_a_diagonal")):
@@ -107,35 +92,20 @@ def _unsupported(fx: Family, fy: Family) -> UnsupportedFamilyPair:
     return UnsupportedFamilyPair(f"no intersection rule for {fx.value} . {fy.value}")
 
 
-def _table_value(fx: Family, fy: Family, i: int, j: int, cfg: PairingConfig) -> int:
-    """The pairing of ``fx_{i,j}`` with its complementary partner in family ``fy``
-    (a block of ``_PAIR_TABLE``): the one reader of the table.  No checks."""
-    if fx is fy is _BP and i == j:
-        return 2
-    if fx is _B and fy is _C and i == j == 0:
-        return 1  # point class against the fundamental class
-    entry = _PAIR_TABLE[fx, fy]
-    return cfg.ap_a_diagonal if entry == "cfg" else entry  # cfg: the caller's choice
-
-
-def _shared(v: int) -> Fraction:  # one object for each of the table values 0, 1, 2
-    return _VALUE[v] if v in _VALUE else Fraction(v)
-
-
-# The MS families each family meets in a nonzero block of ``_PAIR_TABLE``.
-_BLOCKS = {fx: tuple(fy for gx, fy in _PAIR_TABLE if gx is fx) for fx in Family}
-
-
 def _duals(x: BasisSymbol, cfg: PairingConfig) -> list:
     """Rule: ``[((fy, k, l, n), value)]``, one term per MS symbol ``x`` meets at its
     complementary indices ``(k, l)`` in a nonzero block; the rest pair to zero."""
     fx, i, j, n = x
     k, l = n - j, n - i  # partner_indices(x), without the call
-    image = []  # a loop, not a comprehension: no closure per call
-    for fy in _BLOCKS[fx]:
-        if in_range(fy, k, l, n):
-            image.append(((fy, k, l, n), _table_value(fx, fy, i, j, cfg)))
-    return image
+    if fx is _A:
+        return term(_A, k, l, n, 1) + term(_BP, k, l, n, 1)
+    if fx is _BP:
+        return term(_A, k, l, n, 1) + term(_BP, k, l, n, 2 if i == j else 1) + term(_C, k, l, n, 1)
+    if fx is _C:
+        return term(_BP, k, l, n, 1)
+    if fx is _AP:
+        return term(_A, k, l, n, cfg.ap_a_diagonal)
+    return term(_C, k, l, n, 1 if i == j == 0 else 2)  # B; B_{0,0} is the point class
 
 
 def pair_symbols(
@@ -152,7 +122,7 @@ def pair_symbols(
         )
     for key, v in _duals(x, cfg):  # at most three terms
         if key == y:
-            return _shared(v)
+            return Fraction(v)
     return _ZERO
 
 
@@ -251,7 +221,7 @@ def intersection_matrix(
     for image in images:
         row = [_ZERO] * len(col_syms)
         for key, v in image:
-            row[column[key]] = _shared(v)
+            row[column[key]] = Fraction(v)
         entries.append(tuple(row))
     return IntersectionMatrix(n, k, rows, cols, row_syms, col_syms, tuple(entries))
 

@@ -3,10 +3,11 @@
 Every product is one mechanism: a *rule* maps the key ``(family, i, j, n)``
 of one basis symbol (a ``BasisSymbol`` is its own key) to a sparse list of
 ``(key, int)`` terms, and :func:`_apply` extends it linearly to a class by
-``chow.linear_sum``, the loop the pairing rule shares.  A rule output whose
-indices leave the family's range (``chow.in_range``) is the zero class and is
-simply not listed.  The engine multiplies by ``B'_{n-1,n-1}`` or
-``C_{n-1,n-1}``, the only multipliers with complete rule sets.  The six base rules:
+``chow.linear_sum``, the loop the pairing rule shares.  Each rule builds its
+terms with ``chow.term``, which lists no term whose indices leave the family's
+range: that output is the zero class.  The engine multiplies by
+``B'_{n-1,n-1}`` or ``C_{n-1,n-1}``, the only multipliers with complete rule
+sets.  The six base rules:
 
     B'_{n-1,n-1} . A_{i,j}  = 2 B'_{i-1,j-1}
     B'_{n-1,n-1} . B_{i,j}  = 2 B_{i-2,j}
@@ -42,8 +43,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .chow import (BasisSymbol, Family, GradedClass, in_range, is_int, linear_sum,
-                   require_ambient, scaled_terms, value_type)
+from .chow import (BasisSymbol, Family, GradedClass, is_int, linear_sum, require_ambient,
+                   scaled_terms, term, value_type)
 from .errors import (
     InvalidExponent,
     InvalidInput,
@@ -65,11 +66,6 @@ def _apply(rule, X: GradedClass, *args) -> GradedClass:
     """Extend a per-key rule linearly: ``sum c * rule(s, *args)`` over the terms of X."""
     terms, d = scaled_terms(X)
     return _build(X.n, linear_sum(rule, terms, *args), d)
-
-
-def _term(family: Family, i: int, j: int, n: int, coeff: int) -> list:
-    """``[((F, i, j, n), coeff)]``, or no term when the indices are out of range."""
-    return [((family, i, j, n), coeff)] if in_range(family, i, j, n) else []
 
 
 def _ms_terms(key: tuple) -> list:
@@ -101,19 +97,18 @@ def _bprime_rule(key: tuple) -> list:
     balanced C."""
     family, i, j, n = key
     if family is Family.BP:
-        terms = (((Family.BP, i - 1, j - 1, n), 2), ((Family.BP, i - 2, j, n), 2),
-                 ((Family.A, i - 2, j, n), -2))
-        return [term for term in terms if in_range(*term[0])]
+        return (term(Family.BP, i - 1, j - 1, n, 2) + term(Family.BP, i - 2, j, n, 2)
+                + term(Family.A, i - 2, j, n, -2))
     if family is Family.A:
-        return _term(Family.BP, i - 1, j - 1, n, 2)
+        return term(Family.BP, i - 1, j - 1, n, 2)
     if family is Family.B:
-        return _term(Family.B, i - 2, j, n, 2)
+        return term(Family.B, i - 2, j, n, 2)
     if family is Family.C:
         if i != j:
             raise UnsupportedTerm(
                 f"no rule for B'_{{{n-1},{n-1}}} . {key} (unbalanced C)"
             )
-        return _term(Family.BP, i - 1, i - 1, n, 1)
+        return term(Family.BP, i - 1, i - 1, n, 1)
     raise UnsupportedTerm(f"no rule for B'_{{{n-1},{n-1}}} . {key}")
 
 
@@ -127,7 +122,7 @@ def _c_shift(key: tuple, b: int = 1) -> list:
     family, i, j, n = key
     if family not in (Family.A, Family.BP):
         raise UnsupportedTerm(f"no rule for C_{{{n-1},{n-1}}} . {key}")
-    return _term(family, i - b, j - b, n, 1)
+    return term(family, i - b, j - b, n, 1)
 
 
 def mul_bprime_top(X: GradedClass) -> GradedClass:

@@ -224,8 +224,9 @@ def test_require_grading_messages():
 
 
 def test_unknown_basis_name_is_invalid_input():
-    with pytest.raises(InvalidInput, match="unknown basis 'XX'"):
-        enumerate_basis(2, "XX")
+    for basis in ("XX", "ms", "", None, 3, ["MS"], Family.A):
+        with pytest.raises(InvalidInput, match=re.escape(f"unknown basis {basis!r}")):
+            enumerate_basis(2, basis)
 
 
 def test_linear_combine_examples():

@@ -1,8 +1,10 @@
+import re
 from math import comb
 
 import pytest
 
 from hilb2 import (
+    BasisId,
     BasisSymbol,
     Family,
     IdealKind,
@@ -46,9 +48,9 @@ def test_descriptor_from_a_name_is_the_descriptor_from_its_kind(kind):
     assert str(by_name) == str(by_member) and by_name.generators() == by_member.generators()
 
 
-@pytest.mark.parametrize("kind", ["Z", "i", None, 0, Family.A], ids=repr)
+@pytest.mark.parametrize("kind", ["Z", "i", "", None, 0, ["I"], Family.A, BasisId.MS], ids=repr)
 def test_unknown_kind_is_invalid_index(kind):
-    with pytest.raises(InvalidIndex, match="unknown kind"):
+    with pytest.raises(InvalidIndex, match=re.escape(f"unknown kind {kind!r}")):
         MonomialIdealDescriptor(kind, 0, 1, 2)
 
 

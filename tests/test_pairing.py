@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hilb2 import (
+    DEFAULT_CONFIG,
     BasisId,
     GradedClass,
     InvalidGrading,
@@ -121,9 +122,12 @@ def all_supported_pairs(n):
 
 
 def test_zero_pattern_and_values_small_n():
-    for n in range(1, 7):
-        for x, y in all_supported_pairs(n):
-            assert pair_symbols(x, y) == expected_value(x, y), (str(x), str(y))
+    for cfg in (DEFAULT_CONFIG, PairingConfig(3)):
+        for n in range(1, 7):
+            for x, y in all_supported_pairs(n):
+                v = pair_symbols(x, y, cfg)
+                assert type(v) is Fraction, (str(x), str(y))
+                assert v == expected_value(x, y, cfg.ap_a_diagonal), (str(x), str(y), cfg)
 
 
 def test_pair_symbols_symmetric_where_both_orders_supported():
@@ -433,44 +437,48 @@ def test_sparse_intersection_matrix_matches_dense_oracle():
                     assert M.entries == dense_entries(M, cfg), (n, k, rows)
 
 
-def count_table_reads(monkeypatch):
-    """Route every read of the pairing table inside hilb2.pairing through a
-    counter.  The bulk routines read the table directly, after their
-    block-level checks, so this counts the pairings they evaluate."""
+def count_rule_terms(monkeypatch):
+    """Route every application of the pairing rule inside hilb2.pairing
+    through a counter that records the size of each image.  The bulk
+    routines apply the rule after their block-level checks, so the sum of
+    the recorded sizes counts the pairings they evaluate."""
     import hilb2.pairing as pairing
 
-    calls = []
-    real = pairing._table_value
+    sizes = []
+    real = pairing._duals
 
-    def counting(fx, fy, i, j, cfg):
-        calls.append((fx, fy, i, j))
-        return real(fx, fy, i, j, cfg)
+    def counting(x, cfg):
+        image = real(x, cfg)
+        assert len(image) <= 3, (str(x), image)
+        sizes.append(len(image))
+        return image
 
-    monkeypatch.setattr(pairing, "_table_value", counting)
-    return calls
+    monkeypatch.setattr(pairing, "_duals", counting)
+    return sizes
 
 
 def test_intersection_matrix_pairs_only_partner_columns(monkeypatch):
-    calls = count_table_reads(monkeypatch)
+    sizes = count_rule_terms(monkeypatch)
     M = intersection_matrix(40, 40, "MS", "MS")
     rows = len(M.row_symbols)
     assert rows > 3
-    assert 0 < len(calls) <= 3 * rows < rows * len(M.col_symbols)
+    assert len(sizes) == rows
+    assert 0 < sum(sizes) <= 3 * rows < rows * len(M.col_symbols)
 
 
 def test_class_routes_pair_only_partner_terms(monkeypatch):
-    calls = count_table_reads(monkeypatch)
+    sizes = count_rule_terms(monkeypatch)
     X = GradedClass(40, [(s, 1) for s in enumerate_basis(40, "MS", dim=40)])
-    vec = effectivity_pairings(X)
-    assert len(vec) == len(X.items())
-    assert 0 < len(calls) <= 3 * len(X.items())
-    calls.clear()
-    assert is_effective(X)
-    assert 0 < len(calls) <= 3 * len(X.items())
-    calls.clear()
     Y = GradedClass(40, [(s, 1) for s in enumerate_basis(40, "MS", codim=40)])
+    terms = len(X.items())
+    assert len(effectivity_pairings(X)) == terms
+    assert len(sizes) == terms and 0 < sum(sizes) <= 3 * terms
+    sizes.clear()
+    assert is_effective(X)
+    assert len(sizes) == terms and 0 < sum(sizes) <= 3 * terms
+    sizes.clear()
     pair_classes(X, Y)
-    assert 0 < len(calls) <= 3 * len(X.items())
+    assert len(sizes) == terms and 0 < sum(sizes) <= 3 * terms
 
 
 def test_every_pairing_routine_reaches_the_one_rule(monkeypatch):
