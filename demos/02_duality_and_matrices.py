@@ -3,7 +3,7 @@
 Run:  python demos/02_duality_and_matrices.py
 """
 
-from hilb2 import intersection_matrix, pair_symbols, validate_symbol
+from hilb2 import BasisSymbol, intersection_matrix, pair_symbols
 
 n = 3
 
@@ -29,9 +29,9 @@ for k in (2, 3):
 # balanced indices.
 show(intersection_matrix(n, 3, "MS", "MS"), f"MS_3 x MS^3 on P^{n}[2]:")
 
-x = validate_symbol("B'", 1, 1, n)
-y = validate_symbol("B'", n - 1, n - 1, n)
+x = BasisSymbol("B'", 1, 1, n)
+y = BasisSymbol("B'", n - 1, n - 1, n)
 print(f"balanced self-pairing: {x} . {y} =", pair_symbols(x, y))
-x = validate_symbol("B", 1, 2, n)
-y = validate_symbol("C", n - 2, n - 1, n)
+x = BasisSymbol("B", 1, 2, n)
+y = BasisSymbol("C", n - 2, n - 1, n)
 print(f"B against C:           {x} . {y} =", pair_symbols(x, y))

@@ -4,21 +4,23 @@ Run:  python demos/03_cones.py
 """
 
 from hilb2 import (
+    BasisSymbol,
+    GradedClass,
     effectivity_pairings,
     enumerate_basis,
     is_effective,
     is_nef,
-    linear_combine,
     to_ms,
-    validate_symbol,
 )
 
 n = 2
+A02 = GradedClass.from_symbol(BasisSymbol("A", 0, 2, n))
+C11 = GradedClass.from_symbol(BasisSymbol("C", 1, 1, n))
 
 # MS generators span the nef cones, so nef-ness in MS coordinates is just
 # coefficient nonnegativity.
-X = linear_combine([(2, validate_symbol("A", 0, 2, n)), (1, validate_symbol("C", 1, 1, n))])
-Y = linear_combine([(1, validate_symbol("A", 0, 2, n)), (-1, validate_symbol("C", 1, 1, n))])
+X = 2 * A02 + C11
+Y = A02 - C11
 print(f"is_nef({X}) =", is_nef(X))
 print(f"is_nef({Y}) =", is_nef(Y))
 print()
@@ -26,7 +28,7 @@ print()
 # Effectivity is the dual test: pair against every MS generator of
 # complementary grading.  B_{1,1} rewritten in MS coordinates is effective;
 # its pairing vector shows it sits on two walls of the cone.
-B11 = to_ms(validate_symbol("B", 1, 1, n))
+B11 = to_ms(BasisSymbol("B", 1, 1, n))
 print(f"B_{{1,1}} in MS coordinates: {B11}")
 print("pairings against MS^2:")
 for sym, value in effectivity_pairings(B11):
@@ -34,12 +36,12 @@ for sym, value in effectivity_pairings(B11):
 print("is_effective:", is_effective(B11))
 print()
 
-Z = linear_combine([(-1, validate_symbol("A", 0, 2, n))])
+Z = -A02
 print(f"is_effective({Z}) =", is_effective(Z))
 print()
 
 # Every single basis symbol behaves as expected.
 print("all MS generators nef: ",
-      all(is_nef(linear_combine([(1, s)])) for s in enumerate_basis(n, "MS")))
+      all(is_nef(GradedClass.from_symbol(s)) for s in enumerate_basis(n, "MS")))
 print("all converted B generators effective: ",
       all(is_effective(to_ms(s)) for s in enumerate_basis(n, "ES") if s.family.value == "B"))

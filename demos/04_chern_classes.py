@@ -5,7 +5,7 @@ Run:  python demos/04_chern_classes.py
 
 from math import comb
 
-from hilb2 import GradedClass, TautBundle, chern_taut, pair_classes, validate_symbol
+from hilb2 import BasisSymbol, GradedClass, TautBundle, chern_taut, pair_classes
 
 n = 4
 print(f"tautological bundles of O(d) on P^{n}[2] (rank 2, so two Chern classes):")
@@ -22,9 +22,9 @@ targets1 = [("A", 0, 1), ("B'", 0, 1)]
 targets2 = [("A", 0, 2), ("B'", 0, 2), ("B'", 1, 1), ("C", 1, 1)]
 print(f"pairings for d = {d}:")
 for fam, i, j in targets1:
-    t = GradedClass.from_symbol(validate_symbol(fam, i, j, n))
+    t = GradedClass.from_symbol(BasisSymbol(fam, i, j, n))
     print(f"  c1 . {fam}_{{{i},{j}}} = {pair_classes(c1, t)}")
 for fam, i, j in targets2:
-    t = GradedClass.from_symbol(validate_symbol(fam, i, j, n))
+    t = GradedClass.from_symbol(BasisSymbol(fam, i, j, n))
     print(f"  c2 . {fam}_{{{i},{j}}} = {pair_classes(c2, t)}")
 print(f"  (expected: {d-1}, {d}, 0, 0, {d*d}, {comb(d,2)})")

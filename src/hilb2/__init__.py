@@ -16,8 +16,7 @@ __version__ = "0.1.0"
 # Module -> the public names it defines, the one list of the package's API.
 _EXPORTS = {
     "chow": (
-        "BasisId", "BasisSymbol", "Family", "GradedClass", "chow_rank",
-        "enumerate_basis", "linear_combine", "validate_symbol",
+        "BasisId", "BasisSymbol", "Family", "GradedClass", "chow_rank", "enumerate_basis",
     ),
     "chern_secant": (
         "SecantProblem", "TautBundle", "chern_taut", "secant_degree",
@@ -35,14 +34,14 @@ _EXPORTS = {
     ),
     "pairing": (
         "DEFAULT_CONFIG", "IntersectionMatrix", "PairingConfig", "dual_generator",
-        "effectivity_pairings", "has_complementary_indices", "intersection_matrix",
-        "is_effective", "is_nef", "pair_classes", "pair_symbols", "partner_indices",
+        "effectivity_pairings", "intersection_matrix", "is_effective", "is_nef",
+        "pair_classes", "pair_symbols",
     ),
     "products": (
         "MonomialSpec", "bprime_top_power", "eval_monomial", "mul_bprime_top",
         "mul_c_top", "to_ms",
     ),
-    "serialize": ("class_to_json", "emit_class", "parse_class", "parse_symbol"),
+    "serialize": ("emit_class", "parse_class", "parse_symbol"),
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

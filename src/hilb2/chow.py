@@ -193,9 +193,6 @@ class BasisSymbol(value_type("BasisSymbol", "family i j n")):
         return f"BasisSymbol({self}, n={self.n})"
 
 
-validate_symbol = BasisSymbol  # the same constructor under a second public name
-
-
 def _coerce_rational(value) -> Fraction:
     """Exact coefficient coercion.  Floats and bools are refused: the ring is exact."""
     if isinstance(value, (float, bool)):
@@ -253,10 +250,6 @@ class GradedClass:
         raise AttributeError("GradedClass is immutable")
 
     @classmethod
-    def zero(cls, n: int) -> "GradedClass":
-        return cls(n)
-
-    @classmethod
     def from_symbol(cls, sym: BasisSymbol, coeff=1) -> "GradedClass":
         return cls(sym.n, [(sym, coeff)])
 
@@ -264,26 +257,12 @@ class GradedClass:
         """Terms in canonical order."""
         return self._terms
 
-    @property
-    def terms(self) -> dict[BasisSymbol, Fraction]:
-        return dict(self._terms)
-
-    def coeff(self, sym: BasisSymbol) -> Fraction:
-        for s, c in self._terms:
-            if s == sym:
-                return c
-        return Fraction(0)
-
     def families(self) -> frozenset[Family]:
         return frozenset(s.family for s, _ in self._terms)
 
     @property
     def is_zero(self) -> bool:
         return not self._terms
-
-    def is_homogeneous(self) -> bool:
-        dims = {s.dimension for s, _ in self._terms}
-        return len(dims) <= 1
 
     def dimension(self) -> int | None:
         """Common dimension of all terms; None for the zero class."""
@@ -367,31 +346,6 @@ def linear_sum(rule, terms, *args) -> dict:
         for out, v in rule(key, *args):
             acc[out] = acc.get(out, 0) + c * v
     return acc
-
-
-def linear_combine(pairs: Iterable[tuple]) -> GradedClass:
-    """Exact sparse sum ``sum(c_k * X_k)``; zero coefficients pruned.
-
-    Each pair is ``(coefficient, GradedClass or BasisSymbol)``.  All operands
-    must share the ambient dimension.
-    """
-    pairs = list(pairs)
-    if not pairs:
-        raise InvalidInput("linear_combine needs at least one operand to fix n")
-    terms = []
-    n = None
-    for coeff, obj in pairs:
-        if isinstance(obj, BasisSymbol):
-            obj = GradedClass.from_symbol(obj)
-        if not isinstance(obj, GradedClass):
-            raise InvalidInput(f"operand {obj!r} is neither a GradedClass nor a BasisSymbol")
-        if n is None:
-            n = obj.n
-        elif obj.n != n:
-            raise MixedAmbient(f"operands mix P^{n}[2] and P^{obj.n}[2]")
-        c = _coerce_rational(coeff)
-        terms.extend((s, c * v) for s, v in obj.items())
-    return GradedClass(n, terms)
 
 
 def enumerate_basis(

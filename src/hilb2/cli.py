@@ -21,7 +21,7 @@ from collections import namedtuple
 # Each handler imports the engine modules it needs, so a subcommand loads
 # only those; ``pairing`` (and through it ``chow``) validates --dprime-diag
 # on every subcommand.
-from .chow import chow_rank, enumerate_basis
+from .chow import chow_rank, enumerate_basis, require_ambient, require_grading
 from .errors import InvalidInput, UnsupportedError, ValidationError
 from .pairing import PairingConfig
 
@@ -137,6 +137,9 @@ def _parse_degrees(text: str) -> list[int]:
 
 def _cmd_rank(args, cfg):
     n = args.n
+    if args.dim is not None:  # checked as typed, before it becomes a codimension
+        require_ambient(n)
+        require_grading(args.dim, n, "dimension")
     codim = args.codim if args.codim is not None else 2 * n - args.dim
     rank = chow_rank(n, codim)
     result = {"n": n, "codim": codim, "dim": 2 * n - codim, "rank": rank}
@@ -301,9 +304,9 @@ def _cmd_cone(args, cfg):
     if args.test == "nef":
         member, extra = is_nef(X, args.k), {}
     else:
-        member = is_effective(X, args.k, cfg)
+        member = is_effective(X, args.k)
         extra = {"pairings": [{"symbol": symbol_to_doc(s), "value": str(v)}
-                              for s, v in effectivity_pairings(X, cfg)]}
+                              for s, v in effectivity_pairings(X)]}
     k = args.k
     if k is None and not X.is_zero:
         k = X.codimension() if args.test == "nef" else X.dimension()

@@ -65,7 +65,9 @@ class PairingConfig(value_type("PairingConfig", "ap_a_diagonal")):
     """Values for the diagonal entries the duality argument leaves free.
 
     ``ap_a_diagonal`` is the common value of ``A'_{i,j} . A_{n-j,n-i}``;
-    only its positivity is pinned down, so it is configurable.
+    only its positivity is pinned down, so it is configurable.  Only an ES
+    symbol meets it, so only :func:`pair_symbols`, :func:`pair_classes` and
+    :func:`intersection_matrix` read it; the cone tests take MS classes.
     """
 
     __slots__ = ()
@@ -79,15 +81,6 @@ class PairingConfig(value_type("PairingConfig", "ap_a_diagonal")):
 DEFAULT_CONFIG = PairingConfig()
 
 
-def partner_indices(sym: BasisSymbol) -> tuple[int, int]:
-    """The complementary index pair ``(n - j, n - i)`` of a symbol."""
-    return sym.n - sym.j, sym.n - sym.i
-
-
-def has_complementary_indices(x: BasisSymbol, y: BasisSymbol) -> bool:
-    return (y.i, y.j) == partner_indices(x)
-
-
 def _unsupported(fx: Family, fy: Family) -> UnsupportedFamilyPair:
     return UnsupportedFamilyPair(f"no intersection rule for {fx.value} . {fy.value}")
 
@@ -96,7 +89,7 @@ def _duals(x: BasisSymbol, cfg: PairingConfig) -> list:
     """Rule: ``[((fy, k, l, n), value)]``, one term per MS symbol ``x`` meets at its
     complementary indices ``(k, l)`` in a nonzero block; the rest pair to zero."""
     fx, i, j, n = x
-    k, l = n - j, n - i  # partner_indices(x), without the call
+    k, l = n - j, n - i
     if fx is _A:
         return term(_A, k, l, n, 1) + term(_BP, k, l, n, 1)
     if fx is _BP:
@@ -153,7 +146,8 @@ def pair_classes(
 class IntersectionMatrix(
     value_type("IntersectionMatrix", "n k rows cols row_symbols col_symbols entries")
 ):
-    """A pairing matrix together with the symbols labelling its rows/columns.
+    """A pairing matrix together with the symbols labelling its rows/columns:
+    a result record, built by :func:`intersection_matrix`, that validates nothing.
 
     ``rows`` and ``cols`` are the bases, ``row_symbols`` and ``col_symbols``
     tuples of :class:`BasisSymbol`, and ``entries`` a tuple of row tuples of
@@ -161,17 +155,6 @@ class IntersectionMatrix(
     """
 
     __slots__ = ()
-
-    def entry(self, r: int, c: int) -> Fraction:
-        return self.entries[r][c]
-
-    def is_diagonal(self) -> bool:
-        return all(
-            self.entries[r][c] == 0
-            for r in range(len(self.row_symbols))
-            for c in range(len(self.col_symbols))
-            if r != c
-        )
 
     def __repr__(self):
         shown = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields[:-1], self))
@@ -249,9 +232,7 @@ def is_nef(X: GradedClass, k: int | None = None) -> bool:
     return all(c >= 0 for _, c in X.items())
 
 
-def is_effective(
-    X: GradedClass, k: int | None = None, cfg: PairingConfig = DEFAULT_CONFIG
-) -> bool:
+def is_effective(X: GradedClass, k: int | None = None) -> bool:
     """Whether a homogeneous dimension-k class in MS coordinates is effective.
 
     The effective cone in dimension k is dual to the nef cone in
@@ -266,17 +247,15 @@ def is_effective(
     dim = X.dimension()  # raises NotHomogeneous
     if k is not None and k != dim:
         raise InvalidInput(f"class has dimension {dim}, not {k}")
-    return all(v >= 0 for v in linear_sum(_duals, scaled_terms(X)[0], cfg).values())
+    return all(v >= 0 for v in linear_sum(_duals, scaled_terms(X)[0], DEFAULT_CONFIG).values())
 
 
-def effectivity_pairings(
-    X: GradedClass, cfg: PairingConfig = DEFAULT_CONFIG
-) -> list[tuple[BasisSymbol, Fraction]]:
+def effectivity_pairings(X: GradedClass) -> list[tuple[BasisSymbol, Fraction]]:
     """The pairing vector behind :func:`is_effective`, for reporting."""
     if X.is_zero:
         return []
     _require_ms(X, "effectivity_pairings")
     generators = enumerate_basis(X.n, BasisId.MS, codim=X.dimension())
     terms, d = scaled_terms(X)
-    sums = linear_sum(_duals, terms, cfg)  # numerators over d, keyed by generator
+    sums = linear_sum(_duals, terms, DEFAULT_CONFIG)  # numerators over d, keyed by generator
     return [(g, _ZERO if (v := sums.get(g)) is None else Fraction(v, d)) for g in generators]

@@ -108,10 +108,6 @@ def emit_class(X: GradedClass) -> dict:
     }
 
 
-def class_to_json(X: GradedClass) -> str:
-    return json.dumps(emit_class(X))
-
-
 def parse_class(source: Union[str, dict]) -> GradedClass:
     """Read a class document (dict or JSON text) back into a GradedClass."""
     doc = _load_json(source) if isinstance(source, str) else source

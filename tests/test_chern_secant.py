@@ -5,26 +5,25 @@ from math import comb, prod
 import pytest
 
 from hilb2 import (
+    BasisSymbol,
     GradedClass,
     InvalidInput,
     SecantProblem,
     TautBundle,
     chern_taut,
     enumerate_basis,
-    linear_combine,
     pair_classes,
     secant_degree,
     secant_degree_mu_closed,
     secant_degree_mu_intersection,
     secant_oracle,
-    validate_symbol,
 )
 
-S = validate_symbol
+S = BasisSymbol
 
 
 def cls(*pairs):
-    return linear_combine([(c, sym) for c, sym in pairs])
+    return GradedClass(pairs[0][1].n, [(sym, c) for c, sym in pairs])
 
 
 def chord_count(degrees):

@@ -74,6 +74,15 @@ def test_validation_errors_exit_2():
         assert text.startswith("error:")
 
 
+@pytest.mark.parametrize("dim", ["7", "-2"])
+def test_rank_reports_the_dimension_as_typed(dim):
+    argv = ["rank", "--n", "3", "--dim", dim]
+    assert run_command(argv) == (2, f"error: dimension {dim} outside [0, 6]")
+    code, doc = run_json(argv)
+    assert code == 2
+    assert doc["error"] == {"type": "InvalidGrading", "message": f"dimension {dim} outside [0, 6]"}
+
+
 def test_unsupported_operations_exit_3():
     for argv in (
         ["pair", "--n", "2", "--x", '{"family":"B","i":1,"j":1}',
@@ -320,7 +329,7 @@ def test_cone_effective_builds_the_pairing_vector_once(monkeypatch):
 
     calls = []
     vector = pairing.effectivity_pairings
-    monkeypatch.setattr(pairing, "effectivity_pairings", lambda X, cfg: calls.append(X) or vector(X, cfg))
+    monkeypatch.setattr(pairing, "effectivity_pairings", lambda X: calls.append(X) or vector(X))
     doc = '{"n":2,"terms":[{"family":"A","i":0,"j":2,"coeff":"1"},{"family":"C","i":1,"j":1,"coeff":"-1"}]}'
     code, out = run_json(["cone", "--class", doc, "--test", "effective"])
     assert code == 0 and len(calls) == 1

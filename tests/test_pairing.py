@@ -6,6 +6,7 @@ import pytest
 from hilb2 import (
     DEFAULT_CONFIG,
     BasisId,
+    BasisSymbol,
     GradedClass,
     InvalidGrading,
     InvalidInput,
@@ -22,18 +23,16 @@ from hilb2 import (
     intersection_matrix,
     is_effective,
     is_nef,
-    linear_combine,
     pair_classes,
     pair_symbols,
     to_ms,
-    validate_symbol,
 )
 
-S = validate_symbol
+S = BasisSymbol
 
 
 def cls(*pairs):
-    return linear_combine([(c, sym) for c, sym in pairs])
+    return GradedClass(pairs[0][1].n, [(sym, c) for c, sym in pairs])
 
 
 # Independent encoding of the complementary-codimension value tables, used
@@ -142,17 +141,17 @@ def test_pair_symbols_symmetric_where_both_orders_supported():
 def test_pair_classes_examples():
     X = cls((2, S("B'", 1, 1, 2)), (-4, S("C", 1, 1, 2)))
     assert pair_classes(X, GradedClass.from_symbol(S("B'", 1, 1, 2))) == 0
-    assert pair_classes(GradedClass.zero(2), X) == 0
-    assert pair_classes(X, GradedClass.zero(2)) == 0
+    assert pair_classes(GradedClass(2), X) == 0
+    assert pair_classes(X, GradedClass(2)) == 0
 
 
 def test_pair_classes_checks_the_ambient_of_the_zero_class():
     a = GradedClass.from_symbol(S("A", 0, 1, 3))
-    for X, Y in ((GradedClass.zero(2), a), (a, GradedClass.zero(2)),
-                 (GradedClass.zero(2), GradedClass.zero(3))):
+    for X, Y in ((GradedClass(2), a), (a, GradedClass(2)),
+                 (GradedClass(2), GradedClass(3))):
         with pytest.raises(MixedAmbient):
             pair_classes(X, Y)
-    assert pair_classes(GradedClass.zero(3), a) == 0
+    assert pair_classes(GradedClass(3), a) == 0
 
 
 def test_pair_classes_errors():
@@ -175,7 +174,6 @@ def test_intersection_matrix_es_ms_frozen_example():
         (Fraction(0), Fraction(2), Fraction(0)),
         (Fraction(0), Fraction(0), Fraction(1)),
     )
-    assert M.is_diagonal()
 
 
 def test_intersection_matrix_ms_ms_frozen_examples():
@@ -220,9 +218,8 @@ def test_es_ms_duality_small_n():
         for k in range(0, 2 * n + 1):
             M = intersection_matrix(n, k)
             assert len(M.row_symbols) == len(M.col_symbols)
-            assert M.is_diagonal()
-            for r in range(len(M.row_symbols)):
-                assert M.entries[r][r] > 0
+            for r, row in enumerate(M.entries):
+                assert row[r] > 0 and all(v == 0 for c, v in enumerate(row) if c != r)
             # columns are a permutation of the canonical enumeration
             assert sorted(map(str, M.col_symbols)) == sorted(
                 map(str, enumerate_basis(n, "MS", codim=k))
@@ -285,7 +282,7 @@ def test_dual_basis_expansion_recovers_coefficients():
 def test_is_nef_examples():
     assert is_nef(GradedClass.from_symbol(S("B'", 1, 1, 2)))
     assert not is_nef(cls((1, S("A", 0, 2, 2)), (-1, S("C", 1, 1, 2))))
-    assert is_nef(GradedClass.zero(3))
+    assert is_nef(GradedClass(3))
 
 
 def test_is_nef_errors():
@@ -309,7 +306,7 @@ def test_is_effective_examples():
 
 
 def test_cone_tests_check_the_grading_of_the_zero_class():
-    zero = GradedClass.zero(2)
+    zero = GradedClass(2)
     for test in (is_nef, is_effective):
         assert test(zero, 0) and test(zero, 4)
         for k in (-3, 5):
@@ -381,6 +378,26 @@ def test_sparse_pair_classes_matches_dense_oracle():
                             n, k, str(X), str(Y))
 
 
+def test_pair_classes_is_bilinear():
+    # seeded classes: X1, X2 of dimension k (ES or MS), Y1, Y2 of codimension k
+    rng = random.Random(505)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        k = rng.randint(0, 2 * n)
+        dim_k = enumerate_basis(n, rng.choice(("ES", "MS")), dim=k)
+        codim_k = enumerate_basis(n, "MS", codim=k)
+        X1, X2 = random_combination(rng, dim_k), random_combination(rng, dim_k)
+        Y1, Y2 = random_combination(rng, codim_k), random_combination(rng, codim_k)
+        a, b = Fraction(rng.randint(-5, 5), rng.randint(1, 5)), Fraction(rng.randint(-5, 5), 3)
+        cfg = rng.choice(CONFIGS)
+
+        def pair(X, Y):
+            return pair_classes(X, Y, cfg)
+
+        assert pair(a * X1 + b * X2, Y1) == a * pair(X1, Y1) + b * pair(X2, Y1), (n, k)
+        assert pair(X1, a * Y1 + b * Y2) == a * pair(X1, Y1) + b * pair(X1, Y2), (n, k)
+
+
 def test_sparse_pair_classes_raises_what_the_dense_loop_raises():
     # Classes mixing all five families on both sides: both routes give the
     # same value, or both refuse the same family combination first.
@@ -422,10 +439,11 @@ def test_sparse_effectivity_pairings_matches_dense_oracle():
             for X in samples:
                 if X.is_zero:
                     continue
-                for cfg in CONFIGS:
+                got, member = effectivity_pairings(X), is_effective(X, k)
+                for cfg in CONFIGS:  # no MS x MS value is free: one answer for every config
                     want = dense_effectivity(X, cfg)
-                    assert effectivity_pairings(X, cfg) == want, (n, k, str(X))
-                    assert is_effective(X, k, cfg) == all(v >= 0 for _, v in want)
+                    assert got == want, (n, k, str(X), cfg)
+                    assert member == all(v >= 0 for _, v in want)
 
 
 def test_sparse_intersection_matrix_matches_dense_oracle():
@@ -557,21 +575,23 @@ def test_common_denominator_pairings_match_dense_oracles():
             ms_dim_k = enumerate_basis(n, "MS", dim=k)
             ms_codim_k = enumerate_basis(n, "MS", codim=k)
             es_dim_k = enumerate_basis(n, "ES", dim=k)
-            for cfg in CONFIGS:
-                for _ in range(2):
-                    X = wide_combination(rng, ms_dim_k)
-                    Y = wide_combination(rng, ms_codim_k)
-                    E = wide_combination(rng, es_dim_k)
+            for _ in range(4):
+                X = wide_combination(rng, ms_dim_k)
+                Y = wide_combination(rng, ms_codim_k)
+                E = wide_combination(rng, es_dim_k)
+                for cfg in CONFIGS:
                     assert pair_classes(X, Y, cfg) == dense_pair_classes(X, Y, cfg), (n, k)
                     assert pair_classes(E, Y, cfg) == dense_pair_classes(E, Y, cfg), (n, k)
-                    for Z in (X, absolute(X)):
-                        if Z.is_zero:
-                            continue
-                        want = dense_effectivity(Z, cfg)
-                        assert effectivity_pairings(Z, cfg) == want, (n, k, str(Z))
-                        assert is_effective(Z, k, cfg) == all(v >= 0 for _, v in want)
-                        assert all(type(v) is Fraction for _, v in effectivity_pairings(Z, cfg))
                     assert type(pair_classes(X, Y, cfg)) is Fraction
+                for Z in (X, absolute(X)):
+                    if Z.is_zero:
+                        continue
+                    got, member = effectivity_pairings(Z), is_effective(Z, k)
+                    assert all(type(v) is Fraction for _, v in got)
+                    for cfg in CONFIGS:  # no MS x MS value is free: one answer for every config
+                        want = dense_effectivity(Z, cfg)
+                        assert got == want, (n, k, str(Z), cfg)
+                        assert member == all(v >= 0 for _, v in want)
 
 
 def test_positive_classes_are_effective_and_negative_terms_are_not():

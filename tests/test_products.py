@@ -15,19 +15,17 @@ from hilb2 import (
     bprime_top_power,
     enumerate_basis,
     eval_monomial,
-    linear_combine,
     mul_bprime_top,
     mul_c_top,
     pair_symbols,
     to_ms,
-    validate_symbol,
 )
 
-S = validate_symbol
+S = BasisSymbol
 
 
 def cls(*pairs):
-    return linear_combine([(c, sym) for c, sym in pairs])
+    return GradedClass(pairs[0][1].n, [(sym, c) for c, sym in pairs])
 
 
 def test_to_ms_examples():
@@ -141,8 +139,10 @@ def derived_bprime_product(x):
     product = mul_bprime_top(doubled)
     if product.is_zero:
         return product
-    return linear_combine(
-        [(c / 2, to_ms(s) if s.family.value == "B" else s) for s, c in product.items()]
+    return sum(
+        (to_ms(s) * (c / 2) if s.family.value == "B" else GradedClass.from_symbol(s, c / 2)
+         for s, c in product.items()),
+        GradedClass(n),
     )
 
 
@@ -327,13 +327,15 @@ def test_products_of_wide_coefficients_are_sums_of_term_products():
                 ]
                 X = GradedClass(n, terms)
                 got = mul(X)
-                assert got == sum((mul(GradedClass(n, [t])) for t in terms), GradedClass.zero(n))
+                assert got == sum((mul(GradedClass(n, [t])) for t in terms), GradedClass(n))
                 assert all_fractions(got), (mul.__name__, str(X))
 
 
 @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(-3, 7)])
 def test_products_commute_with_rational_scalars(q):
-    # integer and non-integer coefficients side by side in one class
+    # integer and non-integer coefficients side by side in one class, then
+    # seeded classes over the supported symbols of every grading at once
+    rng = random.Random(606)
     for n in SMALL_N:
         bsyms = [s for s in enumerate_basis(n, "MS") if bprime_supported(s)]
         csyms = [s for s in bsyms if c_supported(s)]
@@ -342,6 +344,10 @@ def test_products_commute_with_rational_scalars(q):
                 X = GradedClass(n, [(x, 1), (syms[(p * 7 + 3) % len(syms)], Fraction(5, 3))])
                 assert mul(q * X) == q * mul(X), (mul.__name__, x)
                 assert mul(X * 2) == mul(X) * 2, (mul.__name__, x)
+            for _ in range(10):
+                X = GradedClass(n, [(s, Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+                                    for s in rng.sample(syms, rng.randint(0, min(5, len(syms))))])
+                assert mul(q * X) == q * mul(X), (mul.__name__, str(X))
 
 
 def test_mul_bprime_top_builds_each_output_symbol_once(monkeypatch):

@@ -1,9 +1,10 @@
-"""The seven value classes are immutable named tuples that validate on
-every construction path: the constructor, ``_replace``, ``copy`` and
-``pickle``.  They unpack, index and compare equal to a plain tuple of their
-fields.  Their integer fields, like every integer argument of the library,
-take an ``int`` and refuse a ``bool``; a class coefficient refuses a
-``bool`` as it refuses a float."""
+"""The seven value classes are immutable named tuples.  All but
+``IntersectionMatrix``, a result record that ``intersection_matrix`` builds,
+validate on every construction path: the constructor, ``_replace``,
+``copy`` and ``pickle``.  They unpack, index and compare equal to a plain
+tuple of their fields.  Their integer fields, like every integer argument
+of the library, take an ``int`` and refuse a ``bool``; a class coefficient
+refuses a ``bool`` as it refuses a float."""
 
 import copy
 import pickle
@@ -30,7 +31,6 @@ from hilb2 import (
     intersection_matrix,
     is_effective,
     is_nef,
-    linear_combine,
     parse_class,
     parse_symbol,
     secant_oracle,
@@ -120,7 +120,7 @@ def test_intersection_matrix_repr_omits_entries():
     assert text.startswith("IntersectionMatrix(n=2, k=2, rows=<BasisId.ES: 'ES'>, cols=<BasisId.MS: 'MS'>, ")
     assert "row_symbols=(BasisSymbol(A'_{0,2}, n=2)" in text
     assert "entries" not in text and "Fraction" not in text
-    assert M.entry(1, 1) == 2
+    assert M.entries[1][1] == 2
 
 
 def test_secant_problem_stores_degrees_as_a_tuple():
@@ -173,7 +173,6 @@ COEFFICIENT_SLOTS = {
     "GradedClass repeated coefficient": lambda x: GradedClass(2, [(_A01, 1), (_A01, x)]),
     "scalar *": lambda x: GradedClass.from_symbol(_A01) * x,
     "scalar * (right)": lambda x: x * GradedClass.from_symbol(_A01),
-    "linear_combine coefficient": lambda x: linear_combine([(x, _A01)]),
 }
 SLOTS = {**INTEGER_SLOTS, **COEFFICIENT_SLOTS}
 
