@@ -183,9 +183,6 @@ class BasisSymbol(value_type("BasisSymbol", "family i j n")):
     def codimension(self) -> int:
         return 2 * self.n - self.i - self.j
 
-    def sort_key(self):
-        return self[:3]
-
     def __str__(self):
         return f"{self.family.value}_{{{self.i},{self.j}}}"
 
@@ -211,18 +208,18 @@ class GradedClass:
     ``(family, i, j)``, all symbols sharing the ambient dimension ``n``.
     Supports ``+``, ``-``, scalar ``*`` and equality.
 
-    Coefficients: ``int`` and ``Fraction`` values are summed as they arrive
-    (repeated symbols add up); anything else goes through an exact rational
-    coercion, and floats and bools are refused (:class:`InvalidInput`).  Zero
-    sums are dropped and each surviving coefficient is stored as a
-    ``Fraction``, so :meth:`items` yields only ``Fraction`` coefficients.
+    Coefficients: each is converted once to a ``Fraction`` as it arrives (a
+    ``Fraction`` is kept as it is) and repeated symbols add up; floats and bools
+    are refused (:class:`InvalidInput`).  Zero sums are dropped, so :meth:`items`
+    yields only nonzero ``Fraction`` coefficients.  ``copy``, ``deepcopy`` and
+    ``pickle`` rebuild a class through this constructor.
     """
 
     __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms: Union[Mapping, Iterable[tuple]] = ()):
         require_ambient(n)
-        acc: dict[BasisSymbol, Union[int, Fraction]] = {}
+        acc: dict[BasisSymbol, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         # Exact-class tests first: the isinstance fallbacks only see subclasses and refusals.
         for sym, coeff in items:
@@ -231,23 +228,21 @@ class GradedClass:
             if sym.n != n:
                 raise MixedAmbient(f"symbol {sym} lives on P^{sym.n}[2], class on P^{n}[2]")
             kind = coeff.__class__
-            if kind is not Fraction and kind is not int and (
-                    kind is bool or not isinstance(coeff, (int, Fraction))):
+            if kind is int:
+                coeff = Fraction(coeff)
+            elif kind is not Fraction and not isinstance(coeff, Fraction):
                 coeff = _coerce_rational(coeff)
             acc[sym] = acc[sym] + coeff if sym in acc else coeff  # a first one as it is, no 0 + c
-        stored = []  # nonzero sums, each as a Fraction (a Fraction subclass stays as it is)
-        for sym, c in acc.items():
-            if c:
-                kind = c.__class__
-                if kind is not Fraction and (kind is int or not isinstance(c, Fraction)):
-                    c = Fraction(c)
-                stored.append((sym, c))
-        stored.sort(key=itemgetter(0))  # the symbols are distinct: no coefficient is compared
+        # The symbols are distinct: the sort compares no coefficient.
+        stored = sorted([t for t in acc.items() if t[1]], key=itemgetter(0))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_terms", tuple(stored))
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedClass is immutable")
+
+    def __reduce__(self):
+        return GradedClass, (self.n, self._terms)
 
     @classmethod
     def from_symbol(cls, sym: BasisSymbol, coeff=1) -> "GradedClass":
@@ -397,8 +392,6 @@ def chow_rank(n: int, k: int) -> int:
     """
     require_ambient(n)
     require_grading(k, n, "codimension")
-    if k in (0, 2 * n):
-        return 1
     total = 0
     for shift in (0, 1, -1):
         s = k + shift

@@ -29,9 +29,9 @@ as the products state theirs: ``x`` goes to the (at most three) MS symbols at
 its complementary indices that the table above values nonzero, each term built
 by ``chow.term``, which lists none out of range.  ``chow.linear_sum`` extends
 the rule to a class on integer numerators over one common denominator, as it
-extends the product rules.  A symbol is its own key: :func:`pair_symbols` scans
-the image of ``x`` for ``y``, the class routines read the image of X, and
-:func:`dual_generator` is the one key in the image of an ES symbol.
+extends the product rules.  A symbol is its own key: the class routines read
+the image of X, and :func:`dual_generator` is the one key in the image of an
+ES symbol; :func:`pair_symbols` is :func:`pair_classes` on one-term classes.
 :func:`intersection_matrix` applies the rule once per row and places the image
 in its columns; an ES row's image is that one key, which labels the row's
 column and gives the diagonal value.  Each routine makes its checks first,
@@ -81,10 +81,6 @@ class PairingConfig(value_type("PairingConfig", "ap_a_diagonal")):
 DEFAULT_CONFIG = PairingConfig()
 
 
-def _unsupported(fx: Family, fy: Family) -> UnsupportedFamilyPair:
-    return UnsupportedFamilyPair(f"no intersection rule for {fx.value} . {fy.value}")
-
-
 def _duals(x: BasisSymbol, cfg: PairingConfig) -> list:
     """Rule: ``[((fy, k, l, n), value)]``, one term per MS symbol ``x`` meets at its
     complementary indices ``(k, l)`` in a nonzero block; the rest pair to zero."""
@@ -104,40 +100,32 @@ def _duals(x: BasisSymbol, cfg: PairingConfig) -> list:
 def pair_symbols(
     x: BasisSymbol, y: BasisSymbol, cfg: PairingConfig = DEFAULT_CONFIG
 ) -> Fraction:
-    """Intersection number of two symbols of complementary codimension."""
-    if x.n != y.n:
-        raise MixedAmbient(f"{x} lives on P^{x.n}[2], {y} on P^{y.n}[2]")
-    if y.family not in _MS_FAMILIES:
-        raise _unsupported(x.family, y.family)
-    if x.codimension + y.codimension != 2 * x.n:
-        raise NotComplementary(
-            f"codim {x.codimension} + codim {y.codimension} != {2 * x.n} for {x} . {y}"
-        )
-    for key, v in _duals(x, cfg):  # at most three terms
-        if key == y:
-            return Fraction(v)
-    return _ZERO
+    """Intersection number of two symbols: :func:`pair_classes` on their one-term classes."""
+    return pair_classes(GradedClass.from_symbol(x), GradedClass.from_symbol(y), cfg)
 
 
 def pair_classes(
     X: GradedClass, Y: GradedClass, cfg: PairingConfig = DEFAULT_CONFIG
 ) -> Fraction:
-    """Bilinear extension of :func:`pair_symbols` to homogeneous classes.
+    """Intersection number of two homogeneous classes of complementary codimension:
+    the image of X under the rule :func:`_duals`, dotted with Y's terms.
 
-    The image of X under the rule :func:`_duals`, dotted with Y's terms.
+    Checks, in order: one ambient, a zero factor gives 0, Y's families, then
+    homogeneity and complementarity.
     """
     if X.n != Y.n:
         raise MixedAmbient(f"classes live on P^{X.n}[2] and P^{Y.n}[2]")
     if X.is_zero or Y.is_zero:
         return _ZERO
+    # Refuse a non-MS family in Y before any grading check, naming the first
+    # pair a term-by-term pass in canonical order would meet.
+    bad = Y.families().difference(_MS_FAMILIES)
+    if bad:
+        raise UnsupportedFamilyPair(
+            f"no intersection rule for {min(X.families()).value} . {min(bad).value}")
     cx, cy = X.codimension(), Y.codimension()  # raises NotHomogeneous
     if cx + cy != 2 * X.n:
         raise NotComplementary(f"codim {cx} + codim {cy} != {2 * X.n}")
-    # Refuse a non-MS family in Y even where no indices complement, naming
-    # the first pair a term-by-term pass in canonical order would meet.
-    bad = Y.families().difference(_MS_FAMILIES)
-    if bad:
-        raise _unsupported(min(X.families()), min(bad))
     (xs, dx), (ys, dy) = scaled_terms(X), scaled_terms(Y)
     sums = linear_sum(_duals, xs, cfg)
     return Fraction(sum(b * sums.get(y, 0) for y, b in ys), dx * dy)

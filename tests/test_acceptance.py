@@ -6,7 +6,6 @@ checks are exact; the only tolerances are the stated runtime budgets.
 """
 
 import time
-from fractions import Fraction
 from itertools import product as cartesian
 from math import comb, prod
 

@@ -11,7 +11,6 @@ from hilb2 import (
     SecantProblem,
     TautBundle,
     chern_taut,
-    enumerate_basis,
     pair_classes,
     secant_degree,
     secant_degree_mu_closed,

@@ -94,6 +94,27 @@ def test_unsupported_operations_exit_3():
         assert text.startswith("error:")
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_pair_refuses_a_second_factor_without_a_rule_before_its_grading(n):
+    # B_{0,0} . A'_{n-1,n}: the codimensions do not add up to 2n, but the
+    # A' second factor is what is refused.
+    argv = ["pair", "--n", str(n), "--x", '{"family":"B","i":0,"j":0}',
+            "--y", f'{{"family":"A\'","i":{n - 1},"j":{n}}}']
+    code, doc = run_json(argv)
+    assert code == 3
+    assert doc["error"] == {"type": "UnsupportedFamilyPair",
+                            "message": "no intersection rule for B . A'"}
+
+
+def test_pair_reports_non_complementary_codimensions():
+    argv = ["pair", "--n", "2", "--x", '{"family":"A","i":0,"j":1}',
+            "--y", '{"family":"A","i":0,"j":2}']
+    assert run_command(argv) == (2, "error: codim 3 + codim 2 != 4")
+    code, doc = run_json(argv)
+    assert code == 2
+    assert doc["error"] == {"type": "NotComplementary", "message": "codim 3 + codim 2 != 4"}
+
+
 def test_bad_flags_exit_2():
     code, _ = run_command(["rank", "--n", "2"])
     assert code == 2

@@ -5,7 +5,6 @@ import pytest
 
 from hilb2 import (
     BasisId,
-    BasisSymbol,
     Family,
     IdealKind,
     InvalidIndex,

@@ -5,9 +5,9 @@ import pytest
 
 from hilb2 import (
     DEFAULT_CONFIG,
-    BasisId,
     BasisSymbol,
     GradedClass,
+    Hilb2Error,
     InvalidGrading,
     InvalidInput,
     MixedAmbient,
@@ -109,6 +109,41 @@ def test_pair_symbols_errors():
         pair_symbols(S("A", 0, 1, 2), S("A", 0, 1, 2))
     with pytest.raises(MixedAmbient):
         pair_symbols(S("A", 0, 2, 2), S("A", 1, 3, 4))
+
+
+def outcome(call):
+    """A call's value with its type, or the type and text of the error it raises."""
+    try:
+        value = call()
+    except Hilb2Error as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+def every_symbol(n):
+    return sorted(set(enumerate_basis(n, "ES") + enumerate_basis(n, "MS")))
+
+
+def test_pair_symbols_is_pair_classes_on_one_term_classes():
+    # Every ordered pair of symbols of the five families, on one ambient and
+    # on two: the same value or the same error, in pair_symbols' check order
+    # (ambient, the second factor's family, complementarity).
+    for cfg in (DEFAULT_CONFIG, PairingConfig(3)):
+        for n in range(1, 5):
+            for x in every_symbol(n):
+                for y in every_symbol(n) + every_symbol(n + 1):
+                    got = outcome(lambda: pair_symbols(x, y, cfg))
+                    assert got == outcome(lambda: pair_classes(
+                        GradedClass.from_symbol(x), GradedClass.from_symbol(y), cfg)), (x, y)
+                    if x.n != y.n:
+                        assert got[0] is MixedAmbient, (x, y)
+                    elif y.family.value in ("A'", "B"):
+                        assert got == (UnsupportedFamilyPair, f"no intersection rule for "
+                                       f"{x.family.value} . {y.family.value}"), (x, y)
+                    elif x.codimension + y.codimension != 2 * n:
+                        assert got[0] is NotComplementary, (x, y)
+                    else:
+                        assert got == (Fraction, expected_value(x, y, cfg.ap_a_diagonal)), (x, y)
 
 
 def all_supported_pairs(n):
@@ -404,8 +439,7 @@ def test_sparse_pair_classes_raises_what_the_dense_loop_raises():
     rng = random.Random(17)
     for n in range(1, 6):
         symbols = sorted(
-            set(enumerate_basis(n, "BB") + enumerate_basis(n, "ES") + enumerate_basis(n, "MS")),
-            key=lambda s: s.sort_key(),
+            set(enumerate_basis(n, "BB") + enumerate_basis(n, "ES") + enumerate_basis(n, "MS"))
         )
         for k in range(0, 2 * n + 1):
             dim_k = [s for s in symbols if s.dimension == k]
@@ -427,6 +461,15 @@ def test_pair_classes_refuses_unsupported_families_without_complementary_indices
     AP02 = GradedClass.from_symbol(S("A'", 0, 2, 2))
     with pytest.raises(UnsupportedFamilyPair):
         pair_classes(B11, AP02)
+    # The second factor's families are checked before its grading:
+    # B_{0,0} . A'_{n-1,n} has codimensions 2n + 1, and A'_{n-1,n} + C_{n,n}
+    # is not homogeneous either.
+    for n in (2, 3, 5):
+        B00 = GradedClass.from_symbol(S("B", 0, 0, n))
+        AP = S("A'", n - 1, n, n)
+        for Y in (GradedClass.from_symbol(AP), cls((1, AP), (1, S("C", n, n, n)))):
+            with pytest.raises(UnsupportedFamilyPair, match=r"^no intersection rule for B \. A'$"):
+                pair_classes(B00, Y)
 
 
 def test_sparse_effectivity_pairings_matches_dense_oracle():

@@ -4,10 +4,12 @@ validate on every construction path: the constructor, ``_replace``,
 ``copy`` and ``pickle``.  They unpack, index and compare equal to a plain
 tuple of their fields.  Their integer fields, like every integer argument
 of the library, take an ``int`` and refuse a ``bool``; a class coefficient
-refuses a ``bool`` as it refuses a float."""
+refuses a ``bool`` as it refuses a float.  ``GradedClass``, which is not a
+tuple, copies and pickles through its validating constructor too."""
 
 import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -49,6 +51,18 @@ CASES = {
     ),
 }
 IDS = [cls.__name__ for cls in CASES]
+# class -> a valid instance, for every class that copies and pickles
+ROUND_TRIP = {
+    **{cls: make for cls, (make, _, _) in CASES.items()},
+    GradedClass: lambda: GradedClass(
+        2, [(BasisSymbol(Family.C, 1, 1, 2), -3), (BasisSymbol(Family.A, 0, 1, 2), Fraction(1, 2))]
+    ),
+}
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+}
 
 
 @pytest.mark.parametrize("cls", CASES, ids=IDS)
@@ -70,12 +84,30 @@ def test_equal_instances_hash_equally(cls):
     assert len({a, b}) == 1
 
 
-@pytest.mark.parametrize("cls", CASES, ids=IDS)
+@pytest.mark.parametrize("cls", ROUND_TRIP, ids=lambda c: c.__name__)
 def test_copy_and_pickle_round_trip(cls):
-    obj = CASES[cls][0]()
-    for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+    obj = ROUND_TRIP[cls]()
+    for twin in (route(obj) for route in COPIES.values()):
         assert type(twin) is cls
         assert twin == obj
+
+
+@pytest.mark.parametrize("route", COPIES.values(), ids=COPIES)
+def test_a_graded_class_is_copied_through_its_constructor(route, monkeypatch):
+    obj = ROUND_TRIP[GradedClass]()
+    built = []
+    init = GradedClass.__init__
+    monkeypatch.setattr(GradedClass, "__init__",
+                        lambda self, n, terms=(): built.append(n) or init(self, n, terms))
+    twin = route(obj)
+    assert built == [2]
+    assert twin == obj and twin is not obj
+    # An instance that skipped validation is refused again.
+    forged = object.__new__(GradedClass)
+    object.__setattr__(forged, "n", 0)
+    object.__setattr__(forged, "_terms", ())
+    with pytest.raises(InvalidInput):
+        route(forged)
 
 
 @pytest.mark.parametrize("cls", [c for c in CASES if CASES[c][1]], ids=lambda c: c.__name__)
