@@ -16,9 +16,10 @@ where S runs over subsets of {1..n-m}.  Two independent evaluation paths are
 provided: the closed formula above, and the intersection-theoretic route
 that expands ``prod c2(O(d_i))`` into monomials ``B'^k C^{n-m-k}``,
 evaluates them with the product engine and pairs against ``C_{n-2m,n}``.
-The ``intro`` exponent variant ``2^(k-1-m)`` is kept purely as a foil: the
-classical oracles select ``proof`` (the default), and a regression test pins
-the disagreement.
+The library states only the ``2^(k-1)`` exponent, which the classical oracles
+select; the ``intro`` variant ``2^(k-1-m)``, the closed sum shifted right by
+m, is a foil that ``hilb2 secant --variant intro`` applies and a regression
+test pins.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
 
-from .chow import BasisSymbol, Family, GradedClass, is_int, require_ambient, term, value_type
+from .chow import BasisSymbol, Family, GradedClass, require_ambient, require_int, term, value_type
 from .errors import InvalidInput
 from .pairing import pair_classes
 from .products import MonomialSpec, eval_monomial
@@ -41,8 +42,7 @@ class TautBundle(value_type("TautBundle", "n d")):
 
     def __new__(cls, n: int, d: int):
         require_ambient(n)
-        if not is_int(d) or d < 1:
-            raise InvalidInput(f"line bundle twist must be an integer >= 1, got {d!r}")
+        require_int(d, "line bundle twist", 1)
         return tuple.__new__(cls, (n, d))
 
 
@@ -55,7 +55,7 @@ def chern_taut(bundle: TautBundle) -> tuple[GradedClass, GradedClass]:
                  for terms in (c1, c2))
 
 
-class SecantProblem(value_type("SecantProblem", "n degrees mu1 variant")):
+class SecantProblem(value_type("SecantProblem", "n degrees mu1")):
     """Degree problem for the secant variety of a complete intersection.
 
     ``degrees`` are the hypersurface degrees, stored as a tuple, so
@@ -68,23 +68,19 @@ class SecantProblem(value_type("SecantProblem", "n degrees mu1 variant")):
 
     __slots__ = ()
 
-    def __new__(cls, n: int, degrees, mu1: int = 1, variant: str = "proof"):
+    def __new__(cls, n: int, degrees, mu1: int = 1):
         degrees = tuple(degrees)
         require_ambient(n)
         if not degrees:
             raise InvalidInput("at least one hypersurface degree is required")
         for d in degrees:
-            if not is_int(d) or d < 1:
-                raise InvalidInput(f"hypersurface degrees must be integers >= 1, got {d!r}")
+            require_int(d, "hypersurface degree", 1)
         if len(degrees) > n:
             raise InvalidInput(
                 f"{len(degrees)} hypersurfaces in P^{n} leave negative dimension"
             )
-        if not is_int(mu1) or mu1 < 1:
-            raise InvalidInput(f"secant order mu1 must be an integer >= 1, got {mu1!r}")
-        if variant not in ("proof", "intro"):
-            raise InvalidInput(f"variant must be 'proof' or 'intro', got {variant!r}")
-        return tuple.__new__(cls, (n, degrees, mu1, variant))
+        require_int(mu1, "secant order mu1", 1)
+        return tuple.__new__(cls, (n, degrees, mu1))
 
     @property
     def m(self) -> int:
@@ -99,11 +95,10 @@ def _require_expected_dimension(p: SecantProblem) -> None:
 
 
 def secant_degree_mu_closed(p: SecantProblem) -> int:
-    """``deg(Sec X) * mu1`` by the closed subset-sum formula.
+    """``deg(Sec X) * mu1`` by the closed subset-sum formula, exponent ``k-1``.
 
-    The exponent of 2 is ``k-1`` for the default ``proof`` variant and
-    ``k-1-m`` for ``intro``: the ``proof`` sum shifted right by m, which is
-    exact because every k is at least m+1.
+    Every k is at least m+1, so the sum shifts right by m exactly: ``>> m``
+    gives the ``intro`` exponent ``k-1-m``.
     """
     _require_expected_dimension(p)
     m, ds = p.m, p.degrees
@@ -115,7 +110,7 @@ def secant_degree_mu_closed(p: SecantProblem) -> int:
             for idx, d in enumerate(ds):
                 summand *= comb(d, 2) if idx in chosen else d
             total += summand
-    return total if p.variant == "proof" else total >> m
+    return total
 
 
 @functools.lru_cache(maxsize=None)
@@ -136,12 +131,8 @@ def secant_degree_mu_intersection(p: SecantProblem) -> int:
     _require_expected_dimension(p)
     n, m = p.n, p.m
     coeffs = [1]  # coeffs[k] = sum over |S|=k of prod C(d_j,2) * prod d_l
-    for d in p.degrees:
-        coeffs = [
-            (coeffs[k] * d if k < len(coeffs) else 0)
-            + (coeffs[k - 1] * comb(d, 2) if k >= 1 else 0)
-            for k in range(len(coeffs) + 1)
-        ]
+    for d in p.degrees:  # coeffs[k] * d + coeffs[k-1] * C(d,2), each out of range 0
+        coeffs = [a * d + b * comb(d, 2) for a, b in zip(coeffs + [0], [0] + coeffs)]
     total = Fraction(0)
     for k in range(1, len(coeffs)):
         if coeffs[k]:

@@ -18,7 +18,8 @@ C      1 <= i <= j <= n
 
 The three bases are ``BB = A + B + C``, ``ES = A' + B + C`` and
 ``MS = A + B' + C``.  ES generators span the effective cones, MS generators
-the nef cones; BB is the fixed-point cell basis (see ``fixed_points``).
+the nef cones; BB is the fixed-point cell basis (see ``fixed_points``), in
+which ``B_{i,j}``, (i, j) != (0, 0), pairs as twice a primitive class.
 """
 
 from __future__ import annotations
@@ -131,16 +132,23 @@ def is_int(value) -> bool:
     return isinstance(value, int) and value.__class__ is not bool
 
 
+def require_int(value, noun: str, lo: int, hi: int | None = None, error=InvalidInput) -> None:
+    """Raise ``error`` unless ``value`` is an integer argument in ``[lo, hi]`` (unbounded
+    above when ``hi`` is None): the one integer check and the one writer of its messages."""
+    if not is_int(value) or value < lo or (hi is not None and value > hi):
+        raise error(f"{noun} must be an integer >= {lo}, got {value!r}" if hi is None
+                    else f"{noun} {value!r} outside [{lo}, {hi}]")
+
+
 def require_ambient(n, error: type[ValidationError] = InvalidInput) -> None:
     """Raise ``error`` unless ``n`` is a valid ambient dimension (an int >= 1)."""
-    if not (n.__class__ is int or is_int(n)) or n < 1:  # plain ints skip the call
-        raise error(f"ambient dimension must be an integer >= 1, got {n!r}")
+    if n.__class__ is not int or n < 1:  # plain ints >= 1 skip the call
+        require_int(n, "ambient dimension", 1, error=error)
 
 
 def require_grading(k, n: int, noun: str = "grading") -> None:
     """Raise ``InvalidGrading`` unless ``k`` is an integer in ``[0, 2n]``."""
-    if not is_int(k) or not 0 <= k <= 2 * n:
-        raise InvalidGrading(f"{noun} {k!r} outside [0, {2 * n}]")
+    require_int(k, noun, 0, 2 * n, InvalidGrading)
 
 
 def value_type(name: str, fields: str) -> type:
@@ -309,17 +317,10 @@ class GradedClass:
     def __str__(self):
         if not self._terms:
             return "0"
-        parts = []
+        out = ""
         for sym, c in self._terms:
-            sign = "-" if c < 0 else "+"
-            mag = -c if c < 0 else c
-            body = str(sym) if mag == 1 else f"{mag}*{sym}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+            out += (" - " if c < 0 else " + ") + (str(sym) if abs(c) == 1 else f"{abs(c)}*{sym}")
+        return ("-" if out[1] == "-" else "") + out[3:]  # the first sign without its spaces
 
     def __repr__(self):
         return f"GradedClass(n={self.n}, {self})"

@@ -17,13 +17,12 @@ import json
 import os
 import sys
 from collections import namedtuple
+from fractions import Fraction
 
 # Each handler imports the engine modules it needs, so a subcommand loads
-# only those; ``pairing`` (and through it ``chow``) validates --dprime-diag
-# on every subcommand.
-from .chow import chow_rank, enumerate_basis, require_ambient, require_grading
+# only those; ``chow`` validates --dprime-diag on every subcommand.
+from .chow import chow_rank, enumerate_basis, require_ambient, require_grading, require_int
 from .errors import InvalidInput, UnsupportedError, ValidationError
-from .pairing import PairingConfig
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -41,7 +40,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_or_text(text: str):
-    """An int, or the text for ``PairingConfig`` to refuse once --format is read."""
+    """An int, or the text for ``require_int`` to refuse once --format is read."""
     try:
         return int(text)
     except ValueError:
@@ -135,7 +134,7 @@ def _parse_degrees(text: str) -> list[int]:
     return out
 
 
-def _cmd_rank(args, cfg):
+def _cmd_rank(args):
     n = args.n
     if args.dim is not None:  # checked as typed, before it becomes a codimension
         require_ambient(n)
@@ -146,7 +145,7 @@ def _cmd_rank(args, cfg):
     return _Output(result, str(rank))
 
 
-def _cmd_basis(args, cfg):
+def _cmd_basis(args):
     from .serialize import symbol_to_doc
 
     symbols = enumerate_basis(args.n, args.basis, dim=args.dim, codim=args.codim)
@@ -161,7 +160,7 @@ def _cmd_basis(args, cfg):
     return _Output(result, " ".join(str(s) for s in symbols))
 
 
-def _cmd_fixed_points(args, cfg):
+def _cmd_fixed_points(args):
     from .fixed_points import bb_cell_of, enumerate_fixed_points
     from .serialize import symbol_to_doc
 
@@ -187,13 +186,13 @@ def _cmd_fixed_points(args, cfg):
     return _Output(result, "\n".join(lines))
 
 
-def _cmd_pair(args, cfg):
-    from .pairing import pair_symbols
+def _cmd_pair(args):
+    from .pairing import PairingConfig, pair_symbols
     from .serialize import parse_symbol, symbol_to_doc
 
     x = parse_symbol(args.x, args.n)
     y = parse_symbol(args.y, args.n)
-    value = pair_symbols(x, y, cfg)
+    value = pair_symbols(x, y, PairingConfig(args.dprime_diag))
     result = {
         "n": args.n,
         "x": symbol_to_doc(x),
@@ -203,13 +202,13 @@ def _cmd_pair(args, cfg):
     return _Output(result, str(value))
 
 
-def _cmd_matrix(args, cfg):
+def _cmd_matrix(args):
     import csv
 
-    from .pairing import intersection_matrix
+    from .pairing import PairingConfig, intersection_matrix
     from .serialize import symbol_to_doc
 
-    M = intersection_matrix(args.n, args.k, args.rows, args.cols, cfg)
+    M = intersection_matrix(args.n, args.k, args.rows, args.cols, PairingConfig(args.dprime_diag))
     header = [""] + [str(s) for s in M.col_symbols]
     grid = [
         [str(r)] + [str(v) for v in row]
@@ -234,7 +233,7 @@ def _cmd_matrix(args, cfg):
     return _Output(result, "\n".join(text_lines), csv=buf.getvalue().rstrip("\n"))
 
 
-def _cmd_power(args, cfg):
+def _cmd_power(args):
     from .products import MonomialSpec, eval_monomial
     from .serialize import emit_class
 
@@ -248,7 +247,7 @@ def _cmd_power(args, cfg):
     return _Output(result, str(X))
 
 
-def _cmd_chern(args, cfg):
+def _cmd_chern(args):
     from .chern_secant import TautBundle, chern_taut
     from .serialize import emit_class
 
@@ -257,19 +256,21 @@ def _cmd_chern(args, cfg):
     return _Output(result, f"c1 = {c1}\nc2 = {c2}")
 
 
-def _cmd_secant(args, cfg):
-    from .chern_secant import (SecantProblem, secant_degree, secant_degree_mu_intersection,
-                               secant_oracle)
+def _cmd_secant(args):
+    from .chern_secant import (SecantProblem, secant_degree_mu_closed,
+                               secant_degree_mu_intersection, secant_oracle)
 
     degrees = _parse_degrees(args.degrees)
-    problem = SecantProblem(args.n, degrees, mu1=args.mu1, variant=args.variant)
+    problem = SecantProblem(args.n, degrees, mu1=args.mu1)
     warnings = []
     if any(d == 1 for d in degrees):
         warnings.append(
             "degree-1 hypersurfaces make X degenerate in P^n; the count is for its linear span"
         )
-    degree = secant_degree(problem)  # the exponential closed route, run once
-    deg_mu = int(degree * args.mu1)
+    deg_mu = secant_degree_mu_closed(problem)  # the exponential closed route, run once
+    if args.variant == "intro":  # the 2^(k-1-m) foil: the sum shifted right by m
+        deg_mu >>= problem.m
+    degree = Fraction(deg_mu, args.mu1)
     result = {
         "n": args.n,
         "degrees": degrees,
@@ -296,7 +297,7 @@ def _cmd_secant(args, cfg):
     return _Output(result, "\n".join(lines), warnings)
 
 
-def _cmd_cone(args, cfg):
+def _cmd_cone(args):
     from .pairing import effectivity_pairings, is_effective, is_nef
     from .serialize import parse_class, symbol_to_doc
 
@@ -335,7 +336,8 @@ def run_command(argv) -> tuple[int, str]:
         _, rest = _GLOBALS.parse_known_args(list(argv), args)
         with contextlib.redirect_stdout(help_text):
             _build_parser().parse_args(rest, args)
-        out = _HANDLERS[args.command](args, PairingConfig(ap_a_diagonal=args.dprime_diag))
+        require_int(args.dprime_diag, "ap_a_diagonal", 1)
+        out = _HANDLERS[args.command](args)
         if args.format == "csv" and out.csv is None:
             raise InvalidInput("csv format is available for the matrix command only")
         code, body = EXIT_OK, {"result": out.result}

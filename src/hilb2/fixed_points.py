@@ -12,6 +12,11 @@ which is how the BB basis arises:
     I_{i,j} -> A_{i,j}     (cell dimension i+j)
     J_{i,j} -> B_{i,j-1}   (cell dimension i+j-1)
     K_{i,j} -> C_{i+1,j}   (cell dimension i+j+1)
+
+Each ``B_{i,j}`` but the point class ``B_{0,0}`` pairs as twice a primitive
+class: with those halved, the BB Gram matrix is unimodular.  In P^2[2],
+``B_{0,1} . C_{1,2} = 2``, where geometrically F . (H - delta) = 1 for the
+J_{0,2} cell curve F and the divisor ``C_{1,2} = H - delta``.
 """
 
 from __future__ import annotations

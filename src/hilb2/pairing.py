@@ -44,7 +44,7 @@ from fractions import Fraction
 from typing import Union
 
 from .chow import (BasisId, BasisSymbol, Family, GradedClass, as_basis, enumerate_basis,
-                   is_int, linear_sum, require_ambient, require_grading, scaled_terms,
+                   linear_sum, require_ambient, require_grading, require_int, scaled_terms,
                    term, value_type)
 from .errors import (
     InvalidInput,
@@ -73,8 +73,7 @@ class PairingConfig(value_type("PairingConfig", "ap_a_diagonal")):
     __slots__ = ()
 
     def __new__(cls, ap_a_diagonal: int = 1):
-        if not is_int(ap_a_diagonal) or ap_a_diagonal < 1:
-            raise InvalidInput(f"ap_a_diagonal must be an integer >= 1, got {ap_a_diagonal!r}")
+        require_int(ap_a_diagonal, "ap_a_diagonal", 1)
         return tuple.__new__(cls, (ap_a_diagonal,))
 
 

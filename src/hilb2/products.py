@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .chow import (BasisSymbol, Family, GradedClass, is_int, linear_sum, require_ambient,
+from .chow import (BasisSymbol, Family, GradedClass, linear_sum, require_ambient, require_int,
                    scaled_terms, term, value_type)
 from .errors import (
     InvalidExponent,
@@ -150,8 +150,7 @@ def bprime_top_power(n: int, k: int) -> GradedClass:
     the MS form of the module docstring.
     """
     require_ambient(n)
-    if not is_int(k) or not 1 <= k <= n:
-        raise InvalidExponent(f"exponent {k!r} outside [1, {n}]")
+    require_int(k, "exponent", 1, n, InvalidExponent)
     c, lead = n - k, 2 ** (k - 1)
     closed = [((Family.BP, c, c, n), lead)] + [
         ((Family.B, c - i, c + i, n), lead // 2) for i in range(1, min(k - 1, c) + 1)
@@ -166,8 +165,8 @@ class MonomialSpec(value_type("MonomialSpec", "n a b")):
 
     def __new__(cls, n: int, a: int, b: int):
         require_ambient(n)
-        if not (is_int(a) and is_int(b)) or a < 0 or b < 0:
-            raise InvalidInput(f"exponents must be nonnegative integers, got a={a!r}, b={b!r}")
+        require_int(a, "exponent a", 0)
+        require_int(b, "exponent b", 0)
         if a + b > n:
             raise InvalidInput(f"total codimension {2 * (a + b)} exceeds the ring dimension {2 * n}")
         return tuple.__new__(cls, (n, a, b))

@@ -175,12 +175,13 @@ def test_criterion_5_path_equivalence():
 
 def test_criterion_6_variant_regression():
     def body():
-        assert secant_degree_mu_closed(SecantProblem(4, (2, 2, 2), variant="intro")) == 8
+        # the 2^(k-1-m) sum is the closed sum shifted right by m (m = 1 here)
+        assert secant_degree_mu_closed(SecantProblem(4, (2, 2, 2))) >> 1 == 8
         for n, degrees in m1_instances():
             D = prod(degrees)
             g = (D * (sum(degrees) - n - 1) + 2) // 2
             oracle = comb(D - 1, 2) - g
-            intro = secant_degree_mu_closed(SecantProblem(n, degrees, variant="intro"))
+            intro = secant_degree_mu_closed(SecantProblem(n, degrees)) >> 1
             assert intro != oracle, (n, degrees)
 
     run_criterion(6, "the 2^(k-1-m) exponent variant disagrees with every m=1 oracle", body)

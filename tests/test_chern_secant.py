@@ -17,6 +17,7 @@ from hilb2 import (
     secant_degree_mu_intersection,
     secant_oracle,
 )
+from hilb2.cli import run_command
 
 S = BasisSymbol
 
@@ -97,14 +98,15 @@ def test_tautological_pairings_table():
 def test_secant_problem_validation():
     with pytest.raises(InvalidInput):
         SecantProblem(3, ())
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match=r"^hypersurface degree must be an integer >= 1, got 0$"):
         SecantProblem(3, (2, 0))
     with pytest.raises(InvalidInput):
         SecantProblem(2, (2, 2, 2))  # more hypersurfaces than n
     with pytest.raises(InvalidInput):
         SecantProblem(4, (2, 2, 2), mu1=0)
-    with pytest.raises(InvalidInput):
-        SecantProblem(4, (2, 2, 2), variant="other")
+    with pytest.raises(TypeError):  # the intro variant is the CLI's, not a problem field
+        SecantProblem(4, (2, 2, 2), variant="intro")
+    assert SecantProblem._fields == ("n", "degrees", "mu1")
     assert SecantProblem(4, [2, 2, 2]).m == 1
 
 
@@ -186,22 +188,27 @@ def test_expected_dimension_guard_on_both_paths():
         secant_degree_mu_intersection(p)
 
 
+def intro(p):
+    """The ``2^(k-1-m)`` normalization: the closed sum shifted right by m."""
+    return secant_degree_mu_closed(p) >> p.m
+
+
 def test_intro_variant_regression():
     # the alternative exponent normalization disagrees with the classical
     # count on every curve instance; it is kept only as a pinned foil
-    assert secant_degree_mu_closed(SecantProblem(4, (2, 2, 2), variant="intro")) == 8
+    assert intro(SecantProblem(4, (2, 2, 2))) == 8
     for n in (4, 5):
         for degrees in cartesian((2, 3), repeat=n - 1):
-            intro = secant_degree_mu_closed(SecantProblem(n, degrees, variant="intro"))
-            assert intro != curve_secant_count(n, degrees), (n, degrees)
+            assert intro(SecantProblem(n, degrees)) != curve_secant_count(n, degrees), (n, degrees)
 
 
 def test_intro_variant_matches_proof_when_m_is_zero():
-    # for m = 0 the two exponents coincide
+    # for m = 0 the two exponents coincide, and so do the CLI's two answers
     for degrees in cartesian((2, 3), repeat=3):
-        proof = secant_degree_mu_closed(SecantProblem(3, degrees))
-        intro = secant_degree_mu_closed(SecantProblem(3, degrees, variant="intro"))
-        assert proof == intro
+        argv = ["secant", "--n", "3", "--degrees", ",".join(map(str, degrees))]
+        proof = run_command(argv)
+        assert proof == run_command([*argv, "--variant", "intro"])
+        assert proof[1].splitlines()[0] == f"deg(Sec X) * mu1 = {chord_count(degrees)}"
 
 
 def test_secant_degree_divides_by_mu1_exactly():

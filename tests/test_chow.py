@@ -15,9 +15,11 @@ from hilb2 import (
     InvalidInput,
     MixedAmbient,
     NotHomogeneous,
+    ValidationError,
     chow_rank,
     enumerate_basis,
 )
+from hilb2.chow import require_int
 
 ALL_FAMILIES = ("A", "A'", "B", "B'", "C")
 
@@ -327,3 +329,65 @@ def test_graded_class_immutable():
     X = GradedClass.from_symbol(BasisSymbol("A", 0, 1, 2))
     with pytest.raises(AttributeError):
         X.n = 3
+
+
+def test_the_zero_class_is_false_and_prints_as_0():
+    assert not GradedClass(2)
+    assert GradedClass.from_symbol(BasisSymbol("A", 0, 1, 2))
+    assert str(GradedClass(2)) == "0"
+
+
+def test_equal_classes_hash_equal():
+    a01, c11 = BasisSymbol("A", 0, 1, 2), BasisSymbol("C", 1, 1, 2)
+    X = GradedClass(2, [(a01, 1), (c11, "-1/2")])
+    Y = GradedClass(2, {c11: Fraction(-1, 2), a01: 1})
+    assert X == Y and hash(X) == hash(Y)
+    assert len({X, Y, GradedClass(2, [(a01, 1)])}) == 2
+
+
+def test_a_class_adds_and_subtracts_only_classes():
+    X = GradedClass.from_symbol(BasisSymbol("A", 0, 1, 2))
+    with pytest.raises(TypeError):
+        X + 1
+    with pytest.raises(TypeError):
+        X - 1
+
+
+def test_class_text_and_repr():
+    a01, c11 = BasisSymbol("A", 0, 1, 2), BasisSymbol("C", 1, 1, 2)
+    X = GradedClass(2, [(a01, -1), (c11, Fraction(3, 2))])
+    assert str(X) == "-A_{0,1} + 3/2*C_{1,1}"
+    assert str(-X) == "A_{0,1} - 3/2*C_{1,1}"
+    assert repr(X) == "GradedClass(n=2, -A_{0,1} + 3/2*C_{1,1})"
+    assert repr(GradedClass(3)) == "GradedClass(n=3, 0)"
+
+
+def test_an_uninterpretable_coefficient_is_refused():
+    sym = BasisSymbol("A", 0, 1, 2)
+    with pytest.raises(InvalidInput, match=r"^cannot interpret 'x' as an exact rational$"):
+        GradedClass(2, [(sym, "x")])
+
+
+@pytest.mark.parametrize("value", [0, -3, 1.0, 2.5, True, False, "2", None])
+def test_require_int_without_an_upper_bound(value):
+    with pytest.raises(InvalidInput) as info:
+        require_int(value, "widget count", 1)
+    assert str(info.value) == f"widget count must be an integer >= 1, got {value!r}"
+
+
+@pytest.mark.parametrize("value", [-1, 5, 2.0, True, "3"])
+def test_require_int_with_an_upper_bound(value):
+    with pytest.raises(InvalidInput) as info:
+        require_int(value, "slot", 0, 4)
+    assert str(info.value) == f"slot {value!r} outside [0, 4]"
+
+
+def test_require_int_passes_integers_in_range_and_raises_the_error_given():
+    for value, lo, hi in [(1, 1, None), (10**30, 1, None), (0, 0, 4), (4, 0, 4), (-2, -2, -2)]:
+        assert require_int(value, "x", lo, hi) is None
+    with pytest.raises(InvalidGrading, match=r"^grading 7 outside \[0, 6\]$"):
+        require_int(7, "grading", 0, 6, InvalidGrading)
+    with pytest.raises(InvalidIndex, match=r"^n must be an integer >= 1, got True$"):
+        require_int(True, "n", 1, error=InvalidIndex)
+    with pytest.raises(ValidationError):
+        require_int(False, "n", 0)  # a bool is refused even where its value is in range

@@ -4,11 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+from fractions import Fraction
+
 import jsonschema
 import pytest
 
-from hilb2 import enumerate_basis
-from hilb2.cli import run_command
+from hilb2 import SecantProblem, enumerate_basis, secant_degree_mu_closed
+from hilb2.cli import _HANDLERS, run_command
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "src" / "hilb2" / "schemas"
 CLI_SCHEMA = json.loads((SCHEMA_DIR / "cli_output.schema.json").read_text())
@@ -52,6 +54,19 @@ def test_secant_intro_variant_mismatch_is_reported():
     )
     assert code == 0
     assert text.splitlines()[-1] == "MISMATCH"
+
+
+@pytest.mark.parametrize("n, degrees, mu1", [(4, (2, 2, 2), 1), (5, (2, 3, 2, 2), 3),
+                                           (7, (2, 3, 2, 2, 3), 2), (3, (2, 3, 2), 2)])
+def test_secant_intro_is_the_closed_sum_shifted_right_by_m(n, degrees, mu1):
+    p = SecantProblem(n, degrees, mu1)
+    shifted = secant_degree_mu_closed(p) >> p.m
+    code, doc = run_json(["secant", "--n", str(n), "--degrees", ",".join(map(str, degrees)),
+                          "--mu1", str(mu1), "--variant", "intro"])
+    assert code == 0
+    result = doc["result"]
+    assert (result["variant"], result["degree_times_mu1"]) == ("intro", shifted)
+    assert result["degree"] == str(Fraction(shifted, mu1))
 
 
 def test_secant_degree_one_warning():
@@ -212,6 +227,39 @@ def test_dprime_diag_is_validated_on_every_subcommand():
     assert doc["command"] == "rank"
     assert doc["error"]["type"] == "InvalidInput"
     assert "ap_a_diagonal must be an integer >= 1" in doc["error"]["message"]
+
+
+# One valid call of each subcommand: only --dprime-diag can make it fail.
+VALID = {
+    "rank": ["rank", "--n", "3", "--codim", "1"],
+    "basis": ["basis", "--n", "3", "--basis", "MS", "--dim", "3"],
+    "fixed-points": ["fixed-points", "--n", "2"],
+    "pair": ["pair", "--n", "2", "--x", '{"family":"A\'","i":0,"j":2}',
+             "--y", '{"family":"A","i":0,"j":2}'],
+    "matrix": ["matrix", "--n", "2", "--k", "2"],
+    "power": ["power", "--n", "4", "--k", "2"],
+    "chern": ["chern", "--n", "3", "--d", "2"],
+    "secant": ["secant", "--n", "4", "--degrees", "2,2,2"],
+    "cone": ["cone", "--test", "nef", "--class", '{"n":2,"terms":[]}'],
+}
+
+
+@pytest.mark.parametrize("value, shown", [("0", "0"), ("x", "'x'")])
+@pytest.mark.parametrize("command", VALID)
+def test_bad_dprime_diag_exits_2_on_every_subcommand(command, value, shown):
+    assert sorted(VALID) == sorted(_HANDLERS)
+    argv = VALID[command]
+    assert run_command(argv)[0] == 0
+    message = f"ap_a_diagonal must be an integer >= 1, got {shown}"
+    assert run_command([*argv, "--dprime-diag", value]) == (2, f"error: {message}")
+    code, doc = run_json([*argv, "--dprime-diag", value])
+    assert (code, doc) == (2, {"command": command,
+                               "error": {"type": "InvalidInput", "message": message}})
+
+
+def test_dprime_diag_is_checked_before_the_subcommand_runs():
+    assert run_command(["rank", "--n", "0", "--codim", "0", "--dprime-diag", "0"]) == (
+        2, "error: ap_a_diagonal must be an integer >= 1, got 0")
 
 
 def test_basis_text_output():

@@ -1,10 +1,12 @@
-"""Modules of the package reach one another through public names only, and
-no module imports a name it never uses.
+"""Modules of the package reach one another through public names only, no
+module imports a name it never uses, and one helper checks integer arguments.
 
 A module that imports another module's private name (``from .x import _y``)
 couples itself to a detail that module may change; a public function that
 does the same job is the one to call.  An import nothing references is dead
-code that no linter in the test suite would otherwise catch.
+code that no linter in the test suite would otherwise catch.  An integer
+check written out by hand beside ``chow.require_int`` is a second copy of
+the rule and its message, free to drift from the first.
 """
 
 import ast
@@ -67,3 +69,41 @@ def test_the_unused_import_scan_sees_an_unused_name(tmp_path):
         "print(os.sep, read)\n"
     )
     assert list(unused_imports(module)) == ["sample.py:3: dumps"]
+
+
+# The constant text of ``chow.require_int``'s two messages,
+# "<noun> must be an integer >= <lo>, got <value>" and "<noun> <value> outside [<lo>, <hi>]".
+INTEGER_MESSAGES = (" must be an integer >= ", " outside [")
+
+
+def integer_messages(path):
+    """``(file, function, line)`` for each f-string a function raises that
+    writes one of ``require_int``'s two messages."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        raised = [node for stmt in ast.walk(func) if isinstance(stmt, ast.Raise)
+                  for node in ast.walk(stmt) if isinstance(node, ast.JoinedStr)]
+        for node in raised:
+            text = "".join(v.value for v in node.values if isinstance(v, ast.Constant))
+            if any(shape in text for shape in INTEGER_MESSAGES):
+                yield path.name, func.name, node.lineno
+
+
+def test_only_require_int_writes_the_integer_messages():
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in integer_messages(path)]
+    assert [(name, func) for name, func, _ in found] == [("chow.py", "require_int")] * 2
+
+
+def test_the_integer_message_scan_sees_a_hand_written_check(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "def check(k, n):\n"
+        "    if not 1 <= k <= n:\n"
+        "        raise ValueError(f'exponent {k!r} outside [1, {n}]')\n"
+        "    if k < 2:\n"
+        "        raise ValueError(f'k must be an integer >= 2, got {k!r}')\n"
+        "    return f'{k} outside [1, {n}]'\n"
+    )
+    assert list(integer_messages(module)) == [("sample.py", "check", 3), ("sample.py", "check", 5)]

@@ -292,6 +292,11 @@ def test_dual_generator_bijection():
             assert set(duals) == set(enumerate_basis(n, "MS", dim=k))
 
 
+def test_dual_generator_refuses_an_ms_symbol():
+    with pytest.raises(UnsupportedFamilyPair, match=r"^B'_\{1,1\} is not an ES basis symbol$"):
+        dual_generator(S("B'", 1, 1, 2))
+
+
 def test_dual_basis_expansion_recovers_coefficients():
     rng = random.Random(11)
     for _ in range(40):

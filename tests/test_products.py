@@ -84,6 +84,11 @@ def test_mul_bprime_top_rejects_unbalanced_c():
         mul_bprime_top(GradedClass.from_symbol(S("C", 1, 2, 4)))
 
 
+def test_mul_bprime_top_rejects_an_ap_term():
+    with pytest.raises(UnsupportedTerm, match=r"^no rule for B'_\{2,2\} \. A'_\{0,1\}$"):
+        mul_bprime_top(GradedClass.from_symbol(S("A'", 0, 1, 3)))
+
+
 def test_mul_c_top_examples():
     assert mul_c_top(GradedClass.from_symbol(S("A", 1, 3, 4))) == cls((1, S("A", 0, 2, 4)))
     assert mul_c_top(GradedClass.from_symbol(S("B'", 0, 2, 4))).is_zero

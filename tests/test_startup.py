@@ -97,8 +97,24 @@ def test_rank_loads_no_engine_module_it_does_not_use(bare):
     code = ("from hilb2.cli import run_command\n"
             "assert run_command(['rank', '--n', '3', '--codim', '1', '--format', 'json'])[0] == 0")
     loaded = loaded_by(code, bare)
-    assert "hilb2.pairing" in loaded  # --dprime-diag is validated on every subcommand
+    assert "hilb2.pairing" not in loaded  # --dprime-diag is checked by chow.require_int
     assert sorted(set(ENGINE) & loaded) == []
+
+
+# Subcommands that never pair: each runs, --dprime-diag given, without loading ``pairing``.
+NO_PAIRING = {
+    "rank": ["rank", "--n", "3", "--codim", "1"],
+    "basis": ["basis", "--n", "3", "--basis", "BB", "--all"],
+    "fixed-points": ["fixed-points", "--n", "3", "--generators"],
+    "power": ["power", "--n", "4", "--k", "2", "--c-exp", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", NO_PAIRING.values(), ids=NO_PAIRING)
+def test_a_subcommand_that_never_pairs_does_not_load_pairing(argv, bare):
+    code = ("from hilb2.cli import run_command\n"
+            f"assert run_command({[*argv, '--dprime-diag', '2']!r})[0] == 0")
+    assert "hilb2.pairing" not in loaded_by(code, bare)
 
 
 def test_all_is_the_public_api():

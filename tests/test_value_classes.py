@@ -45,7 +45,7 @@ CASES = {
     PairingConfig: (lambda: PairingConfig(2), (0,), InvalidInput),
     IntersectionMatrix: (lambda: intersection_matrix(2, 2), None, None),
     TautBundle: (lambda: TautBundle(3, 2), (3, 0), InvalidInput),
-    SecantProblem: (lambda: SecantProblem(5, [2, 2, 3]), (5, (2,), 1, "other"), InvalidInput),
+    SecantProblem: (lambda: SecantProblem(5, [2, 2, 3]), (5, (2,), 0), InvalidInput),
     MonomialIdealDescriptor: (
         lambda: MonomialIdealDescriptor(IdealKind.K, 0, 2, 2), (IdealKind.K, 2, 0, 2), InvalidIndex,
     ),
@@ -143,7 +143,7 @@ def test_basis_symbol_repr_is_unchanged():
 def test_reprs_name_their_fields():
     assert repr(MonomialSpec(3, 1, 0)) == "MonomialSpec(n=3, a=1, b=0)"
     assert repr(PairingConfig()) == "PairingConfig(ap_a_diagonal=1)"
-    assert repr(SecantProblem(5, [2, 2])) == "SecantProblem(n=5, degrees=(2, 2), mu1=1, variant='proof')"
+    assert repr(SecantProblem(5, [2, 2])) == "SecantProblem(n=5, degrees=(2, 2), mu1=1)"
 
 
 def test_intersection_matrix_repr_omits_entries():
@@ -156,10 +156,10 @@ def test_intersection_matrix_repr_omits_entries():
 
 
 def test_secant_problem_stores_degrees_as_a_tuple():
-    p = SecantProblem(5, [2, 2, 3], mu1=2, variant="intro")
+    p = SecantProblem(5, [2, 2, 3], mu1=2)
     assert p.degrees == (2, 2, 3) and type(p.degrees) is tuple
-    assert p == SecantProblem(5, (2, 2, 3), 2, "intro")
-    assert hash(p) == hash(SecantProblem(5, iter([2, 2, 3]), 2, "intro"))
+    assert p == SecantProblem(5, (2, 2, 3), 2)
+    assert hash(p) == hash(SecantProblem(5, iter([2, 2, 3]), 2))
     assert p.m == 2
 
 
