@@ -5,19 +5,19 @@ Run:  python demos/04_chern_classes.py
 
 from math import comb
 
-from hilb2 import BasisSymbol, GradedClass, TautBundle, chern_taut, pair_classes
+from hilb2 import BasisSymbol, GradedClass, chern_taut, pair_classes
 
 n = 4
 print(f"tautological bundles of O(d) on P^{n}[2] (rank 2, so two Chern classes):")
 for d in range(1, 5):
-    c1, c2 = chern_taut(TautBundle(n, d))
+    c1, c2 = chern_taut(n, d)
     print(f"  d={d}:  c1 = {str(c1):<22}  c2 = {c2}")
 print()
 
 # The pairings against the dimension-1 and dimension-2 MS symbols recover
 # the familiar counts: d-1 and d points for c1, and 0, 0, d^2, C(d,2) for c2.
 d = 5
-c1, c2 = chern_taut(TautBundle(n, d))
+c1, c2 = chern_taut(n, d)
 targets1 = [("A", 0, 1), ("B'", 0, 1)]
 targets2 = [("A", 0, 2), ("B'", 0, 2), ("B'", 1, 1), ("C", 1, 1)]
 print(f"pairings for d = {d}:")

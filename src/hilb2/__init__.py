@@ -19,7 +19,7 @@ _EXPORTS = {
         "BasisId", "BasisSymbol", "Family", "GradedClass", "chow_rank", "enumerate_basis",
     ),
     "chern_secant": (
-        "SecantProblem", "TautBundle", "chern_taut", "secant_degree",
+        "SecantProblem", "chern_taut", "secant_degree",
         "secant_degree_mu_closed", "secant_degree_mu_intersection", "secant_oracle",
     ),
     "errors": (
@@ -33,9 +33,8 @@ _EXPORTS = {
         "IdealKind", "MonomialIdealDescriptor", "bb_cell_of", "enumerate_fixed_points",
     ),
     "pairing": (
-        "DEFAULT_CONFIG", "IntersectionMatrix", "PairingConfig", "dual_generator",
-        "effectivity_pairings", "intersection_matrix", "is_effective", "is_nef",
-        "pair_classes", "pair_symbols",
+        "IntersectionMatrix", "dual_generator", "effectivity_pairings",
+        "intersection_matrix", "is_effective", "is_nef", "pair_classes", "pair_symbols",
     ),
     "products": (
         "MonomialSpec", "bprime_top_power", "eval_monomial", "mul_bprime_top",

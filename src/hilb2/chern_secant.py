@@ -1,6 +1,7 @@
 """Tautological Chern classes and degrees of secant varieties.
 
 For the rank-2 tautological bundle of ``O(d)`` on ``P^{n[2]}``,
+``chern_taut(n, d)`` gives
 
     c1 = (d-1) A_{n-1,n}     + C_{n-1,n},
     c2 = C(d,2) B'_{n-1,n-1} + d C_{n-1,n-1},
@@ -35,20 +36,11 @@ from .pairing import pair_classes
 from .products import MonomialSpec, eval_monomial
 
 
-class TautBundle(value_type("TautBundle", "n d")):
-    """The rank-2 tautological bundle of ``O(d)`` on ``P^{n[2]}``."""
-
-    __slots__ = ()
-
-    def __new__(cls, n: int, d: int):
-        require_ambient(n)
-        require_int(d, "line bundle twist", 1)
-        return tuple.__new__(cls, (n, d))
-
-
-def chern_taut(bundle: TautBundle) -> tuple[GradedClass, GradedClass]:
-    """First and second Chern classes of the bundle, in MS coordinates."""
-    n, d = bundle.n, bundle.d
+def chern_taut(n: int, d: int) -> tuple[GradedClass, GradedClass]:
+    """First and second Chern classes of the rank-2 tautological bundle of ``O(d)``
+    on ``P^{n[2]}``, in MS coordinates."""
+    require_ambient(n)
+    require_int(d, "line bundle twist", 1)
     c1 = term(Family.A, n - 1, n, n, d - 1) + term(Family.C, n - 1, n, n, 1)
     c2 = term(Family.BP, n - 1, n - 1, n, comb(d, 2)) + term(Family.C, n - 1, n - 1, n, d)
     return tuple(GradedClass(n, [(BasisSymbol(*key), c) for key, c in terms])

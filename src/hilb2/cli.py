@@ -187,12 +187,12 @@ def _cmd_fixed_points(args):
 
 
 def _cmd_pair(args):
-    from .pairing import PairingConfig, pair_symbols
+    from .pairing import pair_symbols
     from .serialize import parse_symbol, symbol_to_doc
 
     x = parse_symbol(args.x, args.n)
     y = parse_symbol(args.y, args.n)
-    value = pair_symbols(x, y, PairingConfig(args.dprime_diag))
+    value = pair_symbols(x, y, args.dprime_diag)
     result = {
         "n": args.n,
         "x": symbol_to_doc(x),
@@ -205,10 +205,10 @@ def _cmd_pair(args):
 def _cmd_matrix(args):
     import csv
 
-    from .pairing import PairingConfig, intersection_matrix
+    from .pairing import intersection_matrix
     from .serialize import symbol_to_doc
 
-    M = intersection_matrix(args.n, args.k, args.rows, args.cols, PairingConfig(args.dprime_diag))
+    M = intersection_matrix(args.n, args.k, args.rows, args.cols, args.dprime_diag)
     header = [""] + [str(s) for s in M.col_symbols]
     grid = [
         [str(r)] + [str(v) for v in row]
@@ -248,10 +248,10 @@ def _cmd_power(args):
 
 
 def _cmd_chern(args):
-    from .chern_secant import TautBundle, chern_taut
+    from .chern_secant import chern_taut
     from .serialize import emit_class
 
-    c1, c2 = chern_taut(TautBundle(args.n, args.d))
+    c1, c2 = chern_taut(args.n, args.d)
     result = {"n": args.n, "d": args.d, "c1": emit_class(c1), "c2": emit_class(c2)}
     return _Output(result, f"c1 = {c1}\nc2 = {c2}")
 

@@ -6,7 +6,7 @@ pattern.  On complementary indices the nonzero products are
 
     MS x MS:  A.A = A.B' = B'.A = B'.C = C.B' = 1,
               B'.B' = 1  (2 when i = j),
-    ES x MS:  A'.A = configurable positive diagonal (default 1),
+    ES x MS:  A'.A = ap_a_diagonal, pinned down only as positive (default 1),
               B.C  = 2,   C.B' = 1,
 
 and the other seven family pairs against an MS family (A.C, C.A, C.C, A'.B',
@@ -35,7 +35,8 @@ ES symbol; :func:`pair_symbols` is :func:`pair_classes` on one-term classes.
 :func:`intersection_matrix` applies the rule once per row and places the image
 in its columns; an ES row's image is that one key, which labels the row's
 column and gives the diagonal value.  Each routine makes its checks first,
-once per call.
+once per call, the ``int`` diagonal first; the cone tests take MS classes,
+which never meet it, so only the other three routines take it.
 """
 
 from __future__ import annotations
@@ -61,28 +62,10 @@ _A, _AP, _BP, _C = Family.A, Family.AP, Family.BP, Family.C
 _ZERO = Fraction(0)  # the one shared value: every vanishing pairing
 
 
-class PairingConfig(value_type("PairingConfig", "ap_a_diagonal")):
-    """Values for the diagonal entries the duality argument leaves free.
-
-    ``ap_a_diagonal`` is the common value of ``A'_{i,j} . A_{n-j,n-i}``;
-    only its positivity is pinned down, so it is configurable.  Only an ES
-    symbol meets it, so only :func:`pair_symbols`, :func:`pair_classes` and
-    :func:`intersection_matrix` read it; the cone tests take MS classes.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, ap_a_diagonal: int = 1):
-        require_int(ap_a_diagonal, "ap_a_diagonal", 1)
-        return tuple.__new__(cls, (ap_a_diagonal,))
-
-
-DEFAULT_CONFIG = PairingConfig()
-
-
-def _duals(x: BasisSymbol, cfg: PairingConfig) -> list:
+def _duals(x: BasisSymbol, ap_a_diagonal: int = 1) -> list:
     """Rule: ``[((fy, k, l, n), value)]``, one term per MS symbol ``x`` meets at its
-    complementary indices ``(k, l)`` in a nonzero block; the rest pair to zero."""
+    complementary indices ``(k, l)`` in a nonzero block; the rest pair to zero.
+    Only an A' symbol reads ``ap_a_diagonal``."""
     fx, i, j, n = x
     k, l = n - j, n - i
     if fx is _A:
@@ -92,26 +75,23 @@ def _duals(x: BasisSymbol, cfg: PairingConfig) -> list:
     if fx is _C:
         return term(_BP, k, l, n, 1)
     if fx is _AP:
-        return term(_A, k, l, n, cfg.ap_a_diagonal)
+        return term(_A, k, l, n, ap_a_diagonal)
     return term(_C, k, l, n, 1 if i == j == 0 else 2)  # B; B_{0,0} is the point class
 
 
-def pair_symbols(
-    x: BasisSymbol, y: BasisSymbol, cfg: PairingConfig = DEFAULT_CONFIG
-) -> Fraction:
+def pair_symbols(x: BasisSymbol, y: BasisSymbol, ap_a_diagonal: int = 1) -> Fraction:
     """Intersection number of two symbols: :func:`pair_classes` on their one-term classes."""
-    return pair_classes(GradedClass.from_symbol(x), GradedClass.from_symbol(y), cfg)
+    return pair_classes(GradedClass.from_symbol(x), GradedClass.from_symbol(y), ap_a_diagonal)
 
 
-def pair_classes(
-    X: GradedClass, Y: GradedClass, cfg: PairingConfig = DEFAULT_CONFIG
-) -> Fraction:
+def pair_classes(X: GradedClass, Y: GradedClass, ap_a_diagonal: int = 1) -> Fraction:
     """Intersection number of two homogeneous classes of complementary codimension:
     the image of X under the rule :func:`_duals`, dotted with Y's terms.
 
-    Checks, in order: one ambient, a zero factor gives 0, Y's families, then
-    homogeneity and complementarity.
+    Checks, in order: the diagonal, one ambient, a zero factor gives 0, Y's
+    families, then homogeneity and complementarity.
     """
+    require_int(ap_a_diagonal, "ap_a_diagonal", 1)
     if X.n != Y.n:
         raise MixedAmbient(f"classes live on P^{X.n}[2] and P^{Y.n}[2]")
     if X.is_zero or Y.is_zero:
@@ -126,7 +106,7 @@ def pair_classes(
     if cx + cy != 2 * X.n:
         raise NotComplementary(f"codim {cx} + codim {cy} != {2 * X.n}")
     (xs, dx), (ys, dy) = scaled_terms(X), scaled_terms(Y)
-    sums = linear_sum(_duals, xs, cfg)
+    sums = linear_sum(_duals, xs, ap_a_diagonal)
     return Fraction(sum(b * sums.get(y, 0) for y, b in ys), dx * dy)
 
 
@@ -156,7 +136,7 @@ def dual_generator(sym: BasisSymbol) -> BasisSymbol:
     """
     if sym.family not in _ES_FAMILIES:
         raise UnsupportedFamilyPair(f"{sym} is not an ES basis symbol")
-    ((key, _),) = _duals(sym, DEFAULT_CONFIG)
+    ((key, _),) = _duals(sym)
     return BasisSymbol(*key)
 
 
@@ -165,7 +145,7 @@ def intersection_matrix(
     k: int,
     rows: Union[BasisId, str] = BasisId.ES,
     cols: Union[BasisId, str] = BasisId.MS,
-    cfg: PairingConfig = DEFAULT_CONFIG,
+    ap_a_diagonal: int = 1,
 ) -> IntersectionMatrix:
     """Pairing matrix of the dimension-k ``rows`` basis against the
     codimension-k ``cols`` basis.
@@ -175,13 +155,14 @@ def intersection_matrix(
     rows (a permutation of the canonical codimension-k enumeration), which
     is the order in which the matrix is literally diagonal.
     """
+    require_int(ap_a_diagonal, "ap_a_diagonal", 1)
     rows, cols = as_basis(rows), as_basis(cols)
     if (rows, cols) not in ((BasisId.ES, BasisId.MS), (BasisId.MS, BasisId.MS)):
         raise UnsupportedBasisPair(f"no intersection matrix for ({rows.value}, {cols.value})")
     require_ambient(n)
     require_grading(k, n)
     row_syms = tuple(enumerate_basis(n, rows, dim=k))
-    images = [_duals(r, cfg) for r in row_syms]
+    images = [_duals(r, ap_a_diagonal) for r in row_syms]
     if rows is BasisId.ES:  # one term per image: its key labels the column, the matrix is diagonal
         col_syms = tuple(BasisSymbol(*key) for ((key, _),) in images)
     else:
@@ -234,7 +215,7 @@ def is_effective(X: GradedClass, k: int | None = None) -> bool:
     dim = X.dimension()  # raises NotHomogeneous
     if k is not None and k != dim:
         raise InvalidInput(f"class has dimension {dim}, not {k}")
-    return all(v >= 0 for v in linear_sum(_duals, scaled_terms(X)[0], DEFAULT_CONFIG).values())
+    return all(v >= 0 for v in linear_sum(_duals, scaled_terms(X)[0]).values())
 
 
 def effectivity_pairings(X: GradedClass) -> list[tuple[BasisSymbol, Fraction]]:
@@ -244,5 +225,5 @@ def effectivity_pairings(X: GradedClass) -> list[tuple[BasisSymbol, Fraction]]:
     _require_ms(X, "effectivity_pairings")
     generators = enumerate_basis(X.n, BasisId.MS, codim=X.dimension())
     terms, d = scaled_terms(X)
-    sums = linear_sum(_duals, terms, DEFAULT_CONFIG)  # numerators over d, keyed by generator
+    sums = linear_sum(_duals, terms)  # numerators over d, keyed by generator
     return [(g, _ZERO if (v := sums.get(g)) is None else Fraction(v, d)) for g in generators]

@@ -17,7 +17,6 @@ from hilb2 import (
     InvalidInput,
     MonomialSpec,
     SecantProblem,
-    TautBundle,
     bb_cell_of,
     bprime_top_power,
     chern_taut,
@@ -101,7 +100,7 @@ def test_criterion_3_tautological_pairing_table():
         ]
         for n in range(2, 9):
             for d in range(1, 7):
-                c1, c2 = chern_taut(TautBundle(n, d))
+                c1, c2 = chern_taut(n, d)
                 for (fam, i, j), which, expect in targets:
                     if fam == "B'" and j > n - 1:
                         continue  # absent symbol at n = 2, not a zero entry

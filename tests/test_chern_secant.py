@@ -9,7 +9,6 @@ from hilb2 import (
     GradedClass,
     InvalidInput,
     SecantProblem,
-    TautBundle,
     chern_taut,
     pair_classes,
     secant_degree,
@@ -42,30 +41,35 @@ def curve_secant_count(n, degrees):
 
 
 def test_chern_examples():
-    c1, c2 = chern_taut(TautBundle(3, 2))
+    c1, c2 = chern_taut(3, 2)
     assert c1 == cls((1, S("A", 2, 3, 3)), (1, S("C", 2, 3, 3)))
     assert c2 == cls((1, S("B'", 2, 2, 3)), (2, S("C", 2, 2, 3)))
 
-    c1, c2 = chern_taut(TautBundle(2, 1))
+    c1, c2 = chern_taut(2, 1)
     assert c1 == GradedClass.from_symbol(S("C", 1, 2, 2))
     assert c2 == GradedClass.from_symbol(S("C", 1, 1, 2))
 
-    c1, c2 = chern_taut(TautBundle(1, 3))
+    c1, c2 = chern_taut(1, 3)
     assert c1 == cls((2, S("A", 0, 1, 1)))
     assert c2 == cls((3, S("B'", 0, 0, 1)))
 
 
 def test_chern_validation():
-    with pytest.raises(InvalidInput):
-        TautBundle(0, 2)
-    with pytest.raises(InvalidInput):
-        TautBundle(3, 0)
+    # n first, then the twist, with the messages of the one integer check
+    for args, message in (((0, 2), "ambient dimension must be an integer >= 1, got 0"),
+                          ((0, 0), "ambient dimension must be an integer >= 1, got 0"),
+                          ((3, 0), "line bundle twist must be an integer >= 1, got 0"),
+                          ((3, True), "line bundle twist must be an integer >= 1, got True"),
+                          ((3, 2.0), "line bundle twist must be an integer >= 1, got 2.0")):
+        with pytest.raises(InvalidInput) as info:
+            chern_taut(*args)
+        assert str(info.value) == message, args
 
 
 def test_chern_gradings():
     for n in range(1, 7):
         for d in range(1, 5):
-            c1, c2 = chern_taut(TautBundle(n, d))
+            c1, c2 = chern_taut(n, d)
             if not c1.is_zero:
                 assert c1.codimension() == 1
             if not c2.is_zero:
@@ -86,7 +90,7 @@ TABLE3 = [
 def test_tautological_pairings_table():
     for n in range(2, 9):
         for d in range(1, 7):
-            c1, c2 = chern_taut(TautBundle(n, d))
+            c1, c2 = chern_taut(n, d)
             for (fam, i, j), which, expect in TABLE3:
                 if fam == "B'" and j > n - 1:
                     continue  # B'_{0,2} does not exist when n = 2

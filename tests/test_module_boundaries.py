@@ -1,5 +1,6 @@
 """Modules of the package reach one another through public names only, no
-module imports a name it never uses, and one helper checks integer arguments.
+module imports a name it never uses or keeps a private name it never reads,
+and one helper checks integer arguments.
 
 A module that imports another module's private name (``from .x import _y``)
 couples itself to a detail that module may change; a public function that
@@ -107,3 +108,49 @@ def test_the_integer_message_scan_sees_a_hand_written_check(tmp_path):
         "    return f'{k} outside [1, {n}]'\n"
     )
     assert list(integer_messages(module)) == [("sample.py", "check", 3), ("sample.py", "check", 5)]
+
+
+
+def private_bindings(path):
+    """``(name, read)`` for each private name (``_x``, not a dunder) a module
+    binds at its top level, and whether the module reads it anywhere."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound += [name.id for target in targets for name in ast.walk(target)
+                      if isinstance(name, ast.Name)]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [(name, name in read) for name in bound
+            if name.startswith("_") and not name.endswith("__")]
+
+
+def test_every_private_module_name_is_read_in_its_module():
+    # A private helper that nothing in its module reads is one a removal left behind.
+    bindings = [(path.name, name, read) for path in sorted(SRC.glob("*.py"))
+                for name, read in private_bindings(path)]
+    assert len(bindings) >= 40
+    assert [(module, name) for module, name, read in bindings if not read] == []
+
+
+def test_the_unread_private_name_scan_sees_a_left_over_helper(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "_USED, _LEFT = 1, 2\n"
+        "__version__ = '0'\n"
+        "_typed: int = 3\n"
+        "def _helper():\n"
+        "    return _USED\n"
+        "def public():\n"
+        "    _local = 4\n"
+        "    return _local\n"
+        "class _Gone:\n"
+        "    pass\n"
+    )
+    assert private_bindings(module) == [
+        ("_USED", True), ("_LEFT", False), ("_typed", False), ("_helper", False),
+        ("_Gone", False)]

@@ -139,9 +139,9 @@ def test_es_ms_matrix_applies_the_rule_once_per_row(monkeypatch):
     calls = []
     real = pairing._duals
 
-    def counting(x, cfg):
+    def counting(x, *diagonal):
         calls.append(x)
-        return real(x, cfg)
+        return real(x, *diagonal)
 
     monkeypatch.setattr(pairing, "_duals", counting)
     for k in range(2 * 5 + 1):

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from hilb2 import (
-    DEFAULT_CONFIG,
     BasisSymbol,
     GradedClass,
     Hilb2Error,
@@ -13,7 +12,6 @@ from hilb2 import (
     MixedAmbient,
     NotComplementary,
     NotHomogeneous,
-    PairingConfig,
     UnsupportedBasisPair,
     UnsupportedFamilyPair,
     WrongBasis,
@@ -43,7 +41,7 @@ NONZERO_VALUE = {
     ("B'", "A"): 1,
     ("B'", "C"): 1,
     ("C", "B'"): 1,
-    ("A'", "A"): "cfg",
+    ("A'", "A"): "diagonal",
     ("B", "C"): 2,
 }
 ZERO_BLOCKS = {
@@ -68,7 +66,10 @@ def expected_value(x, y, ap_a=1):
     if key in ZERO_BLOCKS:
         return 0
     v = NONZERO_VALUE[key]
-    return ap_a if v == "cfg" else v
+    return ap_a if v == "diagonal" else v
+
+
+DIAGONALS = (1, 3)  # the default and a value no other entry takes
 
 
 def test_pair_symbols_examples():
@@ -88,14 +89,40 @@ def test_pair_symbols_examples():
 
 
 def test_pair_symbols_configurable_diagonal():
-    cfg = PairingConfig(ap_a_diagonal=5)
-    assert pair_symbols(S("A'", 0, 2, 2), S("A", 0, 2, 2), cfg) == 5
+    assert pair_symbols(S("A'", 0, 2, 2), S("A", 0, 2, 2), 5) == 5
+    assert pair_symbols(S("A'", 0, 2, 2), S("A", 0, 2, 2), ap_a_diagonal=5) == 5
     assert pair_symbols(S("A'", 0, 2, 2), S("A", 0, 2, 2)) == 1
 
 
+# The diagonal is checked first, by every function that takes it, whatever
+# the classes: MS-only input never reads it, an A' term does.
+BAD_DIAGONALS = (0, -1, True, 1.0, "3", None)
+_MS_PAIR = (S("A", 0, 3, 3), S("A", 0, 3, 3))
+_AP_PAIR = (S("A'", 0, 3, 3), S("A", 0, 3, 3))
+DIAGONAL_CALLS = {
+    "pair_symbols MS": lambda d: pair_symbols(*_MS_PAIR, d),
+    "pair_symbols A'": lambda d: pair_symbols(*_AP_PAIR, d),
+    "pair_classes MS": lambda d: pair_classes(*map(GradedClass.from_symbol, _MS_PAIR), d),
+    "pair_classes A'": lambda d: pair_classes(*map(GradedClass.from_symbol, _AP_PAIR), d),
+    "intersection_matrix MS": lambda d: intersection_matrix(3, 2, "MS", "MS", d),
+    "intersection_matrix ES": lambda d: intersection_matrix(3, 2, "ES", "MS", d),
+}
+
+
 def test_pairing_config_validation():
-    with pytest.raises(InvalidInput):
-        PairingConfig(ap_a_diagonal=0)
+    for name, call in DIAGONAL_CALLS.items():
+        for bad in BAD_DIAGONALS:
+            with pytest.raises(InvalidInput) as info:
+                call(bad)
+            assert str(info.value) == f"ap_a_diagonal must be an integer >= 1, got {bad!r}", name
+        call(2)
+
+
+def test_the_diagonal_is_checked_before_the_classes():
+    with pytest.raises(InvalidInput, match="^ap_a_diagonal"):
+        pair_classes(GradedClass(2), GradedClass(3), 0)  # not MixedAmbient
+    with pytest.raises(InvalidInput, match="^ap_a_diagonal"):
+        intersection_matrix(0, 9, "ES", "ES", 0)  # not the basis pair, the ambient or the grading
 
 
 def test_pair_symbols_errors():
@@ -128,13 +155,13 @@ def test_pair_symbols_is_pair_classes_on_one_term_classes():
     # Every ordered pair of symbols of the five families, on one ambient and
     # on two: the same value or the same error, in pair_symbols' check order
     # (ambient, the second factor's family, complementarity).
-    for cfg in (DEFAULT_CONFIG, PairingConfig(3)):
+    for diagonal in DIAGONALS:
         for n in range(1, 5):
             for x in every_symbol(n):
                 for y in every_symbol(n) + every_symbol(n + 1):
-                    got = outcome(lambda: pair_symbols(x, y, cfg))
+                    got = outcome(lambda: pair_symbols(x, y, diagonal))
                     assert got == outcome(lambda: pair_classes(
-                        GradedClass.from_symbol(x), GradedClass.from_symbol(y), cfg)), (x, y)
+                        GradedClass.from_symbol(x), GradedClass.from_symbol(y), diagonal)), (x, y)
                     if x.n != y.n:
                         assert got[0] is MixedAmbient, (x, y)
                     elif y.family.value in ("A'", "B"):
@@ -143,7 +170,7 @@ def test_pair_symbols_is_pair_classes_on_one_term_classes():
                     elif x.codimension + y.codimension != 2 * n:
                         assert got[0] is NotComplementary, (x, y)
                     else:
-                        assert got == (Fraction, expected_value(x, y, cfg.ap_a_diagonal)), (x, y)
+                        assert got == (Fraction, expected_value(x, y, diagonal)), (x, y)
 
 
 def all_supported_pairs(n):
@@ -156,12 +183,12 @@ def all_supported_pairs(n):
 
 
 def test_zero_pattern_and_values_small_n():
-    for cfg in (DEFAULT_CONFIG, PairingConfig(3)):
+    for diagonal in DIAGONALS:
         for n in range(1, 7):
             for x, y in all_supported_pairs(n):
-                v = pair_symbols(x, y, cfg)
+                v = pair_symbols(x, y, diagonal)
                 assert type(v) is Fraction, (str(x), str(y))
-                assert v == expected_value(x, y, cfg.ap_a_diagonal), (str(x), str(y), cfg)
+                assert v == expected_value(x, y, diagonal), (str(x), str(y), diagonal)
 
 
 def test_pair_symbols_symmetric_where_both_orders_supported():
@@ -262,8 +289,7 @@ def test_es_ms_duality_small_n():
 
 
 def test_es_ms_diagonal_uses_config():
-    cfg = PairingConfig(ap_a_diagonal=7)
-    M = intersection_matrix(3, 2, cfg=cfg)
+    M = intersection_matrix(3, 2, ap_a_diagonal=7)
     diag = {str(r): M.entries[idx][idx] for idx, r in enumerate(M.row_symbols)}
     assert diag["A'_{0,2}"] == 7
     # B rows pair to 2, C rows to 1 regardless of the configurable block
@@ -371,24 +397,24 @@ def test_cone_sanity():
 # replace.  They visit every term pair, so they need no partner lookup.
 
 
-def dense_pair_classes(X, Y, cfg=PairingConfig()):
+def dense_pair_classes(X, Y, diagonal=1):
     total = Fraction(0)
     for sx, a in X.items():
         for sy, b in Y.items():
-            total += a * b * pair_symbols(sx, sy, cfg)
+            total += a * b * pair_symbols(sx, sy, diagonal)
     return total
 
 
-def dense_effectivity(X, cfg=PairingConfig()):
+def dense_effectivity(X, diagonal=1):
     return [
-        (y, sum((a * pair_symbols(x, y, cfg) for x, a in X.items()), Fraction(0)))
+        (y, sum((a * pair_symbols(x, y, diagonal) for x, a in X.items()), Fraction(0)))
         for y in enumerate_basis(X.n, "MS", codim=X.dimension())
     ]
 
 
-def dense_entries(M, cfg):
+def dense_entries(M, diagonal):
     return tuple(
-        tuple(pair_symbols(r, c, cfg) for c in M.col_symbols) for r in M.row_symbols
+        tuple(pair_symbols(r, c, diagonal) for c in M.col_symbols) for r in M.row_symbols
     )
 
 
@@ -400,7 +426,6 @@ def random_combination(rng, symbols):
     )
 
 
-CONFIGS = (PairingConfig(1), PairingConfig(3))
 
 
 def test_sparse_pair_classes_matches_dense_oracle():
@@ -410,11 +435,11 @@ def test_sparse_pair_classes_matches_dense_oracle():
             ms_codim_k = enumerate_basis(n, "MS", codim=k)
             for first in ("MS", "ES"):
                 dim_k = enumerate_basis(n, first, dim=k)
-                for cfg in CONFIGS:
+                for diagonal in DIAGONALS:
                     for _ in range(3):
                         X = random_combination(rng, dim_k)
                         Y = random_combination(rng, ms_codim_k)
-                        assert pair_classes(X, Y, cfg) == dense_pair_classes(X, Y, cfg), (
+                        assert pair_classes(X, Y, diagonal) == dense_pair_classes(X, Y, diagonal), (
                             n, k, str(X), str(Y))
 
 
@@ -429,10 +454,10 @@ def test_pair_classes_is_bilinear():
         X1, X2 = random_combination(rng, dim_k), random_combination(rng, dim_k)
         Y1, Y2 = random_combination(rng, codim_k), random_combination(rng, codim_k)
         a, b = Fraction(rng.randint(-5, 5), rng.randint(1, 5)), Fraction(rng.randint(-5, 5), 3)
-        cfg = rng.choice(CONFIGS)
+        diagonal = rng.choice(DIAGONALS)
 
         def pair(X, Y):
-            return pair_classes(X, Y, cfg)
+            return pair_classes(X, Y, diagonal)
 
         assert pair(a * X1 + b * X2, Y1) == a * pair(X1, Y1) + b * pair(X2, Y1), (n, k)
         assert pair(X1, a * Y1 + b * Y2) == a * pair(X1, Y1) + b * pair(X1, Y2), (n, k)
@@ -488,9 +513,9 @@ def test_sparse_effectivity_pairings_matches_dense_oracle():
                 if X.is_zero:
                     continue
                 got, member = effectivity_pairings(X), is_effective(X, k)
-                for cfg in CONFIGS:  # no MS x MS value is free: one answer for every config
-                    want = dense_effectivity(X, cfg)
-                    assert got == want, (n, k, str(X), cfg)
+                for diagonal in DIAGONALS:  # no MS x MS value is free: one answer for each
+                    want = dense_effectivity(X, diagonal)
+                    assert got == want, (n, k, str(X), diagonal)
                     assert member == all(v >= 0 for _, v in want)
 
 
@@ -498,9 +523,9 @@ def test_sparse_intersection_matrix_matches_dense_oracle():
     for n in range(1, 8):
         for k in range(0, 2 * n + 1):
             for rows in ("ES", "MS"):
-                for cfg in CONFIGS:
-                    M = intersection_matrix(n, k, rows, "MS", cfg)
-                    assert M.entries == dense_entries(M, cfg), (n, k, rows)
+                for diagonal in DIAGONALS:
+                    M = intersection_matrix(n, k, rows, "MS", diagonal)
+                    assert M.entries == dense_entries(M, diagonal), (n, k, rows)
 
 
 def count_rule_terms(monkeypatch):
@@ -513,8 +538,8 @@ def count_rule_terms(monkeypatch):
     sizes = []
     real = pairing._duals
 
-    def counting(x, cfg):
-        image = real(x, cfg)
+    def counting(x, *diagonal):
+        image = real(x, *diagonal)
         assert len(image) <= 3, (str(x), image)
         sizes.append(len(image))
         return image
@@ -553,9 +578,9 @@ def test_every_pairing_routine_reaches_the_one_rule(monkeypatch):
     calls = []
     real = pairing._duals
 
-    def counting(x, cfg):
+    def counting(x, *diagonal):
         calls.append(x)
-        return real(x, cfg)
+        return real(x, *diagonal)
 
     monkeypatch.setattr(pairing, "_duals", counting)
     n = 4
@@ -627,18 +652,19 @@ def test_common_denominator_pairings_match_dense_oracles():
                 X = wide_combination(rng, ms_dim_k)
                 Y = wide_combination(rng, ms_codim_k)
                 E = wide_combination(rng, es_dim_k)
-                for cfg in CONFIGS:
-                    assert pair_classes(X, Y, cfg) == dense_pair_classes(X, Y, cfg), (n, k)
-                    assert pair_classes(E, Y, cfg) == dense_pair_classes(E, Y, cfg), (n, k)
-                    assert type(pair_classes(X, Y, cfg)) is Fraction
+                for diagonal in DIAGONALS:
+                    for first in (X, E):
+                        want = dense_pair_classes(first, Y, diagonal)
+                        assert pair_classes(first, Y, diagonal) == want, (n, k)
+                    assert type(pair_classes(X, Y, diagonal)) is Fraction
                 for Z in (X, absolute(X)):
                     if Z.is_zero:
                         continue
                     got, member = effectivity_pairings(Z), is_effective(Z, k)
                     assert all(type(v) is Fraction for _, v in got)
-                    for cfg in CONFIGS:  # no MS x MS value is free: one answer for every config
-                        want = dense_effectivity(Z, cfg)
-                        assert got == want, (n, k, str(Z), cfg)
+                    for diagonal in DIAGONALS:  # no MS x MS value is free: one answer for each
+                        want = dense_effectivity(Z, diagonal)
+                        assert got == want, (n, k, str(Z), diagonal)
                         assert member == all(v >= 0 for _, v in want)
 
 

@@ -1,4 +1,4 @@
-"""The seven value classes are immutable named tuples.  All but
+"""The five value classes are immutable named tuples.  All but
 ``IntersectionMatrix``, a result record that ``intersection_matrix`` builds,
 validate on every construction path: the constructor, ``_replace``,
 ``copy`` and ``pickle``.  They unpack, index and compare equal to a plain
@@ -23,28 +23,28 @@ from hilb2 import (
     InvalidInput,
     MonomialIdealDescriptor,
     MonomialSpec,
-    PairingConfig,
     SecantProblem,
-    TautBundle,
     ValidationError,
     bprime_top_power,
+    chern_taut,
     chow_rank,
     enumerate_basis,
     intersection_matrix,
     is_effective,
     is_nef,
+    pair_classes,
+    pair_symbols,
     parse_class,
     parse_symbol,
     secant_oracle,
 )
+from hilb2.cli import EXIT_VALIDATION, run_command
 
 # class -> (a valid instance, fields that fail validation, the error they raise)
 CASES = {
     BasisSymbol: (lambda: BasisSymbol(Family.BP, 1, 1, 2), (Family.BP, 1, 5, 2), InvalidIndex),
     MonomialSpec: (lambda: MonomialSpec(3, 1, 1), (3, 2, 2), InvalidInput),
-    PairingConfig: (lambda: PairingConfig(2), (0,), InvalidInput),
     IntersectionMatrix: (lambda: intersection_matrix(2, 2), None, None),
-    TautBundle: (lambda: TautBundle(3, 2), (3, 0), InvalidInput),
     SecantProblem: (lambda: SecantProblem(5, [2, 2, 3]), (5, (2,), 0), InvalidInput),
     MonomialIdealDescriptor: (
         lambda: MonomialIdealDescriptor(IdealKind.K, 0, 2, 2), (IdealKind.K, 2, 0, 2), InvalidIndex,
@@ -126,6 +126,49 @@ def test_every_construction_path_validates(cls):
         pickle.loads(pickle.dumps(forged))
 
 
+_AP_A = (BasisSymbol(Family.AP, 0, 2, 2), BasisSymbol(Family.A, 0, 2, 2))
+_PAIR_ARGS = ["pair", "--n", "2", "--x", '{"family":"A\'","i":0,"j":2}',
+              "--y", '{"family":"A","i":0,"j":2}']
+# The pairing diagonal and the twist are plain arguments: every path that
+# passes one in (positional, keyword, command line) refuses the same value
+# with the same message.  Each path is a call with the value to pass.
+CALL_PATHS = {
+    "ap_a_diagonal": (0, "ap_a_diagonal must be an integer >= 1, got 0", [
+        lambda d: pair_symbols(*_AP_A, d),
+        lambda d: pair_symbols(*_AP_A, ap_a_diagonal=d),
+        lambda d: pair_classes(*map(GradedClass.from_symbol, _AP_A), d),
+        lambda d: pair_classes(*map(GradedClass.from_symbol, _AP_A), ap_a_diagonal=d),
+        lambda d: intersection_matrix(2, 2, "ES", "MS", d),
+        lambda d: intersection_matrix(2, 2, ap_a_diagonal=d),
+        lambda d: _cli(["--dprime-diag", str(d), *_PAIR_ARGS]),
+        lambda d: _cli(["--dprime-diag", str(d), "matrix", "--n", "2", "--k", "2"]),
+    ]),
+    "twist": (0, "line bundle twist must be an integer >= 1, got 0", [
+        lambda d: chern_taut(3, d),
+        lambda d: chern_taut(n=3, d=d),
+        lambda d: _cli(["chern", "--n", "3", "--d", str(d)]),
+    ]),
+}
+
+
+def _cli(argv):
+    code, text = run_command(argv)
+    if code == EXIT_VALIDATION:
+        raise InvalidInput(text.removeprefix("error: "))
+    assert code == 0, text
+    return text
+
+
+@pytest.mark.parametrize("name", CALL_PATHS)
+def test_every_call_path_validates(name):
+    bad, message, paths = CALL_PATHS[name]
+    for call in paths:
+        with pytest.raises(InvalidInput) as info:
+            call(bad)
+        assert str(info.value) == message
+        call(2)
+
+
 def test_value_classes_are_tuples_of_their_fields():
     sym = BasisSymbol(Family.C, 1, 2, 2)
     family, i, j, n = sym
@@ -142,7 +185,6 @@ def test_basis_symbol_repr_is_unchanged():
 
 def test_reprs_name_their_fields():
     assert repr(MonomialSpec(3, 1, 0)) == "MonomialSpec(n=3, a=1, b=0)"
-    assert repr(PairingConfig()) == "PairingConfig(ap_a_diagonal=1)"
     assert repr(SecantProblem(5, [2, 2])) == "SecantProblem(n=5, degrees=(2, 2), mu1=1)"
 
 
@@ -165,7 +207,8 @@ def test_secant_problem_stores_degrees_as_a_tuple():
 
 # One integer slot of a constructor or entry point each, as a function of the
 # value put there; every other argument is valid.
-_POINT = GradedClass.from_symbol(BasisSymbol(Family.BP, 0, 0, 2))
+_POINT_SYMBOL, _TOP_SYMBOL = BasisSymbol(Family.BP, 0, 0, 2), BasisSymbol(Family.C, 2, 2, 2)
+_POINT, _TOP = GradedClass.from_symbol(_POINT_SYMBOL), GradedClass.from_symbol(_TOP_SYMBOL)
 INTEGER_SLOTS = {
     "chow_rank n": lambda x: chow_rank(x, 0),
     "chow_rank k": lambda x: chow_rank(2, x),
@@ -182,13 +225,15 @@ INTEGER_SLOTS = {
     "MonomialSpec b": lambda x: MonomialSpec(2, 1, x),
     "bprime_top_power n": lambda x: bprime_top_power(x, 1),
     "bprime_top_power k": lambda x: bprime_top_power(2, x),
-    "TautBundle n": lambda x: TautBundle(x, 2),
-    "TautBundle d": lambda x: TautBundle(2, x),
+    "chern_taut n": lambda x: chern_taut(x, 2),
+    "chern_taut d": lambda x: chern_taut(2, x),
     "SecantProblem n": lambda x: SecantProblem(x, (2,)),
     "SecantProblem degree": lambda x: SecantProblem(5, (2, x)),
     "SecantProblem mu1": lambda x: SecantProblem(5, (2, 2), mu1=x),
     "secant_oracle degree": lambda x: secant_oracle(5, (2, x)),
-    "PairingConfig": lambda x: PairingConfig(x),
+    "pair_symbols ap_a_diagonal": lambda x: pair_symbols(_POINT_SYMBOL, _TOP_SYMBOL, x),
+    "pair_classes ap_a_diagonal": lambda x: pair_classes(_POINT, _TOP, x),
+    "intersection_matrix ap_a_diagonal": lambda x: intersection_matrix(2, 1, "ES", "MS", x),
     "intersection_matrix n": lambda x: intersection_matrix(x, 1),
     "intersection_matrix k": lambda x: intersection_matrix(2, x),
     "is_nef k": lambda x: is_nef(_POINT, x),
