@@ -15,8 +15,8 @@ with the C terms out of range (zero) when n = 1.  For a complete intersection
 
 where S runs over subsets of {1..n-m}.  Two independent evaluation paths are
 provided: the closed formula above, and the intersection-theoretic route
-that expands ``prod c2(O(d_i))`` into monomials ``B'^k C^{n-m-k}``,
-evaluates them with the product engine and pairs against ``C_{n-2m,n}``.
+that reads one integer weight vector per ``(n, m)`` for the monomials ``B'^k C^{n-m-k}``
+of ``prod c2(O(d_i))``, each evaluated with the product engine and paired with ``C_{n-2m,n}``.
 The library states only the ``2^(k-1)`` exponent, which the classical oracles
 select; the ``intro`` variant ``2^(k-1-m)``, the closed sum shifted right by
 m, is a foil that ``hilb2 secant --variant intro`` applies and a regression
@@ -29,6 +29,7 @@ import functools
 from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
+from operator import mul
 
 from .chow import BasisSymbol, Family, GradedClass, require_ambient, require_int, term, value_type
 from .errors import InvalidInput
@@ -106,32 +107,30 @@ def secant_degree_mu_closed(p: SecantProblem) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _monomial_weight(n: int, m: int, k: int) -> Fraction:
-    """Pairing of ``B'^k C^{n-m-k}`` against ``C_{n-2m,n}`` (cached)."""
+def _monomial_weights(n: int, m: int) -> tuple[int, ...]:
+    """Entry k: the pairing of ``B'^k C^{n-m-k}`` with ``C_{n-2m,n}``, one
+    vector per ``(n, m)``.  Entry 0, the pure C power, pairs to zero."""
     target = GradedClass.from_symbol(BasisSymbol(Family.C, n - 2 * m, n, n))
-    return pair_classes(eval_monomial(MonomialSpec(n, k, n - m - k)), target)
+    weights = [pair_classes(eval_monomial(MonomialSpec(n, k, n - m - k)), target)
+               for k in range(1, n - m + 1)]
+    if any(w.denominator != 1 for w in weights):
+        raise AssertionError(f"monomial weights {weights} are not all integers")
+    return (0, *map(int, weights))
 
 
 def secant_degree_mu_intersection(p: SecantProblem) -> int:
     """``deg(Sec X) * mu1`` by intersection on the Hilbert scheme.
 
     Expands ``prod_i c2(O(d_i))`` by convolution into coefficients of the
-    monomials ``B'^k C^{n-m-k}``, evaluates each monomial with k >= 1 through
-    the product engine, and pairs the results with ``C_{n-2m,n}``.  The k = 0
-    monomial is a pure C power; it pairs to zero and is skipped.
+    monomials ``B'^k C^{n-m-k}`` and dots them with the integer weight vector
+    of ``(n, m)``: each monomial with k >= 1 evaluated once through the
+    product engine and paired with ``C_{n-2m,n}``.
     """
     _require_expected_dimension(p)
-    n, m = p.n, p.m
     coeffs = [1]  # coeffs[k] = sum over |S|=k of prod C(d_j,2) * prod d_l
     for d in p.degrees:  # coeffs[k] * d + coeffs[k-1] * C(d,2), each out of range 0
         coeffs = [a * d + b * comb(d, 2) for a, b in zip(coeffs + [0], [0] + coeffs)]
-    total = Fraction(0)
-    for k in range(1, len(coeffs)):
-        if coeffs[k]:
-            total += coeffs[k] * _monomial_weight(n, m, k)
-    if total.denominator != 1:
-        raise AssertionError(f"intersection number {total} is not an integer")
-    return int(total)
+    return sum(map(mul, coeffs, _monomial_weights(p.n, p.m)))
 
 
 def secant_oracle(n: int, degrees) -> int | None:

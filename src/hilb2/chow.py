@@ -254,7 +254,8 @@ class GradedClass:
 
     @classmethod
     def from_symbol(cls, sym: BasisSymbol, coeff=1) -> "GradedClass":
-        return cls(sym.n, [(sym, coeff)])
+        # A non-symbol has no ambient of its own: the constructor's key check refuses it.
+        return cls(sym.n if isinstance(sym, BasisSymbol) else 1, [(sym, coeff)])
 
     def items(self) -> tuple[tuple[BasisSymbol, Fraction], ...]:
         """Terms in canonical order."""

@@ -337,9 +337,9 @@ def run_command(argv) -> tuple[int, str]:
         with contextlib.redirect_stdout(help_text):
             _build_parser().parse_args(rest, args)
         require_int(args.dprime_diag, "ap_a_diagonal", 1)
-        out = _HANDLERS[args.command](args)
-        if args.format == "csv" and out.csv is None:
+        if args.format == "csv" and args.command != "matrix":  # before any work
             raise InvalidInput("csv format is available for the matrix command only")
+        out = _HANDLERS[args.command](args)
         code, body = EXIT_OK, {"result": out.result}
         if out.warnings:
             body["warnings"] = out.warnings

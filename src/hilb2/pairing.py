@@ -81,6 +81,7 @@ def _duals(x: BasisSymbol, ap_a_diagonal: int = 1) -> list:
 
 def pair_symbols(x: BasisSymbol, y: BasisSymbol, ap_a_diagonal: int = 1) -> Fraction:
     """Intersection number of two symbols: :func:`pair_classes` on their one-term classes."""
+    require_int(ap_a_diagonal, "ap_a_diagonal", 1)  # first, as in pair_classes
     return pair_classes(GradedClass.from_symbol(x), GradedClass.from_symbol(y), ap_a_diagonal)
 
 
@@ -88,10 +89,12 @@ def pair_classes(X: GradedClass, Y: GradedClass, ap_a_diagonal: int = 1) -> Frac
     """Intersection number of two homogeneous classes of complementary codimension:
     the image of X under the rule :func:`_duals`, dotted with Y's terms.
 
-    Checks, in order: the diagonal, one ambient, a zero factor gives 0, Y's
-    families, then homogeneity and complementarity.
+    Checks, in order: the diagonal, two classes, one ambient, a zero factor
+    gives 0, Y's families, then homogeneity and complementarity.
     """
     require_int(ap_a_diagonal, "ap_a_diagonal", 1)
+    if not (isinstance(X, GradedClass) and isinstance(Y, GradedClass)):
+        raise InvalidInput(f"pair_classes takes two GradedClass operands, got {X!r} and {Y!r}")
     if X.n != Y.n:
         raise MixedAmbient(f"classes live on P^{X.n}[2] and P^{Y.n}[2]")
     if X.is_zero or Y.is_zero:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product as cartesian
 from math import comb, prod
@@ -8,14 +9,18 @@ from hilb2 import (
     BasisSymbol,
     GradedClass,
     InvalidInput,
+    MonomialSpec,
     SecantProblem,
     chern_taut,
+    eval_monomial,
     pair_classes,
     secant_degree,
     secant_degree_mu_closed,
     secant_degree_mu_intersection,
     secant_oracle,
 )
+from hilb2 import chern_secant
+from hilb2.chern_secant import _monomial_weights
 from hilb2.cli import run_command
 
 S = BasisSymbol
@@ -152,6 +157,59 @@ def test_path_equivalence_sample():
     ]:
         p = SecantProblem(n, degrees)
         assert secant_degree_mu_intersection(p) == secant_degree_mu_closed(p), (n, degrees)
+
+
+def test_monomial_weights_are_ints():
+    # every 2m+1 < n: entry k is 2^(k-1) above m and 0 up to m, entry 0 included
+    for n in range(2, 13):
+        for m in range((n - 2) // 2 + 1):
+            weights = _monomial_weights(n, m)
+            assert {type(w) for w in weights} == {int}, (n, m)
+            assert weights == tuple(2 ** (k - 1) if k > m else 0 for k in range(n - m + 1)), (n, m)
+
+
+def test_each_n_m_is_one_cache_entry_built_once(monkeypatch):
+    evaluated = []
+
+    def counting(spec):
+        evaluated.append(spec)
+        return eval_monomial(spec)
+
+    monkeypatch.setattr(chern_secant, "eval_monomial", counting)
+    _monomial_weights.cache_clear()
+    n, m = 14, 3
+    all_quadrics = 2 ** 10 * sum(comb(11, k) for k in range(m + 1, 12))  # C(2,2) = 1
+    assert secant_degree_mu_intersection(SecantProblem(n, [2] * (n - m))) == all_quadrics
+    assert _monomial_weights.cache_info().currsize == 1  # not n - m entries
+    assert evaluated == [MonomialSpec(n, k, n - m - k) for k in range(1, n - m + 1)]
+    p = SecantProblem(n, [3, 1] * 5 + [5])
+    assert secant_degree_mu_intersection(p) == secant_degree_mu_closed(p)
+    assert len(evaluated) == n - m  # the second call evaluates none
+    assert _monomial_weights.cache_info().currsize == 1
+    secant_degree_mu_intersection(SecantProblem(n, [2] * (n - m - 1)))  # a new (n, m)
+    assert _monomial_weights.cache_info().currsize == 2
+
+
+def test_a_fractional_weight_fails_when_the_vector_is_built(monkeypatch):
+    monkeypatch.setattr(chern_secant, "pair_classes", lambda X, Y: Fraction(1, 2))
+    _monomial_weights.cache_clear()
+    with pytest.raises(AssertionError, match="not all integers"):
+        secant_degree_mu_intersection(SecantProblem(5, (2, 2, 2, 2)))
+    assert _monomial_weights.cache_info().currsize == 0
+
+
+def test_intersection_route_returns_the_closed_int():
+    # degree-1 entries make the top coefficients of prod c2(O(d_i)) vanish
+    rng = random.Random(19)
+    problems = [SecantProblem(6, (1,) * 5), SecantProblem(5, (1, 1, 2, 2)), SecantProblem(9, (1, 2) * 3)]
+    for _ in range(40):
+        n = rng.randint(3, 14)
+        m = rng.randint(0, (n - 2) // 2)
+        problems.append(SecantProblem(n, [rng.choice((1, 1, 2, 3, 5)) for _ in range(n - m)]))
+    for p in problems:
+        got = secant_degree_mu_intersection(p)
+        assert type(got) is int and got == secant_degree_mu_closed(p), p
+    assert secant_degree_mu_intersection(problems[0]) == 0  # a line in P^6: every c2 is a pure C class
 
 
 def test_secant_oracle_examples():

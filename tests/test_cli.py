@@ -192,6 +192,19 @@ def test_csv_limited_to_matrix():
     assert code == 2
 
 
+def test_csv_is_refused_before_the_handler_runs(monkeypatch):
+    refusal = (2, "error: csv format is available for the matrix command only")
+    # a call that is also bad for its handler (a pure C power, exit 3) exits 2 for csv
+    assert run_command(["power", "--n", "4", "--k", "0"])[0] == 3
+    assert run_command(["power", "--n", "4", "--k", "0", "--format", "csv"]) == refusal
+
+    def must_not_run(args):
+        raise AssertionError("the handler ran")
+
+    monkeypatch.setitem(_HANDLERS, "basis", must_not_run)
+    assert run_command(["basis", "--n", "800", "--basis", "MS", "--all", "--format", "csv"]) == refusal
+
+
 def test_matrix_headers_match_enumeration():
     # MS x MS matrices carry the canonical enumeration on both sides
     code, doc = run_json(["matrix", "--n", "3", "--k", "2", "--rows", "MS"])

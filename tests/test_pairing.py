@@ -125,6 +125,24 @@ def test_the_diagonal_is_checked_before_the_classes():
         intersection_matrix(0, 9, "ES", "ES", 0)  # not the basis pair, the ambient or the grading
 
 
+def test_a_non_class_operand_is_refused_after_the_diagonal():
+    # the type check comes after the diagonal and before the ambient
+    with pytest.raises(InvalidInput, match=r"^term key \('A', 0, 1, 2\) is not a BasisSymbol$"):
+        pair_symbols(("A", 0, 1, 2), S("A", 1, 2, 2))
+    with pytest.raises(InvalidInput, match=r"^term key \('A', 0, 1, 3\) is not a BasisSymbol$"):
+        pair_symbols(S("A", 0, 1, 2), ("A", 0, 1, 3))  # not MixedAmbient
+    with pytest.raises(InvalidInput, match="^ap_a_diagonal"):
+        pair_symbols(("A", 0, 1, 2), S("A", 1, 2, 2), 0)
+    with pytest.raises(InvalidInput, match="^pair_classes takes two GradedClass operands"):
+        pair_classes(None, None)
+    with pytest.raises(InvalidInput, match="^pair_classes takes two GradedClass operands"):
+        pair_classes(GradedClass(2), GradedClass.from_symbol(S("A", 0, 1, 2)).items())
+    with pytest.raises(InvalidInput, match="^ap_a_diagonal"):
+        pair_classes(None, None, 0)
+    with pytest.raises(InvalidInput, match=r"^term key \('A', 0, 1, 2\) is not a BasisSymbol$"):
+        GradedClass.from_symbol(("A", 0, 1, 2))
+
+
 def test_pair_symbols_errors():
     with pytest.raises(UnsupportedFamilyPair):
         pair_symbols(S("B", 1, 1, 2), S("B", 1, 1, 2))  # ES x ES
