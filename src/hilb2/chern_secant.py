@@ -31,7 +31,8 @@ from itertools import combinations
 from math import comb, prod
 from operator import mul
 
-from .chow import BasisSymbol, Family, GradedClass, require_ambient, require_int, term, value_type
+from .chow import (BasisSymbol, Family, GradedClass, require_ambient, require_int, require_type,
+                   term, value_type)
 from .errors import InvalidInput
 from .pairing import pair_classes
 from .products import MonomialSpec, eval_monomial
@@ -93,6 +94,7 @@ def secant_degree_mu_closed(p: SecantProblem) -> int:
     Every k is at least m+1, so the sum shifts right by m exactly: ``>> m``
     gives the ``intro`` exponent ``k-1-m``.
     """
+    require_type(p, SecantProblem, "secant_degree_mu_closed")
     _require_expected_dimension(p)
     m, ds = p.m, p.degrees
     total = 0
@@ -126,6 +128,7 @@ def secant_degree_mu_intersection(p: SecantProblem) -> int:
     of ``(n, m)``: each monomial with k >= 1 evaluated once through the
     product engine and paired with ``C_{n-2m,n}``.
     """
+    require_type(p, SecantProblem, "secant_degree_mu_intersection")
     _require_expected_dimension(p)
     coeffs = [1]  # coeffs[k] = sum over |S|=k of prod C(d_j,2) * prod d_l
     for d in p.degrees:  # coeffs[k] * d + coeffs[k-1] * C(d,2), each out of range 0
@@ -154,4 +157,5 @@ def secant_oracle(n: int, degrees) -> int | None:
 
 def secant_degree(p: SecantProblem) -> Fraction:
     """``deg(Sec X)`` as an exact rational: the closed form divided by mu1."""
+    require_type(p, SecantProblem, "secant_degree")
     return Fraction(secant_degree_mu_closed(p), p.mu1)

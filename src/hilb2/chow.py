@@ -140,6 +140,19 @@ def require_int(value, noun: str, lo: int, hi: int | None = None, error=InvalidI
                     else f"{noun} {value!r} outside [{lo}, {hi}]")
 
 
+def require_type(value, cls: type, what: str) -> None:
+    """Raise ``InvalidInput`` unless ``value`` is a ``cls``: the one writer of the
+    wrong-type message, in which ``what`` names the call."""
+    if not isinstance(value, cls):
+        raise InvalidInput(f"{what} takes a {cls.__name__}, got {value!r}")
+
+
+def require_indices(i, j) -> None:
+    """Raise ``InvalidIndex`` unless both indices are integer arguments."""
+    if not (is_int(i) and is_int(j)):
+        raise InvalidIndex(f"indices must be integers, got ({i!r}, {j!r})")
+
+
 def require_ambient(n, error: type[ValidationError] = InvalidInput) -> None:
     """Raise ``error`` unless ``n`` is a valid ambient dimension (an int >= 1)."""
     if n.__class__ is not int or n < 1:  # plain ints >= 1 skip the call
@@ -174,8 +187,7 @@ class BasisSymbol(value_type("BasisSymbol", "family i j n")):
             family = as_member(Family, family, InvalidIndex, "family")
         if not (n.__class__ is i.__class__ is j.__class__ is int and n >= 1):  # plain ints: no calls
             require_ambient(n, InvalidIndex)
-            if not (is_int(i) and is_int(j)):
-                raise InvalidIndex(f"indices must be integers, got ({i!r}, {j!r})")
+            require_indices(i, j)
         if not in_range(family, i, j, n):
             raise InvalidIndex(
                 f"{family.value}_{{{i},{j}}} is not a valid class on P^{n}[2]: "

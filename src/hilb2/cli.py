@@ -67,52 +67,49 @@ def _build_parser() -> argparse.ArgumentParser:
         "of two points on P^n.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    ambient = _Parser(add_help=False)  # --n, stated once for every subcommand but cone
+    ambient.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("rank", help="rank of a graded Chow group")
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("rank", parents=[ambient], help="rank of a graded Chow group")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--codim", type=int)
     g.add_argument("--dim", type=int)
 
-    p = sub.add_parser("basis", help="list basis symbols")
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("basis", parents=[ambient], help="list basis symbols")
     p.add_argument("--basis", choices=("BB", "ES", "MS"), required=True)
     g = p.add_mutually_exclusive_group()
     g.add_argument("--codim", type=int)
     g.add_argument("--dim", type=int)
     g.add_argument("--all", action="store_true")
 
-    p = sub.add_parser("fixed-points", help="torus-fixed monomial ideals")
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("fixed-points", parents=[ambient], help="torus-fixed monomial ideals")
     p.add_argument("--generators", action="store_true", help="include ideal generators")
 
-    p = sub.add_parser("pair", help="intersection number of two symbols")
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("pair", parents=[ambient], help="intersection number of two symbols")
     p.add_argument("--x", required=True, metavar="JSON", help='e.g. {"family":"B\'","i":1,"j":1}')
     p.add_argument("--y", required=True, metavar="JSON")
 
-    p = sub.add_parser("matrix", help="complementary-codimension pairing matrix")
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("matrix", parents=[ambient],
+                       help="complementary-codimension pairing matrix")
     p.add_argument("--k", type=int, required=True, help="rows have dimension k, columns codimension k")
     p.add_argument("--rows", choices=("ES", "MS"), default="ES")
     p.add_argument("--cols", choices=("MS",), default="MS")
 
-    p = sub.add_parser("power", help="evaluate B'_{n-1,n-1}^k . C_{n-1,n-1}^b")
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("power", parents=[ambient], help="evaluate B'_{n-1,n-1}^k . C_{n-1,n-1}^b")
     p.add_argument("--k", type=int, required=True, help="exponent of B'_{n-1,n-1} (k >= 1)")
     p.add_argument("--c-exp", type=int, default=0, metavar="B", help="exponent of C_{n-1,n-1}")
 
-    p = sub.add_parser("chern", help="Chern classes of the tautological bundle of O(d)")
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("chern", parents=[ambient],
+                       help="Chern classes of the tautological bundle of O(d)")
     p.add_argument("--d", type=int, required=True)
 
-    p = sub.add_parser("secant", help="degree of the secant variety of a complete intersection")
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("secant", parents=[ambient],
+                       help="degree of the secant variety of a complete intersection")
     p.add_argument("--degrees", required=True, metavar="D1,D2,...")
     p.add_argument("--mu1", type=int, default=1)
     p.add_argument("--variant", choices=("proof", "intro"), default="proof")
-    p.add_argument("--check-oracle", action="store_true",
-                   help="compare against the classical chord/curve formulas and the intersection route")
+    p.add_argument("--check-oracle", action="store_true", help="compare against the classical "
+                   "chord/curve formulas and the intersection route")
 
     p = sub.add_parser("cone", help="nef / effective cone membership")
     p.add_argument("--class", dest="class_doc", required=True, metavar="JSON",
@@ -209,11 +206,9 @@ def _cmd_matrix(args):
     from .serialize import symbol_to_doc
 
     M = intersection_matrix(args.n, args.k, args.rows, args.cols, args.dprime_diag)
+    entries = [[str(v) for v in row] for row in M.entries]  # each Fraction rendered once
     header = [""] + [str(s) for s in M.col_symbols]
-    grid = [
-        [str(r)] + [str(v) for v in row]
-        for r, row in zip(M.row_symbols, M.entries)
-    ]
+    grid = [[str(r)] + row for r, row in zip(M.row_symbols, entries)]
     widths = [max(len(line[c]) for line in [header] + grid) for c in range(len(header))]
     text_lines = [
         "  ".join(cell.rjust(w) for cell, w in zip(line, widths))
@@ -228,7 +223,7 @@ def _cmd_matrix(args):
         "cols": args.cols,
         "row_symbols": [symbol_to_doc(s) for s in M.row_symbols],
         "col_symbols": [symbol_to_doc(s) for s in M.col_symbols],
-        "entries": [[str(v) for v in row] for row in M.entries],
+        "entries": entries,
     }
     return _Output(result, "\n".join(text_lines), csv=buf.getvalue().rstrip("\n"))
 

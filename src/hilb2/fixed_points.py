@@ -24,7 +24,8 @@ from __future__ import annotations
 import functools
 from enum import Enum
 
-from .chow import BasisSymbol, Family, as_member, is_int, require_ambient, value_type
+from .chow import (BasisSymbol, Family, as_member, require_ambient, require_indices,
+                   require_type, value_type)
 from .errors import InvalidIndex
 
 
@@ -50,8 +51,7 @@ class MonomialIdealDescriptor(value_type("MonomialIdealDescriptor", "kind i j n"
         if kind.__class__ is not IdealKind:
             kind = as_member(IdealKind, kind, InvalidIndex, "kind")
         require_ambient(n)
-        if not (is_int(i) and is_int(j)):
-            raise InvalidIndex(f"indices must be integers, got ({i!r}, {j!r})")
+        require_indices(i, j)
         if not 0 <= i < j <= n:
             raise InvalidIndex(f"{kind.value}_{{{i},{j}}} needs 0 <= i < j <= {n}")
         return tuple.__new__(cls, (kind, i, j, n))
@@ -83,6 +83,7 @@ def enumerate_fixed_points(n: int) -> list[MonomialIdealDescriptor]:
 
 def bb_cell_of(fp: MonomialIdealDescriptor) -> tuple[BasisSymbol, int]:
     """Class and dimension of the attracting cell of a fixed point."""
+    require_type(fp, MonomialIdealDescriptor, "bb_cell_of")
     if fp.kind is IdealKind.I:
         sym = BasisSymbol(Family.A, fp.i, fp.j, fp.n)
     elif fp.kind is IdealKind.J:

@@ -45,8 +45,8 @@ from fractions import Fraction
 from typing import Union
 
 from .chow import (BasisId, BasisSymbol, Family, GradedClass, as_basis, enumerate_basis,
-                   linear_sum, require_ambient, require_grading, require_int, scaled_terms,
-                   term, value_type)
+                   linear_sum, require_ambient, require_grading, require_int, require_type,
+                   scaled_terms, term, value_type)
 from .errors import (
     InvalidInput,
     MixedAmbient,
@@ -137,6 +137,7 @@ def dual_generator(sym: BasisSymbol) -> BasisSymbol:
     The family swap is A' -> A, B -> C, C -> B'; the indices are the
     complementary pair, which is always in range for the swapped family.
     """
+    require_type(sym, BasisSymbol, "dual_generator")
     if sym.family not in _ES_FAMILIES:
         raise UnsupportedFamilyPair(f"{sym} is not an ES basis symbol")
     ((key, _),) = _duals(sym)
@@ -180,10 +181,21 @@ def intersection_matrix(
     return IntersectionMatrix(n, k, rows, cols, row_syms, col_syms, tuple(entries))
 
 
-def _require_ms(X: GradedClass, what: str) -> None:
+def _cone_grading(X: GradedClass, k: int | None, what: str, grading) -> int | None:
+    """The checks of the cone routine ``what``, in order: a class, ``k``'s range, the zero
+    class (None), MS families, homogeneity, then ``k`` against ``grading(X)``, returned."""
+    require_type(X, GradedClass, what)
+    if k is not None:
+        require_grading(k, X.n)
+    if X.is_zero:
+        return None
     bad = [f.value for f in sorted(X.families().difference(_MS_FAMILIES))]
     if bad:
         raise WrongBasis(f"{what} expects MS coordinates; found families {bad}")
+    g = grading(X)  # raises NotHomogeneous
+    if k is not None and k != g:
+        raise InvalidInput(f"class has {grading.__name__} {g}, not {k}")
+    return g
 
 
 def is_nef(X: GradedClass, k: int | None = None) -> bool:
@@ -192,14 +204,8 @@ def is_nef(X: GradedClass, k: int | None = None) -> bool:
     The MS generators span the nef cone in each grading, so this is a
     nonnegativity check on the coefficients.
     """
-    if k is not None:
-        require_grading(k, X.n)
-    if X.is_zero:
+    if _cone_grading(X, k, "is_nef", GradedClass.codimension) is None:
         return True
-    _require_ms(X, "is_nef")
-    codim = X.codimension()  # raises NotHomogeneous
-    if k is not None and k != codim:
-        raise InvalidInput(f"class has codimension {codim}, not {k}")
     return all(c >= 0 for _, c in X.items())
 
 
@@ -210,23 +216,17 @@ def is_effective(X: GradedClass, k: int | None = None) -> bool:
     codimension k, so membership is a nonnegative pairing against every MS
     generator of codimension k; only the generators X's terms meet can fail.
     """
-    if k is not None:
-        require_grading(k, X.n)
-    if X.is_zero:
+    if _cone_grading(X, k, "is_effective", GradedClass.dimension) is None:
         return True
-    _require_ms(X, "is_effective")
-    dim = X.dimension()  # raises NotHomogeneous
-    if k is not None and k != dim:
-        raise InvalidInput(f"class has dimension {dim}, not {k}")
     return all(v >= 0 for v in linear_sum(_duals, scaled_terms(X)[0]).values())
 
 
 def effectivity_pairings(X: GradedClass) -> list[tuple[BasisSymbol, Fraction]]:
     """The pairing vector behind :func:`is_effective`, for reporting."""
-    if X.is_zero:
+    dim = _cone_grading(X, None, "effectivity_pairings", GradedClass.dimension)
+    if dim is None:
         return []
-    _require_ms(X, "effectivity_pairings")
-    generators = enumerate_basis(X.n, BasisId.MS, codim=X.dimension())
+    generators = enumerate_basis(X.n, BasisId.MS, codim=dim)
     terms, d = scaled_terms(X)
     sums = linear_sum(_duals, terms)  # numerators over d, keyed by generator
     return [(g, _ZERO if (v := sums.get(g)) is None else Fraction(v, d)) for g in generators]

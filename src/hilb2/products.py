@@ -44,7 +44,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .chow import (BasisSymbol, Family, GradedClass, linear_sum, require_ambient, require_int,
-                   scaled_terms, term, value_type)
+                   require_type, scaled_terms, term, value_type)
 from .errors import (
     InvalidExponent,
     InvalidInput,
@@ -87,6 +87,7 @@ def to_ms(x: BasisSymbol) -> GradedClass:
     ``B_{i,i} -> 2B'_{i,i} - 4C_{i,i}`` for i > 0, and ``B_{0,0} -> B'_{0,0}``
     (both are the point class).
     """
+    require_type(x, BasisSymbol, "to_ms")
     if x.family is not Family.B:
         raise UnsupportedFamily(f"to_ms converts family B only, got {x}")
     return _build(x.n, dict(_ms_terms(x)))
@@ -131,6 +132,7 @@ def mul_bprime_top(X: GradedClass) -> GradedClass:
     Terms may be A, B, B', or balanced C; the image of an MS-coordinate
     class stays in MS coordinates.
     """
+    require_type(X, GradedClass, "mul_bprime_top")
     return _apply(_bprime_rule, X)
 
 
@@ -139,6 +141,7 @@ def mul_c_top(X: GradedClass) -> GradedClass:
 
     Both rules shift the index pair down by (1, 1) and truncate to zero.
     """
+    require_type(X, GradedClass, "mul_c_top")
     return _apply(_c_shift, X)
 
 
@@ -177,6 +180,7 @@ def eval_monomial(spec: MonomialSpec) -> GradedClass:
 
     Pure powers of ``C_{n-1,n-1}`` have no rule and are refused.
     """
+    require_type(spec, MonomialSpec, "eval_monomial")
     if spec.a == 0:
         raise UnsupportedMonomial("no rule for pure powers of C_{n-1,n-1} (a = 0)")
     return _apply(_c_shift, bprime_top_power(spec.n, spec.a), spec.b)

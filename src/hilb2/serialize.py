@@ -5,8 +5,9 @@ record ``{"family": "A"|"A'"|"B"|"B'"|"C", "i": int, "j": int, "coeff": "p"
 or "p/q"}`` per term.  Coefficients travel as exact rational strings, never
 as floats.  ``parse_class(emit_class(X)) == X`` for every canonical class;
 emission is deterministic (canonical term order).  :func:`parse_class` accepts
-what ``schemas/class_document.schema.json`` accepts, but for integral floats
-(``2.0``): ``json`` reads ``2.0000000000000001`` as ``2.0`` too.
+what ``schemas/class_document.schema.json`` accepts, and :func:`parse_symbol`
+what ``$defs/symbol`` of ``schemas/cli_output.schema.json`` accepts, but for
+integral floats (``2.0``): ``json`` reads ``2.0000000000000001`` as ``2.0`` too.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from fractions import Fraction
 from typing import Union
 
-from .chow import BasisId, BasisSymbol, Family, GradedClass, as_member, is_int
+from .chow import BasisId, BasisSymbol, Family, GradedClass, as_member, is_int, require_type
 from .errors import ParseError
 
 
@@ -67,9 +68,10 @@ def _load_json(text: str):
         raise ParseError("invalid JSON: nested too deeply to decode") from None
 
 
-# The keys the class-document schema allows, in a document and in a term.
+# The keys the schemas allow in a class document, a symbol document and a term.
 _CLASS_KEYS = frozenset(("n", "basis", "terms"))
-_TERM_KEYS = frozenset(("family", "i", "j", "coeff"))
+_SYMBOL_KEYS = frozenset(("family", "i", "j"))
+_TERM_KEYS = _SYMBOL_KEYS | {"coeff"}
 
 
 def _require_keys(doc: dict, known: frozenset, what: str) -> None:
@@ -86,19 +88,26 @@ def _require_int(doc: dict, key: str, what: str) -> int:
     return value
 
 
-def parse_symbol(source: Union[str, dict], n: int) -> BasisSymbol:
-    """Read ``{"family": ..., "i": ..., "j": ...}`` (dict or JSON text)."""
-    doc = _load_json(source) if isinstance(source, str) else source
-    if not isinstance(doc, dict):
-        raise ParseError(f"symbol document must be an object, got {doc!r}")
+def _read_symbol(doc: dict, n: int) -> BasisSymbol:
+    """The symbol of a document whose keys its caller has checked."""
     family = as_member(Family, doc.get("family"), ParseError, "family")
     i = _require_int(doc, "i", "symbol document")
     j = _require_int(doc, "j", "symbol document")
     return BasisSymbol(family, i, j, n)  # InvalidIndex propagates
 
 
+def parse_symbol(source: Union[str, dict], n: int) -> BasisSymbol:
+    """Read ``{"family": ..., "i": ..., "j": ...}`` (dict or JSON text)."""
+    doc = _load_json(source) if isinstance(source, str) else source
+    if not isinstance(doc, dict):
+        raise ParseError(f"symbol document must be an object, got {doc!r}")
+    _require_keys(doc, _SYMBOL_KEYS, "symbol document")
+    return _read_symbol(doc, n)
+
+
 def emit_class(X: GradedClass) -> dict:
     """Class document for X, with terms in canonical order."""
+    require_type(X, GradedClass, "emit_class")
     return {
         "n": X.n,
         "basis": basis_tag(X),
@@ -129,6 +138,6 @@ def parse_class(source: Union[str, dict]) -> GradedClass:
         _require_keys(record, _TERM_KEYS, "term record")
         if "coeff" not in record:
             raise ParseError(f"term record {record!r} is missing field 'coeff'")
-        sym = parse_symbol(record, n)
+        sym = _read_symbol(record, n)
         terms.append((sym, _parse_rational(record["coeff"])))
     return GradedClass(n, terms)

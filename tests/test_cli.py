@@ -406,6 +406,16 @@ def test_secant_runs_the_closed_route_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_matrix_renders_each_entry_once(monkeypatch):
+    # The text, csv and json renderings share one string per entry.
+    calls = []
+    render = Fraction.__str__
+    monkeypatch.setattr(Fraction, "__str__", lambda v: calls.append(v) or render(v))
+    code, out = run_json(["matrix", "--n", "3", "--k", "3", "--rows", "MS"])
+    assert code == 0 and len(out["result"]["entries"]) == 4  # chow_rank(3, 3)
+    assert len(calls) == 4 * 4
+
+
 def test_cone_effective_builds_the_pairing_vector_once(monkeypatch):
     import hilb2.pairing as pairing
 

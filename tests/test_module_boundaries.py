@@ -1,13 +1,14 @@
 """Modules of the package reach one another through public names only, no
 module imports a name it never uses or keeps a private name it never reads,
-and one helper checks integer arguments.
+one helper checks integer arguments, and each error message has one writer.
 
 A module that imports another module's private name (``from .x import _y``)
 couples itself to a detail that module may change; a public function that
 does the same job is the one to call.  An import nothing references is dead
 code that no linter in the test suite would otherwise catch.  An integer
 check written out by hand beside ``chow.require_int`` is a second copy of
-the rule and its message, free to drift from the first.
+the rule and its message, free to drift from the first; so is any message
+that two functions raise.
 """
 
 import ast
@@ -72,24 +73,88 @@ def test_the_unused_import_scan_sees_an_unused_name(tmp_path):
     assert list(unused_imports(module)) == ["sample.py:3: dumps"]
 
 
+def _templates(node):
+    """The message texts an expression can make, each field written as ``{}``:
+    both arms of a conditional, every pairing of a concatenation's parts."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    if isinstance(node, ast.JoinedStr):
+        return ["".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)]
+    if isinstance(node, ast.IfExp):
+        return _templates(node.body) + _templates(node.orelse)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return [a + b for a in _templates(node.left) for b in _templates(node.right)]
+    return ["{}"]
+
+
+def raised_messages(path):
+    """``(function, message, line)`` for each message a function raises: the
+    first argument of the raised exception, as :func:`_templates` writes it.
+    A method is named ``Class.method``."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from visit(child, f"{scope}.{child.name}" if scope else child.name)
+            elif isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call) and child.exc.args:
+                for text in _templates(child.exc.args[0]):
+                    yield scope, text, child.lineno
+            else:
+                yield from visit(child, scope)
+
+    yield from visit(ast.parse(path.read_text(), filename=str(path)), "")
+
+
+def shared_messages(paths):
+    """Each message that more than one function raises, mapped to the sorted
+    ``file:function`` names of its writers."""
+    writers = {}
+    for path in paths:
+        for func, text, _ in raised_messages(path):
+            writers.setdefault(text, set()).add(f"{path.name}:{func}")
+    return {text: sorted(names) for text, names in writers.items() if len(names) > 1}
+
+
+def test_each_error_message_has_one_writer():
+    # A message two functions write is one rule stated twice: route both through one helper.
+    modules = sorted(SRC.glob("*.py"))
+    assert sum(1 for path in modules for _ in raised_messages(path)) >= 50
+    assert shared_messages(modules) == {}
+
+
+def test_the_shared_message_scan_sees_a_second_writer(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "def one(k):\n"
+        "    raise ValueError(f'k {k!r} is odd')\n"
+        "def two(j):\n"
+        "    if j:\n"
+        "        raise KeyError(f'k {j} is odd')\n"
+        "    raise ValueError(f'k {j} is even' if j else 'none' + f' at {j}')\n"
+        "class Parser:\n"
+        "    def one(self, error):\n"
+        "        if error:\n"
+        "            raise error\n"
+        "        raise ValueError(f'{error}: {self}')\n"
+        "    def two(self):\n"
+        "        raise ValueError('none at ' + str(self))\n"
+    )
+    assert shared_messages([module]) == {
+        "k {} is odd": ["sample.py:one", "sample.py:two"],
+        "none at {}": ["sample.py:Parser.two", "sample.py:two"],
+    }
+
+
 # The constant text of ``chow.require_int``'s two messages,
 # "<noun> must be an integer >= <lo>, got <value>" and "<noun> <value> outside [<lo>, <hi>]".
 INTEGER_MESSAGES = (" must be an integer >= ", " outside [")
 
 
 def integer_messages(path):
-    """``(file, function, line)`` for each f-string a function raises that
+    """``(file, function, line)`` for each message a function raises that
     writes one of ``require_int``'s two messages."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    for func in ast.walk(tree):
-        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        raised = [node for stmt in ast.walk(func) if isinstance(stmt, ast.Raise)
-                  for node in ast.walk(stmt) if isinstance(node, ast.JoinedStr)]
-        for node in raised:
-            text = "".join(v.value for v in node.values if isinstance(v, ast.Constant))
-            if any(shape in text for shape in INTEGER_MESSAGES):
-                yield path.name, func.name, node.lineno
+    for func, text, lineno in raised_messages(path):
+        if any(shape in text for shape in INTEGER_MESSAGES):
+            yield path.name, func, lineno
 
 
 def test_only_require_int_writes_the_integer_messages():
@@ -108,7 +173,6 @@ def test_the_integer_message_scan_sees_a_hand_written_check(tmp_path):
         "    return f'{k} outside [1, {n}]'\n"
     )
     assert list(integer_messages(module)) == [("sample.py", "check", 3), ("sample.py", "check", 5)]
-
 
 
 def private_bindings(path):

@@ -400,6 +400,31 @@ def test_cone_tests_check_the_grading_of_the_zero_class():
         is_effective(GradedClass.from_symbol(S("A", 0, 2, 2)), 5)
 
 
+# The cone routines and the grading each one's k names; effectivity_pairings takes no k.
+CONE_ROUTINES = {is_nef: "codimension", is_effective: "dimension", effectivity_pairings: None}
+
+
+@pytest.mark.parametrize("routine", CONE_ROUTINES, ids=[r.__name__ for r in CONE_ROUTINES])
+def test_cone_routines_check_in_one_order(routine):
+    # Each bad input also fails every later check, so the error shows which check comes first.
+    name, grading = routine.__name__, CONE_ROUTINES[routine]
+    mixed = cls((1, S("A'", 0, 1, 2)), (1, S("C", 1, 1, 2)))  # an ES family, two dimensions
+    with pytest.raises(InvalidInput, match=f"^{name} takes a GradedClass, got None$"):
+        routine(None)
+    with pytest.raises(WrongBasis, match=f"^{name} expects MS coordinates"):
+        routine(mixed)
+    if grading is None:
+        return
+    with pytest.raises(InvalidInput, match=f"^{name} takes a GradedClass, got None$"):
+        routine(None, 5)
+    with pytest.raises(InvalidGrading):
+        routine(mixed, 5)
+    with pytest.raises(NotHomogeneous):
+        routine(cls((1, S("A", 0, 1, 2)), (1, S("C", 1, 1, 2))), 1)
+    with pytest.raises(InvalidInput, match=f"^class has {grading} 2, not 1$"):
+        routine(GradedClass.from_symbol(S("B'", 1, 1, 2)), 1)
+
+
 def test_cone_sanity():
     for n in range(1, 6):
         for sym in enumerate_basis(n, "MS"):

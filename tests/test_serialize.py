@@ -22,6 +22,7 @@ from hilb2.cli import EXIT_VALIDATION, run_command
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "src" / "hilb2" / "schemas"
 CLASS_SCHEMA = json.loads((SCHEMA_DIR / "class_document.schema.json").read_text())
+SYMBOL_SCHEMA = json.loads((SCHEMA_DIR / "cli_output.schema.json").read_text())["$defs"]["symbol"]
 
 
 def test_emit_class_example():
@@ -85,6 +86,11 @@ def test_parse_symbol():
         parse_symbol('{"family":"Q","i":0,"j":1}', 2)
     with pytest.raises(ParseError):
         parse_symbol('{"family":"A","i":0}', 2)
+    x = '{"family":"A","i":0,"j":1,"n":5}'  # the schema's symbol has no other key
+    with pytest.raises(ParseError, match="^symbol document has unknown field 'n'$"):
+        parse_symbol(x, 2)
+    argv = ["pair", "--n", "2", "--x", x, "--y", '{"family":"A","i":1,"j":2}']
+    assert run_command(argv) == (EXIT_VALIDATION, "error: symbol document has unknown field 'n'")
 
 
 def test_parse_errors_carry_position():
@@ -219,6 +225,30 @@ def test_class_documents_parse_exactly_when_the_schema_validates():
         except ValidationError:
             parsed = False
         assert parsed == validator.is_valid(doc), doc
+
+
+def test_symbol_documents_parse_exactly_when_the_schema_validates():
+    # In-range indices only, as for class documents; integral floats are the
+    # one deliberate difference.
+    a01 = {"family": "A", "i": 0, "j": 1}
+    corpus = [a01, {"family": "B'", "i": 1, "j": 1}, {"j": 1, "i": 1, "family": "C"}]
+    corpus += [{**a01, key: value} for key, value in (
+        ("n", 5), ("coeff", "1"), ("", 1), ("I", 0), ("family", "Q"), ("family", "a"),
+        ("family", None), ("i", "0"), ("i", True), ("j", None), ("j", [1]))]
+    corpus += [{k: v for k, v in a01.items() if k != key} for key in a01]
+    corpus += [{}, [], "A", None, 2, [a01]]
+    validator = jsonschema.Draft202012Validator(SYMBOL_SCHEMA)
+    for doc in corpus:
+        try:
+            parse_symbol(doc, 2)
+            parsed = True
+        except ValidationError:
+            parsed = False
+        assert parsed == validator.is_valid(doc), doc
+    float_doc = {**a01, "j": 1.0}
+    assert validator.is_valid(float_doc)
+    with pytest.raises(ParseError, match="must be an integer"):
+        parse_symbol(float_doc, 2)
 
 
 @pytest.mark.parametrize("doc", [

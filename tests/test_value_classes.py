@@ -5,7 +5,9 @@ validate on every construction path: the constructor, ``_replace``,
 tuple of their fields.  Their integer fields, like every integer argument
 of the library, take an ``int`` and refuse a ``bool``; a class coefficient
 refuses a ``bool`` as it refuses a float.  ``GradedClass``, which is not a
-tuple, copies and pickles through its validating constructor too."""
+tuple, copies and pickles through its validating constructor too.  A call
+that takes one of these values refuses anything else, a plain tuple of the
+same fields too, with ``InvalidInput`` naming the call."""
 
 import copy
 import pickle
@@ -25,18 +27,29 @@ from hilb2 import (
     MonomialSpec,
     SecantProblem,
     ValidationError,
+    bb_cell_of,
     bprime_top_power,
     chern_taut,
     chow_rank,
+    dual_generator,
+    effectivity_pairings,
+    emit_class,
     enumerate_basis,
+    eval_monomial,
     intersection_matrix,
     is_effective,
     is_nef,
+    mul_bprime_top,
+    mul_c_top,
     pair_classes,
     pair_symbols,
     parse_class,
     parse_symbol,
+    secant_degree,
+    secant_degree_mu_closed,
+    secant_degree_mu_intersection,
     secant_oracle,
+    to_ms,
 )
 from hilb2.cli import EXIT_VALIDATION, run_command
 
@@ -262,3 +275,23 @@ def test_a_bool_is_refused_like_a_float(call):
             call(value)
         raised.append(type(info.value))
     assert raised[1] is raised[0] and raised[2] is raised[0]
+
+
+# Each call that takes one value class, with a plain tuple of such a value's fields.
+_CLASS_FIELDS = (2, tuple(_POINT.items()))
+TYPED_CALLS = {
+    **dict.fromkeys((is_nef, is_effective, effectivity_pairings, mul_bprime_top, mul_c_top,
+                     emit_class), _CLASS_FIELDS),
+    **dict.fromkeys((to_ms, dual_generator), (Family.B, 1, 1, 2)),
+    bb_cell_of: (IdealKind.J, 0, 1, 2),
+    eval_monomial: (4, 1, 1),
+    **dict.fromkeys((secant_degree_mu_closed, secant_degree_mu_intersection, secant_degree),
+                    (4, (2, 2, 2), 1)),
+}
+
+
+@pytest.mark.parametrize("call", TYPED_CALLS, ids=[call.__name__ for call in TYPED_CALLS])
+def test_a_wrong_typed_operand_is_refused_naming_the_call(call):
+    for value in (None, TYPED_CALLS[call]):
+        with pytest.raises(InvalidInput, match=rf"^{call.__name__} takes a [A-Za-z]+, got "):
+            call(value)
