@@ -3,13 +3,14 @@
 Run:  python demos/05_secant_degrees.py
 """
 
+from fractions import Fraction
+
 from hilb2 import (
     MonomialSpec,
     SecantProblem,
     bprime_top_power,
     eval_monomial,
     mul_bprime_top,
-    secant_degree,
     secant_degree_mu_closed,
     secant_degree_mu_intersection,
     secant_oracle,
@@ -49,6 +50,7 @@ for n, degrees in cases:
     print(f"{label:<28} {closed:>7} {inter:>13} {shown:>10}")
 print()
 
-# mu1 divides out at the end, exactly.
-p = SecantProblem(4, (2, 2, 2), mu1=2)
-print("with mu1 = 2:  deg(Sec X) =", secant_degree(p))
+# The secant order mu1 is an input: it divides out at the end, exactly.
+mu1 = 2
+p = SecantProblem(4, (2, 2, 2))
+print(f"with mu1 = {mu1}:  deg(Sec X) =", Fraction(secant_degree_mu_closed(p), mu1))

@@ -19,8 +19,8 @@ _EXPORTS = {
         "BasisId", "BasisSymbol", "Family", "GradedClass", "chow_rank", "enumerate_basis",
     ),
     "chern_secant": (
-        "SecantProblem", "chern_taut", "secant_degree",
-        "secant_degree_mu_closed", "secant_degree_mu_intersection", "secant_oracle",
+        "SecantProblem", "chern_taut", "secant_degree_mu_closed",
+        "secant_degree_mu_intersection", "secant_oracle",
     ),
     "errors": (
         "Hilb2Error", "InvalidExponent", "InvalidGrading", "InvalidIndex",

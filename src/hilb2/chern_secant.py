@@ -26,7 +26,7 @@ test pins.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
+from collections.abc import Iterable
 from itertools import combinations
 from math import comb, prod
 from operator import mul
@@ -49,22 +49,24 @@ def chern_taut(n: int, d: int) -> tuple[GradedClass, GradedClass]:
                  for terms in (c1, c2))
 
 
-class SecantProblem(value_type("SecantProblem", "n degrees mu1")):
+class SecantProblem(value_type("SecantProblem", "n degrees")):
     """Degree problem for the secant variety of a complete intersection.
 
     ``degrees`` are the hypersurface degrees, stored as a tuple, so
-    ``m = n - len(degrees)`` is the dimension of X.  ``mu1`` is the secant
-    order, always user-supplied.  The degree computations additionally
-    require ``2m + 1 < n``; problems violating that are constructible but
-    rejected by them, so the classical oracle can still be consulted about
-    out-of-range instances.
+    ``m = n - len(degrees)`` is the dimension of X.  The degree computations
+    give ``deg(Sec X) * mu1``; the secant order ``mu1`` is the caller's to
+    divide by.  They additionally require ``2m + 1 < n``; problems violating
+    that are constructible but rejected by them, so the classical oracle can
+    still be consulted about out-of-range instances.
     """
 
     __slots__ = ()
 
-    def __new__(cls, n: int, degrees, mu1: int = 1):
-        degrees = tuple(degrees)
+    def __new__(cls, n: int, degrees):
         require_ambient(n)
+        if isinstance(degrees, str) or not isinstance(degrees, Iterable):
+            raise InvalidInput(f"hypersurface degrees must be an iterable of ints, got {degrees!r}")
+        degrees = tuple(degrees)
         if not degrees:
             raise InvalidInput("at least one hypersurface degree is required")
         for d in degrees:
@@ -73,8 +75,7 @@ class SecantProblem(value_type("SecantProblem", "n degrees mu1")):
             raise InvalidInput(
                 f"{len(degrees)} hypersurfaces in P^{n} leave negative dimension"
             )
-        require_int(mu1, "secant order mu1", 1)
-        return tuple.__new__(cls, (n, degrees, mu1))
+        return tuple.__new__(cls, (n, degrees))
 
     @property
     def m(self) -> int:
@@ -154,8 +155,3 @@ def secant_oracle(n: int, degrees) -> int | None:
         return comb(D - 1, 2) - two_g // 2
     return None
 
-
-def secant_degree(p: SecantProblem) -> Fraction:
-    """``deg(Sec X)`` as an exact rational: the closed form divided by mu1."""
-    require_type(p, SecantProblem, "secant_degree")
-    return Fraction(secant_degree_mu_closed(p), p.mu1)

@@ -19,12 +19,15 @@ C      1 <= i <= j <= n
 The three bases are ``BB = A + B + C``, ``ES = A' + B + C`` and
 ``MS = A + B' + C``.  ES generators span the effective cones, MS generators
 the nef cones; BB is the fixed-point cell basis (see ``fixed_points``), in
-which ``B_{i,j}``, (i, j) != (0, 0), pairs as twice a primitive class.
+which ``B_{i,j}``, (i, j) != (0, 0), is twice the class of the closure of the
+``J_{i,j+1}`` cell.
 """
 
 from __future__ import annotations
 
 import functools
+import re
+import sys
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from enum import Enum
@@ -210,15 +213,40 @@ class BasisSymbol(value_type("BasisSymbol", "family i j n")):
         return f"BasisSymbol({self}, n={self.n})"
 
 
+# The class-document schema's coefficient pattern, the one grammar of coefficient
+# text.  ``[0-9]`` refuses non-ASCII digits, and ``fullmatch`` a trailing newline.
+_RATIONAL = re.compile(r"-?([0-9]+)(?:/([1-9][0-9]*))?")
+# Python's cap on str -> int conversion, read per call; interpreters before 3.10.7 have none.
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def as_rational(text: str, error: type[ValidationError]) -> Fraction:
+    """The rational that ``text`` writes as ``p`` or ``p/q``; other text raises ``error``."""
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise error(f"bad rational string {text!r}")
+    p, q = match.groups("")  # the numbers come from these groups: the string is read once
+    limit, digits = _digit_limit(), max(len(p), len(q))
+    if limit and digits > limit:
+        raise error(
+            f"coefficient has a {digits}-digit part, over Python's limit of {limit}"
+            " digits for converting a string to int"
+        )
+    num = -int(p) if text[0] == "-" else int(p)
+    return Fraction(num, int(q)) if q else Fraction(num)
+
+
 def _coerce_rational(value) -> Fraction:
-    """Exact coefficient coercion.  Floats and bools are refused: the ring is exact."""
-    if isinstance(value, (float, bool)):
-        kind = "bool" if isinstance(value, bool) else "float"
-        raise InvalidInput(f"{kind} coefficient {value!r} rejected; use Fraction, int or 'p/q'")
-    try:
+    """Exact coefficient coercion: an ``int`` becomes a ``Fraction``, a ``Fraction`` is
+    kept and text is read by :func:`as_rational`; anything else, a float too, is refused."""
+    if isinstance(value, str):
+        return as_rational(value, InvalidInput)
+    if is_int(value):
         return Fraction(value)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"cannot interpret {value!r} as an exact rational") from exc
+    if not isinstance(value, Fraction):
+        raise InvalidInput(
+            f"{type(value).__name__} coefficient {value!r} rejected; use Fraction, int or 'p/q'")
+    return value
 
 
 class GradedClass:
@@ -229,8 +257,9 @@ class GradedClass:
     Supports ``+``, ``-``, scalar ``*`` and equality.
 
     Coefficients: each is converted once to a ``Fraction`` as it arrives (a
-    ``Fraction`` is kept as it is) and repeated symbols add up; floats and bools
-    are refused (:class:`InvalidInput`).  Zero sums are dropped, so :meth:`items`
+    ``Fraction`` is kept as it is) and repeated symbols add up; text is read as a
+    class document's is (``"p"`` or ``"p/q"``), and anything else is refused
+    (:class:`InvalidInput`).  Zero sums are dropped, so :meth:`items`
     yields only nonzero ``Fraction`` coefficients.  ``copy``, ``deepcopy`` and
     ``pickle`` rebuild a class through this constructor.
     """
@@ -242,17 +271,20 @@ class GradedClass:
         acc: dict[BasisSymbol, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         # Exact-class tests first: the isinstance fallbacks only see subclasses and refusals.
-        for sym, coeff in items:
-            if sym.__class__ is not BasisSymbol and not isinstance(sym, BasisSymbol):
-                raise InvalidInput(f"term key {sym!r} is not a BasisSymbol")
-            if sym.n != n:
-                raise MixedAmbient(f"symbol {sym} lives on P^{sym.n}[2], class on P^{n}[2]")
-            kind = coeff.__class__
-            if kind is int:
-                coeff = Fraction(coeff)
-            elif kind is not Fraction and not isinstance(coeff, Fraction):
-                coeff = _coerce_rational(coeff)
-            acc[sym] = acc[sym] + coeff if sym in acc else coeff  # a first one as it is, no 0 + c
+        try:  # the body raises only ValidationErrors: a TypeError or ValueError is the unpacking's
+            for sym, coeff in items:
+                if sym.__class__ is not BasisSymbol and not isinstance(sym, BasisSymbol):
+                    raise InvalidInput(f"term key {sym!r} is not a BasisSymbol")
+                if sym.n != n:
+                    raise MixedAmbient(f"symbol {sym} lives on P^{sym.n}[2], class on P^{n}[2]")
+                kind = coeff.__class__
+                if kind is int:
+                    coeff = Fraction(coeff)
+                elif kind is not Fraction and not isinstance(coeff, Fraction):
+                    coeff = _coerce_rational(coeff)
+                acc[sym] = acc[sym] + coeff if sym in acc else coeff  # a first one as it is
+        except (TypeError, ValueError) as exc:
+            raise InvalidInput(f"class terms must be (symbol, coefficient) pairs: {exc}") from exc
         # The symbols are distinct: the sort compares no coefficient.
         stored = sorted([t for t in acc.items() if t[1]], key=itemgetter(0))
         object.__setattr__(self, "n", n)

@@ -256,7 +256,8 @@ def _cmd_secant(args):
                                secant_degree_mu_intersection, secant_oracle)
 
     degrees = _parse_degrees(args.degrees)
-    problem = SecantProblem(args.n, degrees, mu1=args.mu1)
+    problem = SecantProblem(args.n, degrees)
+    require_int(args.mu1, "secant order mu1", 1)
     warnings = []
     if any(d == 1 for d in degrees):
         warnings.append(

@@ -6,17 +6,18 @@ so there are ``3*C(n+1,2)`` of them: ``I_{i,j}`` (quadric generator
 ``x_i*x_j``), ``J_{i,j}`` (generator ``x_j^2``, the variable ``x_i`` free)
 and ``K_{i,j}`` (generator ``x_i^2``, the variable ``x_j`` free).
 
-Each fixed point carries the class of the closure of its attracting cell,
-which is how the BB basis arises:
+Each fixed point names the BB symbol of its attracting cell, which is how
+the BB basis arises:
 
     I_{i,j} -> A_{i,j}     (cell dimension i+j)
     J_{i,j} -> B_{i,j-1}   (cell dimension i+j-1)
     K_{i,j} -> C_{i+1,j}   (cell dimension i+j+1)
 
-Each ``B_{i,j}`` but the point class ``B_{0,0}`` pairs as twice a primitive
-class: with those halved, the BB Gram matrix is unimodular.  In P^2[2],
-``B_{0,1} . C_{1,2} = 2``, where geometrically F . (H - delta) = 1 for the
-J_{0,2} cell curve F and the divisor ``C_{1,2} = H - delta``.
+``B_{i,j}`` is twice the class of the closure of the ``J_{i,j+1}`` cell, a
+``P^j``-bundle over ``P^i``, for (i, j) != (0, 0); the point class ``B_{0,0}``
+is that cell itself.  With those halved, the BB Gram matrix is unimodular.
+In P^2[2], ``B_{0,1} . C_{1,2} = 2``, where geometrically F . (H - delta) = 1
+for the J_{0,2} cell curve F and the divisor ``C_{1,2} = H - delta``.
 """
 
 from __future__ import annotations
@@ -82,7 +83,8 @@ def enumerate_fixed_points(n: int) -> list[MonomialIdealDescriptor]:
 
 
 def bb_cell_of(fp: MonomialIdealDescriptor) -> tuple[BasisSymbol, int]:
-    """Class and dimension of the attracting cell of a fixed point."""
+    """The BB symbol and dimension of the attracting cell of a fixed point; a
+    ``B`` symbol other than ``B_{0,0}`` is twice the cell closure's class."""
     require_type(fp, MonomialIdealDescriptor, "bb_cell_of")
     if fp.kind is IdealKind.I:
         sym = BasisSymbol(Family.A, fp.i, fp.j, fp.n)

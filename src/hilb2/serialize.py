@@ -13,12 +13,10 @@ integral floats (``2.0``): ``json`` reads ``2.0000000000000001`` as ``2.0`` too.
 from __future__ import annotations
 
 import json
-import re
-import sys
-from fractions import Fraction
 from typing import Union
 
-from .chow import BasisId, BasisSymbol, Family, GradedClass, as_member, is_int, require_type
+from .chow import (BasisId, BasisSymbol, Family, GradedClass, as_member, as_rational, is_int,
+                   require_type)
 from .errors import ParseError
 
 
@@ -33,30 +31,6 @@ def basis_tag(X: GradedClass) -> str:
 
 def symbol_to_doc(sym: BasisSymbol) -> dict:
     return {"family": sym.family.value, "i": sym.i, "j": sym.j}
-
-
-# The class-document schema's coefficient pattern.  ``[0-9]`` refuses
-# non-ASCII digits, and ``fullmatch`` refuses a trailing newline.
-_RATIONAL = re.compile(r"-?([0-9]+)(?:/([1-9][0-9]*))?")
-# Python's cap on str -> int conversion, read per call; interpreters before 3.10.7 have none.
-_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
-
-
-def _parse_rational(value) -> Fraction:
-    if not isinstance(value, str):  # the schema asks for a string, never a JSON number
-        raise ParseError(f"coefficient {value!r} is not an exact rational string")
-    match = _RATIONAL.fullmatch(value)
-    if match is None:
-        raise ParseError(f"bad rational string {value!r}")
-    p, q = match.groups("")  # the numbers come from these groups: the string is read once
-    limit, digits = _digit_limit(), max(len(p), len(q))
-    if limit and digits > limit:
-        raise ParseError(
-            f"coefficient has a {digits}-digit part, over Python's limit of {limit}"
-            " digits for converting a string to int"
-        )
-    num = -int(p) if value[0] == "-" else int(p)
-    return Fraction(num, int(q)) if q else Fraction(num)
 
 
 def _load_json(text: str):
@@ -138,6 +112,8 @@ def parse_class(source: Union[str, dict]) -> GradedClass:
         _require_keys(record, _TERM_KEYS, "term record")
         if "coeff" not in record:
             raise ParseError(f"term record {record!r} is missing field 'coeff'")
-        sym = _read_symbol(record, n)
-        terms.append((sym, _parse_rational(record["coeff"])))
+        sym, coeff = _read_symbol(record, n), record["coeff"]
+        if not isinstance(coeff, str):  # the schema asks for a string, never a JSON number
+            raise ParseError(f"coefficient {coeff!r} is not an exact rational string")
+        terms.append((sym, as_rational(coeff, ParseError)))
     return GradedClass(n, terms)

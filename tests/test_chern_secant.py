@@ -14,7 +14,6 @@ from hilb2 import (
     chern_taut,
     eval_monomial,
     pair_classes,
-    secant_degree,
     secant_degree_mu_closed,
     secant_degree_mu_intersection,
     secant_oracle,
@@ -111,11 +110,10 @@ def test_secant_problem_validation():
         SecantProblem(3, (2, 0))
     with pytest.raises(InvalidInput):
         SecantProblem(2, (2, 2, 2))  # more hypersurfaces than n
-    with pytest.raises(InvalidInput):
-        SecantProblem(4, (2, 2, 2), mu1=0)
-    with pytest.raises(TypeError):  # the intro variant is the CLI's, not a problem field
-        SecantProblem(4, (2, 2, 2), variant="intro")
-    assert SecantProblem._fields == ("n", "degrees", "mu1")
+    for field in ("variant", "mu1"):  # the intro variant and the secant order are the CLI's
+        with pytest.raises(TypeError):
+            SecantProblem(4, (2, 2, 2), **{field: 2})
+    assert SecantProblem._fields == ("n", "degrees")
     assert SecantProblem(4, [2, 2, 2]).m == 1
 
 
@@ -235,11 +233,18 @@ def test_secant_oracle_takes_any_iterable_of_degrees():
     assert secant_oracle(4, (d for d in (2, 2, 2))) == 16
 
 
+def secant_degree(n, degrees, mu1):
+    """``deg(Sec X)`` as ``hilb2 secant`` writes it: the closed route divided by mu1."""
+    argv = ["secant", "--n", str(n), "--degrees", ",".join(map(str, degrees)), "--mu1", str(mu1)]
+    code, text = run_command(argv)
+    return code, text.splitlines()[-1]
+
+
 def test_secant_degree_examples():
-    assert secant_degree(SecantProblem(4, (2, 2, 2), mu1=1)) == 16
-    assert secant_degree(SecantProblem(4, (2, 2, 2), mu1=2)) == 8
-    with pytest.raises(InvalidInput):
-        secant_degree(SecantProblem(3, (2, 2)))  # 2m+1 = n: no formula
+    assert secant_degree(4, (2, 2, 2), 1) == (0, "deg(Sec X) = 16")
+    assert secant_degree(4, (2, 2, 2), 2) == (0, "deg(Sec X) = 8")
+    assert secant_degree(3, (2, 2), 1) == (  # 2m+1 = n: no formula
+        2, "error: need 2m+1 < n for the secant degree; got m=1, n=3")
 
 
 def test_expected_dimension_guard_on_both_paths():
@@ -274,5 +279,5 @@ def test_intro_variant_matches_proof_when_m_is_zero():
 
 
 def test_secant_degree_divides_by_mu1_exactly():
-    p = SecantProblem(4, (2, 2, 3), mu1=4)
-    assert secant_degree(p) == Fraction(42, 4)
+    assert secant_degree_mu_closed(SecantProblem(4, (2, 2, 3))) == 42
+    assert secant_degree(4, (2, 2, 3), 4) == (0, f"deg(Sec X) = {Fraction(42, 4)}")

@@ -364,7 +364,7 @@ def test_class_text_and_repr():
 
 def test_an_uninterpretable_coefficient_is_refused():
     sym = BasisSymbol("A", 0, 1, 2)
-    with pytest.raises(InvalidInput, match=r"^cannot interpret 'x' as an exact rational$"):
+    with pytest.raises(InvalidInput, match=r"^bad rational string 'x'$"):
         GradedClass(2, [(sym, "x")])
 
 

@@ -59,7 +59,7 @@ def test_secant_intro_variant_mismatch_is_reported():
 @pytest.mark.parametrize("n, degrees, mu1", [(4, (2, 2, 2), 1), (5, (2, 3, 2, 2), 3),
                                            (7, (2, 3, 2, 2, 3), 2), (3, (2, 3, 2), 2)])
 def test_secant_intro_is_the_closed_sum_shifted_right_by_m(n, degrees, mu1):
-    p = SecantProblem(n, degrees, mu1)
+    p = SecantProblem(n, degrees)
     shifted = secant_degree_mu_closed(p) >> p.m
     code, doc = run_json(["secant", "--n", str(n), "--degrees", ",".join(map(str, degrees)),
                           "--mu1", str(mu1), "--variant", "intro"])
@@ -67,6 +67,22 @@ def test_secant_intro_is_the_closed_sum_shifted_right_by_m(n, degrees, mu1):
     result = doc["result"]
     assert (result["variant"], result["degree_times_mu1"]) == ("intro", shifted)
     assert result["degree"] == str(Fraction(shifted, mu1))
+
+
+@pytest.mark.parametrize("value, message", [
+    ("0", "secant order mu1 must be an integer >= 1, got 0"),
+    ("True", "hilb2 secant: argument --mu1: invalid int value: 'True'"),
+    ("x", "hilb2 secant: argument --mu1: invalid int value: 'x'"),
+], ids=["0", "True", "x"])
+def test_secant_mu1_is_checked_by_the_cli(value, message):
+    # The secant order is checked after the problem and before the 2m+1 < n guard.
+    def run(n, degrees):
+        return run_command(["secant", "--n", n, "--degrees", degrees, "--mu1", value])
+
+    assert run("4", "2,2,2") == (2, f"error: {message}")
+    assert run("3", "2,2") == (2, f"error: {message}")
+    if value == "0":  # argparse refuses the other two before the problem is built
+        assert run("4", "2,0,2") == (2, "error: hypersurface degree must be an integer >= 1, got 0")
 
 
 def test_secant_degree_one_warning():

@@ -1,0 +1,269 @@
+"""Every public call refuses bad input with a ``ValidationError`` or an
+``UnsupportedError``, never with a bare Python error.
+
+Each callable of ``hilb2.__all__`` runs on seeded argument lists, except the
+exception classes and the three enums, whose call is Python's own protocol.
+A list starts from valid arguments; then none, one or two of its slots take
+a shape from a fixed pool: ``None``, a ``bool``, a ``float``, a ``str``, a
+negative int, a plain tuple of a value's fields, nested tuples, a value of
+another type, a class or symbol on another ambient, or the slot's own list
+or document with one entry replaced.  A call may return anything or raise
+one of the two error families; any other exception fails the test.
+
+Large ints go only into the slots that ``BIG`` lists: slots that refuse them,
+or whose cost does not grow with them.  Secant degree lists stay at 16 or
+fewer entries, because the closed route visits all ``2^r`` subsets of the
+``r`` degrees (ROADMAP item 2).
+"""
+
+import json
+import random
+from enum import Enum
+from fractions import Fraction
+
+import hilb2
+from hilb2 import (
+    BasisId,
+    BasisSymbol,
+    Family,
+    GradedClass,
+    Hilb2Error,
+    IdealKind,
+    MonomialIdealDescriptor,
+    MonomialSpec,
+    SecantProblem,
+    UnsupportedError,
+    ValidationError,
+    emit_class,
+    enumerate_basis,
+    enumerate_fixed_points,
+    intersection_matrix,
+)
+from hilb2.serialize import symbol_to_doc
+
+TRIALS = 80
+MAX_DEGREES = 16  # the closed secant route is exponential in the degree count
+
+
+def _n(rng, lo=1, hi=6):
+    return rng.randint(lo, hi)
+
+
+def _symbol(rng, n, basis=None):
+    return rng.choice(enumerate_basis(n, basis or rng.choice(("BB", "ES", "MS"))))
+
+
+def _coefficient(rng):
+    return rng.choice([rng.randint(-5, 5), Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                       f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}"])
+
+
+def _homogeneous(rng, n, basis, dim):
+    symbols = enumerate_basis(n, basis, dim=dim)
+    chosen = rng.sample(symbols, rng.randint(1, len(symbols)))
+    return GradedClass(n, [(s, _coefficient(rng)) for s in chosen])
+
+
+def _any_class(rng, n):
+    return GradedClass(n, [(_symbol(rng, n), _coefficient(rng)) for _ in range(rng.randint(0, 4))])
+
+
+def _secant_problem(rng):
+    n = _n(rng, 3, 10)
+    m = rng.randint(0, (n - 2) // 2)  # 2m + 1 < n
+    return SecantProblem(n, [rng.randint(1, 5) for _ in range(min(n - m, MAX_DEGREES))])
+
+
+def _cone_args(rng):
+    n = _n(rng)
+    X = _homogeneous(rng, n, "MS", rng.randint(0, 2 * n))
+    return [X, rng.choice([None, X.dimension(), X.codimension()])]
+
+
+def _pair_args(rng):
+    n = _n(rng)
+    k = rng.randint(0, 2 * n)
+    X = _homogeneous(rng, n, rng.choice(("ES", "MS")), k)
+    return [X, _homogeneous(rng, n, "MS", 2 * n - k), rng.randint(1, 3)]
+
+
+def _grading_kwargs(rng, n):
+    return rng.choice([{}, {"dim": rng.randint(0, 2 * n)}, {"codim": rng.randint(0, 2 * n)}])
+
+
+def _class_source(rng):
+    doc = emit_class(_any_class(rng, _n(rng)))
+    return [rng.choice([doc, json.dumps(doc)])]
+
+
+def _symbol_source(rng):
+    n = _n(rng)
+    doc = symbol_to_doc(_symbol(rng, n))
+    return [rng.choice([doc, json.dumps(doc)]), n]
+
+
+def _monomial_spec(rng):
+    n = _n(rng)
+    a = rng.randint(1, n)
+    return [n, a, rng.randint(0, n - a)]
+
+
+def _pair_symbols_args(rng):
+    x = _symbol(rng, _n(rng), "ES")
+    return [x, rng.choice(enumerate_basis(x.n, "MS", codim=x.dimension)), rng.randint(1, 3)]
+
+
+def _enumerate_basis(rng):
+    n = _n(rng)
+    return [n, rng.choice(("BB", "ES", "MS"))], _grading_kwargs(rng, n)
+
+
+def _at_n(make):
+    """Valid arguments built by ``make(rng, n)`` at a seeded ambient ``n``."""
+    return lambda rng: make(rng, _n(rng))
+
+
+# Public callable -> seeded valid arguments, as a list or (list, keyword dict).
+VALID = {
+    "BasisSymbol": lambda rng: list(_symbol(rng, _n(rng))),
+    "GradedClass": lambda rng: list(_fields(_any_class(rng, _n(rng)))),
+    "IntersectionMatrix": lambda rng: list(intersection_matrix(2, rng.randint(0, 4))),
+    "MonomialIdealDescriptor": lambda rng: list(rng.choice(enumerate_fixed_points(_n(rng)))),
+    "MonomialSpec": _monomial_spec,
+    "SecantProblem": lambda rng: list(_secant_problem(rng)),
+    "bb_cell_of": lambda rng: [rng.choice(enumerate_fixed_points(_n(rng)))],
+    "bprime_top_power": _at_n(lambda rng, n: [n, rng.randint(1, n)]),
+    "chern_taut": lambda rng: [_n(rng), rng.randint(1, 5)],
+    "chow_rank": _at_n(lambda rng, n: [n, rng.randint(0, 2 * n)]),
+    "dual_generator": lambda rng: [_symbol(rng, _n(rng), "ES")],
+    "effectivity_pairings": lambda rng: _cone_args(rng)[:1],
+    "emit_class": lambda rng: [_any_class(rng, _n(rng))],
+    "enumerate_basis": _enumerate_basis,
+    "enumerate_fixed_points": lambda rng: [_n(rng)],
+    "eval_monomial": lambda rng: [MonomialSpec(*_monomial_spec(rng))],
+    "intersection_matrix": _at_n(lambda rng, n: [n, rng.randint(0, 2 * n), "ES", "MS", 1]),
+    "is_effective": _cone_args,
+    "is_nef": _cone_args,
+    "mul_bprime_top": lambda rng: [_any_class(rng, _n(rng))],
+    "mul_c_top": lambda rng: [_any_class(rng, _n(rng))],
+    "pair_classes": _pair_args,
+    "pair_symbols": _pair_symbols_args,
+    "parse_class": _class_source,
+    "parse_symbol": _symbol_source,
+    "secant_degree_mu_closed": lambda rng: [_secant_problem(rng)],
+    "secant_degree_mu_intersection": lambda rng: [_secant_problem(rng)],
+    "secant_oracle": lambda rng: list(_secant_problem(rng)),
+    "to_ms": lambda rng: [_symbol(rng, _n(rng))],
+}
+
+# Callable -> the slots (positions or keywords) that may take a large int.
+BIG = {
+    "BasisSymbol": {1, 2, 3},
+    "GradedClass": {0},
+    "IntersectionMatrix": set(range(7)),
+    "MonomialIdealDescriptor": {1, 2, 3},
+    "MonomialSpec": {0, 1, 2},
+    "SecantProblem": {0},
+    "bprime_top_power": {1},  # n stays small: the closed form has about k terms
+    "chern_taut": {0, 1},
+    "chow_rank": {0, 1},
+    "enumerate_basis": {"dim", "codim"},
+    "intersection_matrix": {1, 4},
+    "is_effective": {1},
+    "is_nef": {1},
+    "pair_classes": {2},
+    "pair_symbols": {2},
+    "parse_symbol": {1},
+    "secant_oracle": {0},
+}
+LARGE = (10 ** 30, 2 ** 64)
+
+OTHER_TYPES = (
+    BasisSymbol("A", 0, 1, 2), GradedClass.from_symbol(BasisSymbol("C", 1, 1, 3)),
+    MonomialSpec(3, 1, 1), SecantProblem(5, (2, 2)), MonomialIdealDescriptor("J", 0, 2, 2),
+    Family.A, BasisId.MS, IdealKind.K, {"n": 2, "terms": []}, [], {},
+)
+SHAPES = (
+    None, True, False, 1.5, 2.0, float("nan"), "x", "2", "", "222", "MS", "A'",
+    -1, -3, 0, -(10 ** 40), (), (1, (2, (3,))), ((), ((),)), *OTHER_TYPES,
+)
+
+
+def _fields(value):
+    """A plain tuple of a value's fields: what a value class holds, or a class's ``n``
+    and terms; None for anything else."""
+    if isinstance(value, GradedClass):
+        return (value.n, value.items())
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return tuple(value)
+    return None
+
+
+def _shape(rng, value, big):
+    """A replacement for a slot holding ``value``."""
+    if type(value) in (list, tuple, dict) and value and rng.random() < 0.4:
+        return _inner(rng, value)
+    pool = list(SHAPES) + (list(LARGE) if big else [])
+    fields = _fields(value)
+    if fields is not None:
+        pool += [fields, (fields,)]
+    if isinstance(value, (GradedClass, BasisSymbol)):  # the same kind of value, another ambient
+        pool.append(rng.choice([_any_class, _symbol])(rng, value.n + rng.randint(1, 3)))
+    return rng.choice(pool)
+
+
+def _inner(rng, value):
+    """``value``, a list or document, with one entry (or a pair's half) replaced."""
+    if type(value) is dict:
+        key = rng.choice(sorted(value, key=str))
+        replaced = _inner(rng, value[key]) if rng.random() < 0.5 else _shape(rng, None, False)
+        return {**value, key: replaced}
+    if type(value) in (list, tuple) and value:
+        out = list(value)
+        pos = rng.randrange(len(out))
+        out[pos] = _inner(rng, out[pos]) if rng.random() < 0.5 else _shape(rng, out[pos], False)
+        return type(value)(out)
+    return _shape(rng, value, False)
+
+
+def _calls(name):
+    """Seeded ``(args, kwargs)`` for one callable: valid first, then with slots replaced."""
+    rng = random.Random(name)
+    for trial in range(TRIALS):
+        made = VALID[name](rng)
+        args, kwargs = made if isinstance(made, tuple) else (made, {})
+        slots = list(range(len(args))) + list(kwargs)
+        for slot in rng.sample(slots, min(len(slots), 0 if trial == 0 else rng.choice((1, 1, 2)))):
+            big = slot in BIG.get(name, ())
+            if isinstance(slot, int):
+                args[slot] = _shape(rng, args[slot], big)
+            else:
+                kwargs[slot] = _shape(rng, kwargs[slot], big)
+        yield args, kwargs
+
+
+def _public_callables():
+    for name in hilb2.__all__:
+        value = getattr(hilb2, name)
+        if isinstance(value, type) and issubclass(value, (Hilb2Error, Enum)):
+            continue
+        yield name
+
+
+def test_the_fuzz_covers_every_public_callable():
+    assert sorted(VALID) == sorted(_public_callables())
+    assert len(VALID) == 29
+
+
+def test_every_public_call_raises_only_the_package_errors():
+    escaped = []
+    for name in VALID:
+        call = getattr(hilb2, name)
+        for args, kwargs in _calls(name):
+            try:
+                call(*args, **kwargs)
+            except (ValidationError, UnsupportedError):
+                pass
+            except Exception as exc:  # any other error is a finding
+                escaped.append(f"{name}(*{args!r}, **{kwargs!r}): {type(exc).__name__}: {exc}")
+    assert escaped == [], "\n".join(escaped[:10])

@@ -19,7 +19,10 @@ bundle with fibre ``H^0(O_Z(d))``:
   roots ``d*w_p`` and ``d*w_p + chi_q``.
 
 An integral is the exact sum, over the fixed points, of the integrand at the
-roots divided by the product of the tangent weights.  A top-degree integrand
+roots divided by the product of the tangent weights.  An integral over the
+closure of the ``J_{i,j+1}`` cell, a ``P^j``-bundle over ``P^i``, runs over
+its own fixed points and divides by its own tangent weights; it shows that
+``B_{i,j}`` is twice that cell closure for (i, j) != (0, 0).  A top-degree integrand
 gives the same integer at every weight vector with distinct entries; a
 lower-degree one gives 0.
 """
@@ -32,6 +35,7 @@ from hilb2 import (
     BasisSymbol,
     GradedClass,
     IdealKind,
+    MonomialIdealDescriptor,
     MonomialSpec,
     SecantProblem,
     chern_taut,
@@ -39,6 +43,7 @@ from hilb2 import (
     eval_monomial,
     pair_classes,
     secant_degree_mu_closed,
+    to_ms,
 )
 
 
@@ -152,3 +157,107 @@ def test_c_family_pairings_by_localization():
                         n, a, b, i, j)
                     cases += 1
     assert cases == 250
+
+
+def cell_points(n, i, j, w):
+    """``(fixed point, tangent weights of the cell closure)`` for each fixed point
+    of the closure of the ``J_{i,j+1}`` cell: the double points at ``p_a``,
+    a in ``Λ_i``, that point to ``p_b``, b in ``Λ_{j+1}`` minus a.  The closure is a
+    ``P^j``-bundle over ``P^i``, so it is smooth of dimension i + j."""
+    for a in range(i + 1):
+        for b in range(j + 2):
+            if b == a:
+                continue
+            fp = (MonomialIdealDescriptor(IdealKind.J, a, b, n) if a < b
+                  else MonomialIdealDescriptor(IdealKind.K, b, a, n))
+            tangent = [w[a] - w[k] for k in range(i + 1) if k != a]
+            tangent += [w[b] - w[k] for k in range(j + 2) if k not in (a, b)]
+            yield fp, tangent
+
+
+def cell_integral(n, i, j, integrand, rng):
+    """``∫ integrand`` over the ``J_{i,j+1}`` cell closure, read from the roots
+    at each of its fixed points; one integer at two weight vectors."""
+    values = set()
+    for w in weight_vectors(rng, n):
+        total = Fraction(0)
+        for fp, tangent in cell_points(n, i, j, w):
+            total += Fraction(integrand(local_data(fp, w)[1]), prod(tangent))
+        values.add(total)
+    assert len(values) == 1, values
+    (value,) = values
+    assert value.denominator == 1, value
+    return int(value)
+
+
+def c_class(k, l, n):
+    """The integrand of ``C_{k,l} = c2(E_1)^{n-l} * h_{l-k}(roots of E_1)``."""
+    return lambda roots: c2(roots, 1) ** (n - l) * h(l - k, *roots(1))
+
+
+def test_b_is_twice_the_j_cell_closure_against_its_c_partner():
+    # B_{i,j} pairs 2 with C_{n-j,n-i}, and the J_{i,j+1} cell closure pairs 1, for
+    # (i, j) != (0, 0); at the point class B_{0,0} both pair 1.
+    rng = random.Random(3)
+    ratios = []
+    for n in range(2, 8):
+        for i in range(n):
+            for j in range(i, n):
+                cell = cell_integral(n, i, j, c_class(n - j, n - i, n), rng)
+                b = pair_classes(GradedClass.from_symbol(BasisSymbol("B", i, j, n)),
+                                 GradedClass.from_symbol(BasisSymbol("C", n - j, n - i, n)))
+                assert cell == 1, (n, i, j)
+                ratios.append((b, (i, j) == (0, 0)))
+    assert ratios.count((2, False)) == 77 and ratios.count((1, True)) == 6
+    assert len(ratios) == 83
+
+
+def test_b_and_the_j_cell_closure_pair_zero_with_the_chern_monomials():
+    # B_{i,j} . B'^a C^b = 2 ∫_{cell} (c2(E_2) - 2 c2(E_1))^a c2(E_1)^b in every
+    # complementary grading, (i, j) != (0, 0): both sides are 0 in all 110 cases,
+    # so the C partners above and the Gram entries below fix the factor 2.
+    rng = random.Random(5)
+    cases = 0
+    for n in range(2, 8):
+        for i in range(n):
+            for j in range(i, n):
+                if (i + j) % 2 or (i, j) == (0, 0):
+                    continue
+                for a in range(1, (i + j) // 2 + 1):
+                    b = (i + j) // 2 - a
+
+                    def integrand(roots, a=a, b=b):
+                        return (c2(roots, 2) - 2 * c2(roots, 1)) ** a * c2(roots, 1) ** b
+
+                    X = eval_monomial(MonomialSpec(n, a, b))
+                    B = GradedClass.from_symbol(BasisSymbol("B", i, j, n))
+                    assert pair_classes(B, X) == 2 * cell_integral(n, i, j, integrand, rng) == 0
+                    cases += 1
+    assert cases == 110
+
+
+def test_b_gram_entries_are_the_j_cell_closures_meeting():
+    # The closure Z of a J cell is smooth, so its equivariant class at a fixed point
+    # p of Z is e(T_p Hilb) / e(T_p Z), and 0 elsewhere.  B_{i,j} . B_{k,l} is then
+    # ∫_{Z_{i,j}} [Z_{k,l}], times 2 for each of the two that is not B_{0,0}.
+    rng = random.Random(9)
+    nonzero = cases = 0
+    for n in range(2, 7):
+        cells = [(i, j) for i in range(n) for j in range(i, n)]
+        for i, j in cells:
+            for k, l in cells:
+                if i + j + k + l != 2 * n:
+                    continue
+                values = set()
+                for w in weight_vectors(rng, n):
+                    other = {fp: prod(t) for fp, t in cell_points(n, k, l, w)}
+                    values.add(sum(Fraction(prod(local_data(fp, w)[0]), other[fp] * prod(t))
+                                   for fp, t in cell_points(n, i, j, w) if fp in other))
+                (meet,) = values
+                factor = (1 if (i, j) == (0, 0) else 2) * (1 if (k, l) == (0, 0) else 2)
+                B = GradedClass.from_symbol(BasisSymbol("B", i, j, n))
+                assert pair_classes(B, to_ms(BasisSymbol("B", k, l, n))) == factor * meet, (
+                    n, i, j, k, l)
+                nonzero += meet != 0
+                cases += 1
+    assert (cases, nonzero) == (83, 15)

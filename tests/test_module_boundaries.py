@@ -1,6 +1,7 @@
 """Modules of the package reach one another through public names only, no
 module imports a name it never uses or keeps a private name it never reads,
-one helper checks integer arguments, and each error message has one writer.
+one helper checks integer arguments, each error message has one writer, and
+each ``try`` translates an error of outside input.
 
 A module that imports another module's private name (``from .x import _y``)
 couples itself to a detail that module may change; a public function that
@@ -8,7 +9,9 @@ does the same job is the one to call.  An import nothing references is dead
 code that no linter in the test suite would otherwise catch.  An integer
 check written out by hand beside ``chow.require_int`` is a second copy of
 the rule and its message, free to drift from the first; so is any message
-that two functions raise.
+that two functions raise.  A ``try`` that steers ordinary input between two
+paths is control flow by exception; each site that stays is listed, with
+the error it turns into the package's own.
 """
 
 import ast
@@ -87,21 +90,27 @@ def _templates(node):
     return ["{}"]
 
 
-def raised_messages(path):
-    """``(function, message, line)`` for each message a function raises: the
-    first argument of the raised exception, as :func:`_templates` writes it.
-    A method is named ``Class.method``."""
+def scoped_nodes(path):
+    """``(scope, node)`` for each node of a module, in source order; the scope
+    names the enclosing function, a method as ``Class.method``."""
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
+            yield scope, child
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 yield from visit(child, f"{scope}.{child.name}" if scope else child.name)
-            elif isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call) and child.exc.args:
-                for text in _templates(child.exc.args[0]):
-                    yield scope, text, child.lineno
             else:
                 yield from visit(child, scope)
 
     yield from visit(ast.parse(path.read_text(), filename=str(path)), "")
+
+
+def raised_messages(path):
+    """``(function, message, line)`` for each message a function raises: the
+    first argument of the raised exception, as :func:`_templates` writes it."""
+    for scope, node in scoped_nodes(path):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+            for text in _templates(node.exc.args[0]):
+                yield scope, text, node.lineno
 
 
 def shared_messages(paths):
@@ -218,3 +227,56 @@ def test_the_unread_private_name_scan_sees_a_left_over_helper(tmp_path):
     assert private_bindings(module) == [
         ("_USED", True), ("_LEFT", False), ("_typed", False), ("_helper", False),
         ("_Gone", False)]
+
+
+def try_sites(path):
+    """``(file:function, caught)`` for each ``try`` statement of a module, where
+    ``caught`` lists its handlers' exception types as written (a bare
+    ``except`` as ``BaseException``)."""
+    for scope, node in scoped_nodes(path):
+        if isinstance(node, ast.Try):
+            caught = []
+            for handler in node.handlers:
+                kinds = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+                caught += [ast.unparse(k) if k else "BaseException" for k in kinds]
+            yield f"{path.name}:{scope}", tuple(caught)
+
+
+# Each ``try`` of the package: the function, and the error from outside it translates.
+TRY_SITES = {
+    "cli.py:_int_or_text": ("ValueError",),  # a non-integer --dprime-diag, refused later
+    "cli.py:_parse_degrees": ("ValueError",),  # a non-integer entry of --degrees
+    "cli.py:run_command": ("SystemExit", "ValidationError", "UnsupportedError"),  # exit codes
+    "cli.py:main": ("BrokenPipeError",),  # the reader of stdout left
+    "serialize.py:_load_json": ("json.JSONDecodeError", "RecursionError"),  # malformed JSON
+    "chow.py:GradedClass.__init__": ("TypeError", "ValueError"),  # terms that are not pairs
+}
+
+
+def test_every_try_translates_an_outside_input_error():
+    found = [site for path in sorted(SRC.glob("*.py")) for site in try_sites(path)]
+    assert sorted(found) == sorted(TRY_SITES.items())
+
+
+def test_the_try_scan_names_each_site_and_what_it_catches(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "import json\n"
+        "def load(text):\n"
+        "    try:\n"
+        "        return json.loads(text)\n"
+        "    except (json.JSONDecodeError, RecursionError):\n"
+        "        return None\n"
+        "class Reader:\n"
+        "    def read(self):\n"
+        "        try:\n"
+        "            return int(self)\n"
+        "        except ValueError:\n"
+        "            pass\n"
+        "        except:\n"
+        "            raise\n"
+    )
+    assert list(try_sites(module)) == [
+        ("sample.py:load", ("json.JSONDecodeError", "RecursionError")),
+        ("sample.py:Reader.read", ("ValueError", "BaseException")),
+    ]

@@ -17,21 +17,20 @@ import pytest
 
 import hilb2.chow as chow
 import hilb2.pairing as pairing
-import hilb2.serialize as serialize
 from hilb2 import (
     BasisId,
     BasisSymbol,
     GradedClass,
     InvalidIndex,
     InvalidInput,
+    ParseError,
     dual_generator,
     enumerate_basis,
     intersection_matrix,
     pair_symbols,
     parse_class,
 )
-from hilb2.chow import in_range
-from hilb2.serialize import _parse_rational
+from hilb2.chow import as_rational, in_range
 
 
 def candidate_filter_enumeration(n, basis, dim=None, codim=None):
@@ -98,20 +97,20 @@ def test_parse_rational_matches_fraction_of_the_string():
         part = "7" * limit
         corpus += [part, "-" + part, "1/" + part, part + "/" + part, "-" + part + "/3"]
     for text in corpus:
-        got = _parse_rational(text)
+        got = as_rational(text, ParseError)
         assert type(got) is Fraction
         assert got == Fraction(text), text
 
 
 def test_parse_class_passes_no_string_to_fraction(monkeypatch):
     seen = []
-    real = serialize.Fraction
+    real = Fraction.__new__
 
-    def spy(*args):
+    def spy(cls, *args, **kwargs):
         seen.append(args)
-        return real(*args)
+        return real(cls, *args, **kwargs)
 
-    monkeypatch.setattr(serialize, "Fraction", spy)
+    monkeypatch.setattr(Fraction, "__new__", spy)
     doc = {"n": 4, "terms": [
         {"family": "A", "i": 0, "j": 4, "coeff": "-7/2"},
         {"family": "B'", "i": 1, "j": 3, "coeff": "12"},

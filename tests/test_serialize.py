@@ -11,6 +11,7 @@ from hilb2 import (
     BasisSymbol,
     GradedClass,
     InvalidIndex,
+    InvalidInput,
     ParseError,
     ValidationError,
     emit_class,
@@ -142,6 +143,35 @@ def test_coefficients_outside_the_schema_grammar_are_refused(coeff):
         ["cone", "--class", json.dumps(one_term_document(coeff)), "--test", "nef"]
     )
     assert code == EXIT_VALIDATION
+
+
+# Coefficient text -> its value where a class document may hold it; the rest is refused.
+_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+COEFFICIENT_TEXT = {
+    "1/2": Fraction(1, 2), "-0": 0, "007": 7, " 1.50 ": None, "1e2": None, "+3": None,
+    "1_0": None, "3/-4": None, "1/0": None, "\u0663": None, "2\n": None,
+    **({"7" * (_LIMIT + 1): None} if _LIMIT else {}),
+}
+
+
+@pytest.mark.parametrize("text", COEFFICIENT_TEXT, ids=[repr(t)[:12] for t in COEFFICIENT_TEXT])
+def test_a_class_reads_coefficient_text_as_a_class_document_does(text):
+    # GradedClass and scalar * read text with parse_class's one reader: the same
+    # strings, the same values, and the same message under InvalidInput.
+    sym = BasisSymbol("A", 0, 1, 2)
+    by_text = (lambda: GradedClass(2, [(sym, text)]), lambda: GradedClass.from_symbol(sym) * text)
+    value = COEFFICIENT_TEXT[text]
+    if value is not None:
+        expected = GradedClass(2, [(sym, value)])
+        assert parse_class(one_term_document(text)) == expected
+        assert [make() for make in by_text] == [expected, expected]
+        return
+    with pytest.raises(ParseError) as parsed:
+        parse_class(one_term_document(text))
+    for make in by_text:
+        with pytest.raises(InvalidInput) as built:
+            make()
+        assert str(built.value) == str(parsed.value)
 
 
 def test_coefficient_grammar_matches_the_schema():

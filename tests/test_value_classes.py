@@ -45,7 +45,6 @@ from hilb2 import (
     pair_symbols,
     parse_class,
     parse_symbol,
-    secant_degree,
     secant_degree_mu_closed,
     secant_degree_mu_intersection,
     secant_oracle,
@@ -58,7 +57,7 @@ CASES = {
     BasisSymbol: (lambda: BasisSymbol(Family.BP, 1, 1, 2), (Family.BP, 1, 5, 2), InvalidIndex),
     MonomialSpec: (lambda: MonomialSpec(3, 1, 1), (3, 2, 2), InvalidInput),
     IntersectionMatrix: (lambda: intersection_matrix(2, 2), None, None),
-    SecantProblem: (lambda: SecantProblem(5, [2, 2, 3]), (5, (2,), 0), InvalidInput),
+    SecantProblem: (lambda: SecantProblem(5, [2, 2, 3]), (5, (2, 0)), InvalidInput),
     MonomialIdealDescriptor: (
         lambda: MonomialIdealDescriptor(IdealKind.K, 0, 2, 2), (IdealKind.K, 2, 0, 2), InvalidIndex,
     ),
@@ -198,7 +197,7 @@ def test_basis_symbol_repr_is_unchanged():
 
 def test_reprs_name_their_fields():
     assert repr(MonomialSpec(3, 1, 0)) == "MonomialSpec(n=3, a=1, b=0)"
-    assert repr(SecantProblem(5, [2, 2])) == "SecantProblem(n=5, degrees=(2, 2), mu1=1)"
+    assert repr(SecantProblem(5, [2, 2])) == "SecantProblem(n=5, degrees=(2, 2))"
 
 
 def test_intersection_matrix_repr_omits_entries():
@@ -211,10 +210,10 @@ def test_intersection_matrix_repr_omits_entries():
 
 
 def test_secant_problem_stores_degrees_as_a_tuple():
-    p = SecantProblem(5, [2, 2, 3], mu1=2)
+    p = SecantProblem(5, [2, 2, 3])
     assert p.degrees == (2, 2, 3) and type(p.degrees) is tuple
-    assert p == SecantProblem(5, (2, 2, 3), 2)
-    assert hash(p) == hash(SecantProblem(5, iter([2, 2, 3]), 2))
+    assert p == SecantProblem(5, (2, 2, 3))
+    assert hash(p) == hash(SecantProblem(5, iter([2, 2, 3])))
     assert p.m == 2
 
 
@@ -242,7 +241,6 @@ INTEGER_SLOTS = {
     "chern_taut d": lambda x: chern_taut(2, x),
     "SecantProblem n": lambda x: SecantProblem(x, (2,)),
     "SecantProblem degree": lambda x: SecantProblem(5, (2, x)),
-    "SecantProblem mu1": lambda x: SecantProblem(5, (2, 2), mu1=x),
     "secant_oracle degree": lambda x: secant_oracle(5, (2, x)),
     "pair_symbols ap_a_diagonal": lambda x: pair_symbols(_POINT_SYMBOL, _TOP_SYMBOL, x),
     "pair_classes ap_a_diagonal": lambda x: pair_classes(_POINT, _TOP, x),
@@ -285,8 +283,7 @@ TYPED_CALLS = {
     **dict.fromkeys((to_ms, dual_generator), (Family.B, 1, 1, 2)),
     bb_cell_of: (IdealKind.J, 0, 1, 2),
     eval_monomial: (4, 1, 1),
-    **dict.fromkeys((secant_degree_mu_closed, secant_degree_mu_intersection, secant_degree),
-                    (4, (2, 2, 2), 1)),
+    **dict.fromkeys((secant_degree_mu_closed, secant_degree_mu_intersection), (4, (2, 2, 2))),
 }
 
 
