@@ -29,6 +29,6 @@ print()
 # monomial ideal, and cell dimensions reproduce the graded ranks.
 print(f"the {3 * comb(n + 1, 2)} fixed points of P^{n}[2] and their cells:")
 for fp in enumerate_fixed_points(n):
-    cell, dim = bb_cell_of(fp)
+    cell = bb_cell_of(fp)
     gens = ", ".join(fp.generators())
-    print(f"  {fp} = ({gens})  ->  {cell}, cell dimension {dim}")
+    print(f"  {fp} = ({gens})  ->  {cell}, cell dimension {cell.dimension}")

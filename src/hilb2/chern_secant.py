@@ -64,7 +64,7 @@ class SecantProblem(value_type("SecantProblem", "n degrees")):
 
     def __new__(cls, n: int, degrees):
         require_ambient(n)
-        if isinstance(degrees, str) or not isinstance(degrees, Iterable):
+        if isinstance(degrees, (str, bytes, bytearray)) or not isinstance(degrees, Iterable):
             raise InvalidInput(f"hypersurface degrees must be an iterable of ints, got {degrees!r}")
         degrees = tuple(degrees)
         if not degrees:

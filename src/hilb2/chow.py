@@ -34,7 +34,6 @@ from enum import Enum
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
-from typing import Union
 
 from .errors import (
     InvalidGrading,
@@ -95,7 +94,7 @@ def as_member(enum: type[Enum], value, error: type[ValidationError], noun: str):
     return member
 
 
-def as_basis(basis: Union[BasisId, str]) -> BasisId:
+def as_basis(basis: BasisId | str) -> BasisId:
     """The basis named by ``basis``; an unknown name raises ``InvalidInput``."""
     return as_member(BasisId, basis, InvalidInput, "basis")
 
@@ -185,7 +184,7 @@ class BasisSymbol(value_type("BasisSymbol", "family i j n")):
 
     __slots__ = ()
 
-    def __new__(cls, family: Union[Family, str], i: int, j: int, n: int):
+    def __new__(cls, family: Family | str, i: int, j: int, n: int):
         if family.__class__ is not Family:
             family = as_member(Family, family, InvalidIndex, "family")
         if not (n.__class__ is i.__class__ is j.__class__ is int and n >= 1):  # plain ints: no calls
@@ -266,7 +265,7 @@ class GradedClass:
 
     __slots__ = ("n", "_terms")
 
-    def __init__(self, n: int, terms: Union[Mapping, Iterable[tuple]] = ()):
+    def __init__(self, n: int, terms: Mapping | Iterable[tuple] = ()):
         require_ambient(n)
         acc: dict[BasisSymbol, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -391,7 +390,7 @@ def linear_sum(rule, terms, *args) -> dict:
 
 def enumerate_basis(
     n: int,
-    basis: Union[BasisId, str],
+    basis: BasisId | str,
     *,
     dim: int | None = None,
     codim: int | None = None,

@@ -93,7 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="complementary-codimension pairing matrix")
     p.add_argument("--k", type=int, required=True, help="rows have dimension k, columns codimension k")
     p.add_argument("--rows", choices=("ES", "MS"), default="ES")
-    p.add_argument("--cols", choices=("MS",), default="MS")
 
     p = sub.add_parser("power", parents=[ambient], help="evaluate B'_{n-1,n-1}^k . C_{n-1,n-1}^b")
     p.add_argument("--k", type=int, required=True, help="exponent of B'_{n-1,n-1} (k >= 1)")
@@ -164,15 +163,15 @@ def _cmd_fixed_points(args):
     records, lines = [], []
     points = enumerate_fixed_points(args.n)
     for fp in points:
-        cell, dim = bb_cell_of(fp)
+        cell = bb_cell_of(fp)
         rec = {
             "kind": fp.kind.value,
             "i": fp.i,
             "j": fp.j,
             "cell": symbol_to_doc(cell),
-            "cell_dim": dim,
+            "cell_dim": cell.dimension,
         }
-        line = f"{fp} -> {cell} (dim {dim})"
+        line = f"{fp} -> {cell} (dim {cell.dimension})"
         if args.generators:
             gens = fp.generators()
             rec["generators"] = gens
@@ -205,7 +204,7 @@ def _cmd_matrix(args):
     from .pairing import intersection_matrix
     from .serialize import symbol_to_doc
 
-    M = intersection_matrix(args.n, args.k, args.rows, args.cols, args.dprime_diag)
+    M = intersection_matrix(args.n, args.k, args.rows, ap_a_diagonal=args.dprime_diag)
     entries = [[str(v) for v in row] for row in M.entries]  # each Fraction rendered once
     header = [""] + [str(s) for s in M.col_symbols]
     grid = [[str(r)] + row for r, row in zip(M.row_symbols, entries)]
@@ -220,7 +219,7 @@ def _cmd_matrix(args):
         "n": args.n,
         "k": args.k,
         "rows": args.rows,
-        "cols": args.cols,
+        "cols": "MS",
         "row_symbols": [symbol_to_doc(s) for s in M.row_symbols],
         "col_symbols": [symbol_to_doc(s) for s in M.col_symbols],
         "entries": entries,

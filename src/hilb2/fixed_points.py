@@ -82,14 +82,12 @@ def enumerate_fixed_points(n: int) -> list[MonomialIdealDescriptor]:
     ]
 
 
-def bb_cell_of(fp: MonomialIdealDescriptor) -> tuple[BasisSymbol, int]:
-    """The BB symbol and dimension of the attracting cell of a fixed point; a
-    ``B`` symbol other than ``B_{0,0}`` is twice the cell closure's class."""
+def bb_cell_of(fp: MonomialIdealDescriptor) -> BasisSymbol:
+    """The BB symbol of the attracting cell of a fixed point, whose ``.dimension``
+    is the cell's; a ``B`` symbol other than ``B_{0,0}`` is twice the cell closure's class."""
     require_type(fp, MonomialIdealDescriptor, "bb_cell_of")
     if fp.kind is IdealKind.I:
-        sym = BasisSymbol(Family.A, fp.i, fp.j, fp.n)
-    elif fp.kind is IdealKind.J:
-        sym = BasisSymbol(Family.B, fp.i, fp.j - 1, fp.n)
-    else:
-        sym = BasisSymbol(Family.C, fp.i + 1, fp.j, fp.n)
-    return sym, sym.dimension
+        return BasisSymbol(Family.A, fp.i, fp.j, fp.n)
+    if fp.kind is IdealKind.J:
+        return BasisSymbol(Family.B, fp.i, fp.j - 1, fp.n)
+    return BasisSymbol(Family.C, fp.i + 1, fp.j, fp.n)

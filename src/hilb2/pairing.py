@@ -41,12 +41,12 @@ which never meet it, so only the other three routines take it.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import Union
 
 from .chow import (BasisId, BasisSymbol, Family, GradedClass, as_basis, enumerate_basis,
                    linear_sum, require_ambient, require_grading, require_int, require_type,
-                   scaled_terms, term, value_type)
+                   scaled_terms, term)
 from .errors import (
     InvalidInput,
     MixedAmbient,
@@ -113,22 +113,12 @@ def pair_classes(X: GradedClass, Y: GradedClass, ap_a_diagonal: int = 1) -> Frac
     return Fraction(sum(b * sums.get(y, 0) for y, b in ys), dx * dy)
 
 
-class IntersectionMatrix(
-    value_type("IntersectionMatrix", "n k rows cols row_symbols col_symbols entries")
-):
-    """A pairing matrix together with the symbols labelling its rows/columns:
-    a result record, built by :func:`intersection_matrix`, that validates nothing.
-
-    ``rows`` and ``cols`` are the bases, ``row_symbols`` and ``col_symbols``
-    tuples of :class:`BasisSymbol`, and ``entries`` a tuple of row tuples of
-    ``Fraction``, which the repr leaves out.
-    """
+class IntersectionMatrix(namedtuple("IntersectionMatrix", "row_symbols col_symbols entries")):
+    """A pairing matrix, built by :func:`intersection_matrix`, that validates nothing:
+    ``row_symbols`` and ``col_symbols`` label its rows and columns with tuples of
+    :class:`BasisSymbol`, and ``entries`` is a tuple of row tuples of ``Fraction``."""
 
     __slots__ = ()
-
-    def __repr__(self):
-        shown = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields[:-1], self))
-        return f"IntersectionMatrix({shown})"
 
 
 def dual_generator(sym: BasisSymbol) -> BasisSymbol:
@@ -147,8 +137,8 @@ def dual_generator(sym: BasisSymbol) -> BasisSymbol:
 def intersection_matrix(
     n: int,
     k: int,
-    rows: Union[BasisId, str] = BasisId.ES,
-    cols: Union[BasisId, str] = BasisId.MS,
+    rows: BasisId | str = BasisId.ES,
+    cols: BasisId | str = BasisId.MS,
     ap_a_diagonal: int = 1,
 ) -> IntersectionMatrix:
     """Pairing matrix of the dimension-k ``rows`` basis against the
@@ -178,7 +168,7 @@ def intersection_matrix(
         for key, v in image:
             row[column[key]] = Fraction(v)
         entries.append(tuple(row))
-    return IntersectionMatrix(n, k, rows, cols, row_syms, col_syms, tuple(entries))
+    return IntersectionMatrix(row_syms, col_syms, tuple(entries))
 
 
 def _cone_grading(X: GradedClass, k: int | None, what: str, grading) -> int | None:

@@ -6,8 +6,10 @@ of one basis symbol (a ``BasisSymbol`` is its own key) to a sparse list of
 ``chow.linear_sum``, the loop the pairing rule shares.  Each rule builds its
 terms with ``chow.term``, which lists no term whose indices leave the family's
 range: that output is the zero class.  The engine multiplies by
-``B'_{n-1,n-1}`` or ``C_{n-1,n-1}``, the only multipliers with complete rule
-sets.  The six base rules:
+``B'_{n-1,n-1}`` or ``C_{n-1,n-1}`` only, and neither has a rule for every
+family: ``B'_{n-1,n-1}`` refuses A' and unbalanced C (``C_{i,j}``, i < j),
+``C_{n-1,n-1}`` refuses A', B and C, each with ``UnsupportedTerm``; the
+missing C rules are ROADMAP item 4a.  The six base rules:
 
     B'_{n-1,n-1} . A_{i,j}  = 2 B'_{i-1,j-1}
     B'_{n-1,n-1} . B_{i,j}  = 2 B_{i-2,j}

@@ -13,7 +13,6 @@ integral floats (``2.0``): ``json`` reads ``2.0000000000000001`` as ``2.0`` too.
 from __future__ import annotations
 
 import json
-from typing import Union
 
 from .chow import (BasisId, BasisSymbol, Family, GradedClass, as_member, as_rational, is_int,
                    require_type)
@@ -70,7 +69,7 @@ def _read_symbol(doc: dict, n: int) -> BasisSymbol:
     return BasisSymbol(family, i, j, n)  # InvalidIndex propagates
 
 
-def parse_symbol(source: Union[str, dict], n: int) -> BasisSymbol:
+def parse_symbol(source: str | dict, n: int) -> BasisSymbol:
     """Read ``{"family": ..., "i": ..., "j": ...}`` (dict or JSON text)."""
     doc = _load_json(source) if isinstance(source, str) else source
     if not isinstance(doc, dict):
@@ -91,7 +90,7 @@ def emit_class(X: GradedClass) -> dict:
     }
 
 
-def parse_class(source: Union[str, dict]) -> GradedClass:
+def parse_class(source: str | dict) -> GradedClass:
     """Read a class document (dict or JSON text) back into a GradedClass."""
     doc = _load_json(source) if isinstance(source, str) else source
     if not isinstance(doc, dict):

@@ -58,7 +58,7 @@ def test_criterion_1_rank_identities():
             assert sum(chow_rank(n, k) for k in range(0, 2 * n + 1)) == 3 * comb(n + 1, 2)
             by_dim = {}
             for fp in enumerate_fixed_points(n):
-                _, dim = bb_cell_of(fp)
+                dim = bb_cell_of(fp).dimension
                 by_dim[dim] = by_dim.get(dim, 0) + 1
             for k in range(0, 2 * n + 1):
                 rank = chow_rank(n, k)

@@ -220,6 +220,8 @@ def test_secant_oracle_examples():
 
 @pytest.mark.parametrize("n, degrees", [
     (0, (2,)), (2.5, (2,)), (3, ()), (3, (2, 0)), (3, (2, "2")), (3, (2, 1.0)), (2, (2, 2, 2)),
+    # text, and bytes, which iterate as ints (b"222" as 50, 50, 50), are not degree lists
+    (4, "222"), (4, b"222"), (4, bytearray(b"\x02\x02\x02")),
 ])
 def test_secant_oracle_refuses_what_secant_problem_refuses(n, degrees):
     with pytest.raises(InvalidInput) as expected:

@@ -235,6 +235,17 @@ def test_matrix_headers_match_enumeration():
     assert sorted(cols) == sorted(canonical)
 
 
+def test_matrix_has_no_cols_option():
+    # MS is the only column basis, so the schema's one "cols" value is written, not read
+    code, doc = run_json(["matrix", "--n", "2", "--k", "2", "--cols", "MS"])
+    assert code == 2
+    assert doc["error"] == {"type": "InvalidInput",
+                            "message": "hilb2: unrecognized arguments: --cols MS"}
+    assert run_json(["matrix", "--n", "2", "--k", "2"])[1]["result"]["cols"] == "MS"
+    code, text = run_command(["matrix", "--help"])
+    assert code == 0 and "--rows" in text and "--cols" not in text
+
+
 def test_dprime_diag_flag():
     code, text = run_command(
         ["pair", "--n", "2", "--x", '{"family":"A\'","i":0,"j":2}',

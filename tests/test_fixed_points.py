@@ -5,6 +5,7 @@ import pytest
 
 from hilb2 import (
     BasisId,
+    BasisSymbol,
     Family,
     IdealKind,
     InvalidIndex,
@@ -54,17 +55,17 @@ def test_unknown_kind_is_invalid_index(kind):
 
 
 def test_bb_cell_examples():
-    sym, dim = bb_cell_of(MonomialIdealDescriptor(IdealKind.K, 0, 1, 1))
-    assert (str(sym), dim) == ("C_{1,1}", 2)
-    sym, dim = bb_cell_of(MonomialIdealDescriptor(IdealKind.J, 0, 1, 2))
-    assert (str(sym), dim) == ("B_{0,0}", 0)
-    sym, dim = bb_cell_of(MonomialIdealDescriptor(IdealKind.I, 1, 2, 3))
-    assert (str(sym), dim) == ("A_{1,2}", 3)
+    sym = bb_cell_of(MonomialIdealDescriptor(IdealKind.K, 0, 1, 1))
+    assert (str(sym), sym.dimension) == ("C_{1,1}", 2)
+    sym = bb_cell_of(MonomialIdealDescriptor(IdealKind.J, 0, 1, 2))
+    assert (str(sym), sym.dimension) == ("B_{0,0}", 0)
+    sym = bb_cell_of(MonomialIdealDescriptor(IdealKind.I, 1, 2, 3))
+    assert (str(sym), sym.dimension) == ("A_{1,2}", 3)
 
 
 def test_cells_are_bijective_with_bb_basis():
     for n in range(1, 9):
-        cells = [bb_cell_of(fp)[0] for fp in enumerate_fixed_points(n)]
+        cells = [bb_cell_of(fp) for fp in enumerate_fixed_points(n)]
         assert len(cells) == len(set(cells))
         assert set(cells) == set(enumerate_basis(n, "BB"))
 
@@ -73,8 +74,9 @@ def test_cell_dimension_counts_match_ranks():
     for n in range(1, 13):
         by_dim = {}
         for fp in enumerate_fixed_points(n):
-            _, dim = bb_cell_of(fp)
-            by_dim[dim] = by_dim.get(dim, 0) + 1
+            cell = bb_cell_of(fp)
+            assert type(cell) is BasisSymbol
+            by_dim[cell.dimension] = by_dim.get(cell.dimension, 0) + 1
         for k in range(0, 2 * n + 1):
             assert by_dim.get(k, 0) == chow_rank(n, 2 * n - k)
 

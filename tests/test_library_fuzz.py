@@ -160,7 +160,7 @@ VALID = {
 BIG = {
     "BasisSymbol": {1, 2, 3},
     "GradedClass": {0},
-    "IntersectionMatrix": set(range(7)),
+    "IntersectionMatrix": set(range(3)),
     "MonomialIdealDescriptor": {1, 2, 3},
     "MonomialSpec": {0, 1, 2},
     "SecantProblem": {0},
@@ -184,7 +184,7 @@ OTHER_TYPES = (
     Family.A, BasisId.MS, IdealKind.K, {"n": 2, "terms": []}, [], {},
 )
 SHAPES = (
-    None, True, False, 1.5, 2.0, float("nan"), "x", "2", "", "222", "MS", "A'",
+    None, True, False, 1.5, 2.0, float("nan"), "x", "2", "", "222", b"222", "MS", "A'",
     -1, -3, 0, -(10 ** 40), (), (1, (2, (3,))), ((), ((),)), *OTHER_TYPES,
 )
 

@@ -1,6 +1,6 @@
 """Torus localization: a derivation of the secant degrees and of the
-C-family pairings that shares no code or formula with the closed secant sum,
-the product rules or the pairing rule (Bott's residue formula; Atiyah-Bott
+pairings of the C, B and A families that shares no code or formula with the
+closed secant sum, the product rules or the pairing rule (Bott's residue formula; Atiyah-Bott
 1984, Ellingsrud-Stromme, JAMS 1996).
 
 The torus acts on the coordinate ``x_k`` of ``P^n`` with weight ``w_k``, all
@@ -22,9 +22,11 @@ An integral is the exact sum, over the fixed points, of the integrand at the
 roots divided by the product of the tangent weights.  An integral over the
 closure of the ``J_{i,j+1}`` cell, a ``P^j``-bundle over ``P^i``, runs over
 its own fixed points and divides by its own tangent weights; it shows that
-``B_{i,j}`` is twice that cell closure for (i, j) != (0, 0).  A top-degree integrand
-gives the same integer at every weight vector with distinct entries; a
-lower-degree one gives 0.
+``B_{i,j}`` is twice that cell closure for (i, j) != (0, 0).  An integral
+over the ``A_{i,j}`` locus runs over the blow-up of ``Λ_i × Λ_j`` along the
+diagonal of ``Λ_i``, where ``Λ_r`` is the span of ``p_0 .. p_r``.  A
+top-degree integrand gives the same integer at every weight vector with
+distinct entries; a lower-degree one gives 0.
 """
 
 import random
@@ -33,12 +35,14 @@ from math import prod
 
 from hilb2 import (
     BasisSymbol,
+    Family,
     GradedClass,
     IdealKind,
     MonomialIdealDescriptor,
     MonomialSpec,
     SecantProblem,
     chern_taut,
+    enumerate_basis,
     enumerate_fixed_points,
     eval_monomial,
     pair_classes,
@@ -261,3 +265,103 @@ def test_b_gram_entries_are_the_j_cell_closures_meeting():
                 nonzero += meet != 0
                 cases += 1
     assert (cases, nonzero) == (83, 15)
+
+
+def nested_points(n, i, j, w):
+    """``(roots, tangent weights)`` at each fixed point of ``Bl_{Δ(Λ_i)}(Λ_i × Λ_j)``,
+    i < j, which maps birationally onto the ``A_{i,j}`` locus, the pairs
+    ``{p, q}`` with ``p`` in ``Λ_i`` and ``q`` in ``Λ_j``.  Its fixed points are
+    the ordered pairs ``(p_a, p_b)``, a in ``Λ_i`` and b in ``Λ_j`` minus a, off
+    the exceptional divisor, with the roots of ``I_{a,b}``; and on it, the
+    double points at ``p_a`` pointing to ``p_b``, with the roots of that ``J`` or
+    ``K`` point.  The diagonal's tangent weights are ``Λ_i``'s at ``p_a``."""
+    for a in range(i + 1):
+        base = [w[a] - w[k] for k in range(i + 1) if k != a]
+        for b in range(j + 1):
+            if b == a:
+                continue
+            pair = MonomialIdealDescriptor(IdealKind.I, min(a, b), max(a, b), n)
+            yield (local_data(pair, w)[1],
+                   base + [w[b] - w[k] for k in range(j + 1) if k != b])
+            double = (MonomialIdealDescriptor(IdealKind.J, a, b, n) if a < b
+                      else MonomialIdealDescriptor(IdealKind.K, b, a, n))
+            yield (local_data(double, w)[1],
+                   base + [w[b] - w[k] for k in range(j + 1) if k not in (a, b)] + [w[a] - w[b]])
+
+
+def nested_integral(n, i, j, integrand, rng):
+    """``∫ integrand`` over the ``A_{i,j}`` locus; one integer at two weight vectors."""
+    values = {sum(Fraction(integrand(roots), prod(tangent))
+                  for roots, tangent in nested_points(n, i, j, w))
+              for w in weight_vectors(rng, n)}
+    assert len(values) == 1, values
+    (value,) = values
+    assert value.denominator == 1, value
+    return int(value)
+
+
+def test_a_is_the_nested_pair_locus():
+    # A_{i,j} pairs with every C_{k,l} and every B'^a C^b of complementary codimension
+    # as the blow-up of Λ_i × Λ_j along the diagonal of Λ_i does, i < j.  Every one of
+    # these pairings is 0 on both sides, so the model confirms where A vanishes, but
+    # none of its nonzero entries (A.A and A.B'), which these classes do not reach.
+    # A x A entries are left out: where both points lie in Λ_i the locus has two
+    # branches in the Hilbert scheme, so its equivariant class needs a sum over preimages.
+    rng = random.Random(11)
+    against_c = against_monomials = nonzero = 0
+    for n in range(2, 8):
+        for sym in enumerate_basis(n, "MS"):
+            if sym.family is not Family.A:
+                continue
+            A = GradedClass.from_symbol(sym)
+            for other in enumerate_basis(n, "MS", codim=sym.dimension):
+                if other.family is Family.C:
+                    got = nested_integral(n, sym.i, sym.j, c_class(other.i, other.j, n), rng)
+                    assert got == pair_classes(A, GradedClass.from_symbol(other)), (sym, other)
+                    against_c += 1
+                    nonzero += got != 0
+            for a in range(1, sym.dimension // 2 + 1):
+                b = sym.dimension // 2 - a
+                if sym.dimension % 2 or a + b > n:
+                    continue
+
+                def integrand(roots, a=a, b=b):
+                    return (c2(roots, 2) - 2 * c2(roots, 1)) ** a * c2(roots, 1) ** b
+
+                got = nested_integral(n, sym.i, sym.j, integrand, rng)
+                assert got == pair_classes(A, eval_monomial(MonomialSpec(n, a, b))), (sym, a, b)
+                against_monomials += 1
+                nonzero += got != 0
+    assert (against_c, against_monomials, nonzero) == (160, 96, 0)
+
+
+def test_the_disjoint_pair_locus_is_not_a():
+    # Λ_i × Λ_j with the two subspaces disjoint (no blow-up: the points never meet)
+    # pairs nonzero with C_{k,l} in 50 of 80 cases where A pairs 0, so the all-zero
+    # answer of the nested model above is a finding, not a blind spot of the method.
+    rng = random.Random(13)
+    cases = differ = 0
+    for n in range(2, 8):
+        for i in range(n):
+            for j in range(i + 1, n - i):
+                for k in range(1, n + 1):
+                    l = 2 * n - i - j - k
+                    if not k <= l <= n:
+                        continue
+                    values = set()
+                    for w in weight_vectors(rng, n):
+                        total = Fraction(0)
+                        for a in range(i + 1):  # p_a in span(p_0..p_i)
+                            for b in range(i + 1, i + j + 2):  # p_b in span(p_{i+1}..p_{i+j+1})
+                                tangent = [w[a] - w[t] for t in range(i + 1) if t != a]
+                                tangent += [w[b] - w[t] for t in range(i + 1, i + j + 2) if t != b]
+                                roots = local_data(
+                                    MonomialIdealDescriptor(IdealKind.I, a, b, n), w)[1]
+                                total += Fraction(c_class(k, l, n)(roots), prod(tangent))
+                        values.add(total)
+                    (value,) = values
+                    A = GradedClass.from_symbol(BasisSymbol("A", i, j, n))
+                    C = GradedClass.from_symbol(BasisSymbol("C", k, l, n))
+                    differ += value != pair_classes(A, C)
+                    cases += 1
+    assert (cases, differ) == (80, 50)

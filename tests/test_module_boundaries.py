@@ -1,7 +1,8 @@
 """Modules of the package reach one another through public names only, no
 module imports a name it never uses or keeps a private name it never reads,
-one helper checks integer arguments, each error message has one writer, and
-each ``try`` translates an error of outside input.
+one helper checks integer arguments, each error message has one writer,
+each ``try`` translates an error of outside input, and annotations are
+written one way.
 
 A module that imports another module's private name (``from .x import _y``)
 couples itself to a detail that module may change; a public function that
@@ -11,7 +12,9 @@ check written out by hand beside ``chow.require_int`` is a second copy of
 the rule and its message, free to drift from the first; so is any message
 that two functions raise.  A ``try`` that steers ordinary input between two
 paths is control flow by exception; each site that stays is listed, with
-the error it turns into the package's own.
+the error it turns into the package's own.  The package needs Python 3.10,
+which reads ``int | None`` at run time, so no module imports ``typing`` for
+``Union`` or ``Optional``.
 """
 
 import ast
@@ -280,3 +283,37 @@ def test_the_try_scan_names_each_site_and_what_it_catches(tmp_path):
         ("sample.py:load", ("json.JSONDecodeError", "RecursionError")),
         ("sample.py:Reader.read", ("ValueError", "BaseException")),
     ]
+
+
+def typing_imports(path):
+    """``file:line`` for each import of ``typing`` in a module, function-local ones too."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        if any(module.split(".")[0] == "typing" for module in modules):
+            yield f"{path.name}:{node.lineno}"
+
+
+def test_no_module_imports_typing():
+    # One annotation style: ``X | Y``, as the rest of the package writes it.
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) >= 9
+    assert [line for path in modules for line in typing_imports(path)] == []
+
+
+def test_the_typing_scan_sees_each_import_form(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "from typing import Union\n"
+        "import json, typing\n"
+        "from .typing import local\n"
+        "def f():\n"
+        "    import typing as t\n"
+        "    from typing_extensions import Self\n"
+        "    return t, Self, local, json\n"
+    )
+    assert sorted(typing_imports(module)) == ["sample.py:1", "sample.py:2", "sample.py:5"]

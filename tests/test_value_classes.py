@@ -1,6 +1,6 @@
 """The five value classes are immutable named tuples.  All but
-``IntersectionMatrix``, a result record that ``intersection_matrix`` builds,
-validate on every construction path: the constructor, ``_replace``,
+``IntersectionMatrix``, a three-field result record that
+``intersection_matrix`` builds, validate on every construction path: the constructor, ``_replace``,
 ``copy`` and ``pickle``.  They unpack, index and compare equal to a plain
 tuple of their fields.  Their integer fields, like every integer argument
 of the library, take an ``int`` and refuse a ``bool``; a class coefficient
@@ -200,13 +200,16 @@ def test_reprs_name_their_fields():
     assert repr(SecantProblem(5, [2, 2])) == "SecantProblem(n=5, degrees=(2, 2))"
 
 
-def test_intersection_matrix_repr_omits_entries():
+def test_intersection_matrix_holds_only_what_varies():
+    # n, k and the two bases are the call's own arguments, so the record keeps none of them.
+    assert IntersectionMatrix._fields == ("row_symbols", "col_symbols", "entries")
+    # A plain namedtuple, not a value_type: its _make is the namedtuple's own.
+    assert IntersectionMatrix._make.__func__.__qualname__ == "IntersectionMatrix._make"
+    assert IntersectionMatrix("x", None, 1) == ("x", None, 1)
     M = intersection_matrix(2, 2)
-    text = repr(M)
-    assert text.startswith("IntersectionMatrix(n=2, k=2, rows=<BasisId.ES: 'ES'>, cols=<BasisId.MS: 'MS'>, ")
-    assert "row_symbols=(BasisSymbol(A'_{0,2}, n=2)" in text
-    assert "entries" not in text and "Fraction" not in text
+    assert M.row_symbols[0] == BasisSymbol(Family.AP, 0, 2, 2)
     assert M.entries[1][1] == 2
+    assert repr(M).startswith("IntersectionMatrix(row_symbols=(BasisSymbol(A'_{0,2}, n=2)")
 
 
 def test_secant_problem_stores_degrees_as_a_tuple():
