@@ -40,7 +40,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_or_text(text: str):
-    """An int, or the text for ``require_int`` to refuse once --format is read."""
+    """An int, or the text as it is, for the library call that checks it to refuse."""
     try:
         return int(text)
     except ValueError:
@@ -68,18 +68,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     ambient = _Parser(add_help=False)  # --n, stated once for every subcommand but cone
-    ambient.add_argument("--n", type=int, required=True)
+    ambient.add_argument("--n", type=_int_or_text, required=True)
 
     p = sub.add_parser("rank", parents=[ambient], help="rank of a graded Chow group")
     g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--codim", type=int)
-    g.add_argument("--dim", type=int)
+    g.add_argument("--codim", type=_int_or_text)
+    g.add_argument("--dim", type=_int_or_text)
 
     p = sub.add_parser("basis", parents=[ambient], help="list basis symbols")
     p.add_argument("--basis", choices=("BB", "ES", "MS"), required=True)
     g = p.add_mutually_exclusive_group()
-    g.add_argument("--codim", type=int)
-    g.add_argument("--dim", type=int)
+    g.add_argument("--codim", type=_int_or_text)
+    g.add_argument("--dim", type=_int_or_text)
     g.add_argument("--all", action="store_true")
 
     p = sub.add_parser("fixed-points", parents=[ambient], help="torus-fixed monomial ideals")
@@ -91,21 +91,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("matrix", parents=[ambient],
                        help="complementary-codimension pairing matrix")
-    p.add_argument("--k", type=int, required=True, help="rows have dimension k, columns codimension k")
+    p.add_argument("--k", type=_int_or_text, required=True,
+                   help="rows have dimension k, columns codimension k")
     p.add_argument("--rows", choices=("ES", "MS"), default="ES")
 
     p = sub.add_parser("power", parents=[ambient], help="evaluate B'_{n-1,n-1}^k . C_{n-1,n-1}^b")
-    p.add_argument("--k", type=int, required=True, help="exponent of B'_{n-1,n-1} (k >= 1)")
-    p.add_argument("--c-exp", type=int, default=0, metavar="B", help="exponent of C_{n-1,n-1}")
+    p.add_argument("--k", type=_int_or_text, required=True,
+                   help="exponent of B'_{n-1,n-1} (k >= 1)")
+    p.add_argument("--c-exp", type=_int_or_text, default=0, metavar="B",
+                   help="exponent of C_{n-1,n-1}")
 
     p = sub.add_parser("chern", parents=[ambient],
                        help="Chern classes of the tautological bundle of O(d)")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_int_or_text, required=True)
 
     p = sub.add_parser("secant", parents=[ambient],
                        help="degree of the secant variety of a complete intersection")
     p.add_argument("--degrees", required=True, metavar="D1,D2,...")
-    p.add_argument("--mu1", type=int, default=1)
+    p.add_argument("--mu1", type=_int_or_text, default=1)
     p.add_argument("--variant", choices=("proof", "intro"), default="proof")
     p.add_argument("--check-oracle", action="store_true", help="compare against the classical "
                    "chord/curve formulas and the intersection route")
@@ -114,20 +117,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="class_doc", required=True, metavar="JSON",
                    help="class document in MS coordinates")
     p.add_argument("--test", choices=("nef", "effective"), required=True)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_int_or_text, default=None)
 
     return parser
-
-
-def _parse_degrees(text: str) -> list[int]:
-    out = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        try:
-            out.append(int(piece))
-        except ValueError:
-            raise InvalidInput(f"bad degree {piece!r} in --degrees") from None
-    return out
 
 
 def _cmd_rank(args):
@@ -254,11 +246,10 @@ def _cmd_secant(args):
     from .chern_secant import (SecantProblem, secant_degree_mu_closed,
                                secant_degree_mu_intersection, secant_oracle)
 
-    degrees = _parse_degrees(args.degrees)
-    problem = SecantProblem(args.n, degrees)
+    problem = SecantProblem(args.n, [_int_or_text(d) for d in args.degrees.split(",")])
     require_int(args.mu1, "secant order mu1", 1)
     warnings = []
-    if any(d == 1 for d in degrees):
+    if any(d == 1 for d in problem.degrees):
         warnings.append(
             "degree-1 hypersurfaces make X degenerate in P^n; the count is for its linear span"
         )
@@ -268,7 +259,7 @@ def _cmd_secant(args):
     degree = Fraction(deg_mu, args.mu1)
     result = {
         "n": args.n,
-        "degrees": degrees,
+        "degrees": problem.degrees,
         "m": problem.m,
         "mu1": args.mu1,
         "variant": args.variant,
@@ -280,7 +271,7 @@ def _cmd_secant(args):
     lines = [f"deg(Sec X) * mu1 = {deg_mu}", f"deg(Sec X) = {degree}"]
     if args.check_oracle:
         checks = {"intersection": secant_degree_mu_intersection(problem)}
-        oracle = secant_oracle(args.n, degrees)
+        oracle = secant_oracle(args.n, problem.degrees)
         if oracle is not None:
             checks["classical"] = oracle
         result["oracle"] = oracle
@@ -352,6 +343,9 @@ def run_command(argv) -> tuple[int, str]:
 
 
 def main(argv=None) -> int:
+    # No cap on int <-> str conversion in this process: its argv is bounded by the OS, and
+    # exact answers may be longer than Python's default of 4,300 digits.
+    getattr(sys, "set_int_max_str_digits", lambda limit: None)(0)
     code, text = run_command(sys.argv[1:] if argv is None else argv)
     if text:
         stream = sys.stderr if code else sys.stdout

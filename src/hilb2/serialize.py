@@ -13,6 +13,7 @@ integral floats (``2.0``): ``json`` reads ``2.0000000000000001`` as ``2.0`` too.
 from __future__ import annotations
 
 import json
+import sys
 
 from .chow import (BasisId, BasisSymbol, Family, GradedClass, as_member, as_rational, is_int,
                    require_type)
@@ -39,6 +40,11 @@ def _load_json(text: str):
         raise ParseError(f"invalid JSON at position {exc.pos}: {exc.msg}") from exc
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply to decode") from None
+    except ValueError:  # the one other error of decoding text: an integer over the digit limit
+        raise ParseError(
+            f"invalid JSON: a number has more digits than Python's limit of"
+            f" {sys.get_int_max_str_digits()} for converting a string to int"
+        ) from None
 
 
 # The keys the schemas allow in a class document, a symbol document and a term.
@@ -47,7 +53,9 @@ _SYMBOL_KEYS = frozenset(("family", "i", "j"))
 _TERM_KEYS = _SYMBOL_KEYS | {"coeff"}
 
 
-def _require_keys(doc: dict, known: frozenset, what: str) -> None:
+def _require_object(doc, known: frozenset, what: str) -> None:
+    if not isinstance(doc, dict):
+        raise ParseError(f"{what} must be an object, got {doc!r}")
     if not doc.keys() <= known:
         raise ParseError(f"{what} has unknown field {next(k for k in doc if k not in known)!r}")
 
@@ -72,9 +80,7 @@ def _read_symbol(doc: dict, n: int) -> BasisSymbol:
 def parse_symbol(source: str | dict, n: int) -> BasisSymbol:
     """Read ``{"family": ..., "i": ..., "j": ...}`` (dict or JSON text)."""
     doc = _load_json(source) if isinstance(source, str) else source
-    if not isinstance(doc, dict):
-        raise ParseError(f"symbol document must be an object, got {doc!r}")
-    _require_keys(doc, _SYMBOL_KEYS, "symbol document")
+    _require_object(doc, _SYMBOL_KEYS, "symbol document")
     return _read_symbol(doc, n)
 
 
@@ -93,9 +99,7 @@ def emit_class(X: GradedClass) -> dict:
 def parse_class(source: str | dict) -> GradedClass:
     """Read a class document (dict or JSON text) back into a GradedClass."""
     doc = _load_json(source) if isinstance(source, str) else source
-    if not isinstance(doc, dict):
-        raise ParseError(f"class document must be an object, got {doc!r}")
-    _require_keys(doc, _CLASS_KEYS, "class document")
+    _require_object(doc, _CLASS_KEYS, "class document")
     n = _require_int(doc, "n", "class document")
     if n < 1:  # the schema's minimum, before any term is read
         raise ParseError(f"class document field 'n' must be >= 1, got {n!r}")
@@ -106,9 +110,7 @@ def parse_class(source: str | dict) -> GradedClass:
         raise ParseError("class document is missing the list field 'terms'")
     terms = []
     for record in terms_doc:
-        if not isinstance(record, dict):
-            raise ParseError(f"term record must be an object, got {record!r}")
-        _require_keys(record, _TERM_KEYS, "term record")
+        _require_object(record, _TERM_KEYS, "term record")
         if "coeff" not in record:
             raise ParseError(f"term record {record!r} is missing field 'coeff'")
         sym, coeff = _read_symbol(record, n), record["coeff"]

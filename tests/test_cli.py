@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import subprocess
@@ -71,18 +72,79 @@ def test_secant_intro_is_the_closed_sum_shifted_right_by_m(n, degrees, mu1):
 
 @pytest.mark.parametrize("value, message", [
     ("0", "secant order mu1 must be an integer >= 1, got 0"),
-    ("True", "hilb2 secant: argument --mu1: invalid int value: 'True'"),
-    ("x", "hilb2 secant: argument --mu1: invalid int value: 'x'"),
+    ("True", "secant order mu1 must be an integer >= 1, got 'True'"),
+    ("x", "secant order mu1 must be an integer >= 1, got 'x'"),
 ], ids=["0", "True", "x"])
 def test_secant_mu1_is_checked_by_the_cli(value, message):
-    # The secant order is checked after the problem and before the 2m+1 < n guard.
+    # The secant order is checked after the problem and before the 2m+1 < n guard,
+    # whether or not its text is an integer.
     def run(n, degrees):
         return run_command(["secant", "--n", n, "--degrees", degrees, "--mu1", value])
 
     assert run("4", "2,2,2") == (2, f"error: {message}")
     assert run("3", "2,2") == (2, f"error: {message}")
-    if value == "0":  # argparse refuses the other two before the problem is built
-        assert run("4", "2,0,2") == (2, "error: hypersurface degree must be an integer >= 1, got 0")
+    assert run("4", "2,0,2") == (2, "error: hypersurface degree must be an integer >= 1, got 0")
+
+
+# Each integer flag, with "{}" for its value, in a call that is valid with an integer there.
+INTEGER_FLAGS = {
+    "rank --n": ["rank", "--n", "{}", "--codim", "1"],
+    "rank --codim": ["rank", "--n", "3", "--codim", "{}"],
+    "rank --dim": ["rank", "--n", "3", "--dim", "{}"],
+    "basis --n": ["basis", "--n", "{}", "--basis", "MS"],
+    "basis --codim": ["basis", "--n", "3", "--basis", "MS", "--codim", "{}"],
+    "basis --dim": ["basis", "--n", "3", "--basis", "MS", "--dim", "{}"],
+    "fixed-points --n": ["fixed-points", "--n", "{}"],
+    "pair --n": ["pair", "--n", "{}", "--x", '{"family":"A","i":0,"j":1}',
+                 "--y", '{"family":"A","i":0,"j":1}'],
+    "matrix --n": ["matrix", "--n", "{}", "--k", "1"],
+    "matrix --k": ["matrix", "--n", "2", "--k", "{}"],
+    "power --n": ["power", "--n", "{}", "--k", "1"],
+    "power --k": ["power", "--n", "4", "--k", "{}"],
+    "power --c-exp": ["power", "--n", "4", "--k", "1", "--c-exp", "{}"],
+    "chern --n": ["chern", "--n", "{}", "--d", "2"],
+    "chern --d": ["chern", "--n", "3", "--d", "{}"],
+    "secant --n": ["secant", "--n", "{}", "--degrees", "2,x"],
+    "secant --degrees": ["secant", "--n", "4", "--degrees", "2,{},2"],
+    "secant --mu1": ["secant", "--n", "4", "--degrees", "2,2,2", "--mu1", "{}"],
+    "cone --k": ["cone", "--class", '{"n":2,"terms":[]}', "--test", "nef", "--k", "{}"],
+    "--dprime-diag": ["rank", "--n", "3", "--codim", "1", "--dprime-diag", "{}"],
+}
+
+
+@pytest.mark.parametrize("text", ["x", "2.5", "", "True"])
+@pytest.mark.parametrize("flag", INTEGER_FLAGS)
+def test_a_malformed_integer_flag_is_refused_as_an_out_of_range_one(flag, text):
+    # The library call that checks the argument refuses the text: the error type and
+    # message of -1 in that slot, with the text in place of -1.
+    def error(value):
+        code, doc = run_json([arg.replace("{}", value) for arg in INTEGER_FLAGS[flag]])
+        assert code == 2
+        return doc["error"]
+
+    if flag != "secant --n":  # its degrees hold an "x" of their own
+        assert run_command([arg.replace("{}", "1") for arg in INTEGER_FLAGS[flag]])[0] == 0
+    refused = error("-1")
+    assert refused["message"].count("-1") == 1
+    assert error(text) == {**refused, "message": refused["message"].replace("-1", repr(text))}
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["rank", "--n", "x", "--codim", "1"],
+     ("InvalidInput", "ambient dimension must be an integer >= 1, got 'x'")),
+    (["basis", "--n", "3", "--basis", "MS", "--dim", "x"],
+     ("InvalidGrading", "grading 'x' outside [0, 6]")),
+    (["power", "--n", "4", "--k", "1", "--c-exp", "y"],
+     ("InvalidInput", "exponent b must be an integer >= 0, got 'y'")),
+    (["pair", "--n", "x", "--x", '{"family":"A","i":0,"j":1}', "--y", '{"family":"C","i":1,"j":2}'],
+     ("InvalidIndex", "ambient dimension must be an integer >= 1, got 'x'")),
+    (["secant", "--n", "3", "--degrees", "2,x"],
+     ("InvalidInput", "hypersurface degree must be an integer >= 1, got 'x'")),
+])
+def test_a_malformed_integer_flag_gets_the_library_message(argv, error):
+    code, doc = run_json(argv)
+    assert (code, doc["error"]) == (2, dict(zip(("type", "message"), error)))
+    assert run_command(argv) == (2, f"error: {error[1]}")
 
 
 def test_secant_degree_one_warning():
@@ -472,3 +534,64 @@ def test_closed_stdout_ends_without_a_traceback():
         stderr = proc.stderr.read()
         assert proc.wait(timeout=60) == 0
     assert b"Traceback" not in stderr and stderr == b""
+
+
+def run_hilb2(*argv):
+    """``python -m hilb2.cli`` in a fresh process: exit code, stdout and stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-m", "hilb2.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@contextlib.contextmanager
+def unlimited_int_text():
+    """No cap on int <-> str conversion in this process, as in ``hilb2``'s, until the end."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(limit)
+
+
+NINES = "9" * 4300  # the most digits that Python converts by default
+
+
+def test_a_secant_answer_over_the_digit_limit_is_printed():
+    degrees = (int("9" * 3000), 2, 2)
+    code, out, err = run_hilb2("secant", "--n", "4", "--degrees", ",".join(map(str, degrees)))
+    with unlimited_int_text():
+        want = str(secant_degree_mu_closed(SecantProblem(4, degrees)))
+    assert len(want) > len(NINES)
+    assert (code, out, err) == (0, f"deg(Sec X) * mu1 = {want}\ndeg(Sec X) = {want}\n", "")
+
+
+def test_a_rank_over_the_digit_limit_is_printed_as_json():
+    code, out, err = run_hilb2("rank", "--n", NINES, "--dim", "0", "--format", "json")
+    assert (code, err) == (0, "")
+    with unlimited_int_text():
+        n = int(NINES)
+        assert json.loads(out) == {"command": "rank",
+                                   "result": {"n": n, "codim": 2 * n, "dim": 0, "rank": 1}}
+
+
+def test_an_error_message_over_the_digit_limit_is_printed():
+    code, out, err = run_hilb2("matrix", "--n", NINES, "--k", "-1")
+    with unlimited_int_text():
+        assert (code, out, err) == (2, "", f"error: grading -1 outside [0, {2 * int(NINES)}]\n")
+    i = "9" * 5000
+    code, out, err = run_hilb2("pair", "--n", "2", "--x", f'{{"family":"A","i":{i},"j":1}}',
+                               "--y", '{"family":"A","i":0,"j":1}')
+    assert (code, out) == (2, "")
+    assert err == (f"error: A_{{{i},1}} is not a valid class on P^2[2]: "
+                   "family requires 0 <= i < j <= n\n")
+
+
+def test_the_hilb2_process_reads_coefficients_over_the_digit_limit():
+    coeff = "7" * (len(NINES) + 1)
+    doc = json.dumps({"n": 2, "terms": [{"family": "C", "i": 1, "j": 1, "coeff": coeff}]})
+    assert run_hilb2("cone", "--class", doc, "--test", "nef") == (0, "true\n", "")
+    if getattr(sys, "get_int_max_str_digits", lambda: 0)():  # run_command keeps the limit
+        assert run_command(["cone", "--class", doc, "--test", "nef"])[0] == 2

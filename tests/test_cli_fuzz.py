@@ -2,8 +2,9 @@
 
 About 300 argument lists over all nine subcommands, with ambient dimensions
 in [-1, 12], gradings and exponents outside their ranges, malformed class
-and symbol documents, and some usage errors (a non-integer ``--n``, a
-missing required flag).  Every run must end in exit code 0, 2 or 3
+and symbol documents, non-integer ``--n`` text (which the library refuses, as
+it does an out-of-range ``--n``) and some usage errors (a missing required
+flag).  Every run must end in exit code 0, 2 or 3
 without an exception, and every ``--format json`` output must validate
 against ``cli_output.schema.json``.  Secant calls list at most 8 degrees:
 the closed route visits ``2^r`` subsets and has no cap of its own.
@@ -172,8 +173,9 @@ def subcommand_args(rng, command):
 
 
 def usage_error(rng, argv):
-    """Break the argument list itself: the first flag of every subcommand is
-    required, and that of all but ``cone`` is the integer ``--n``."""
+    """Break the argument list: give the integer ``--n``, the first flag of all but
+    ``cone``, text that is not an integer, or drop the first flag, which every
+    subcommand requires."""
     if argv[1] == "--n" and rng.random() < 0.5:
         return argv[:2] + [rng.choice(["x", "2.5", ""])] + argv[3:]
     return argv[:1] + argv[3:]
@@ -216,7 +218,7 @@ def test_cli_fuzz_ends_in_a_contract_exit_code():
 
 
 @pytest.mark.parametrize("argv", [
-    ["rank", "--n", "x", "--codim", "1"],
+    ["rank", "--n", "2", "--codim"],
     ["secant", "--n", "4"],
     ["cone", "--class", "{}", "--test", "ample"],
     ["basis", "--n", "2", "--basis", "MS", "--dim", "1", "--codim", "1"],

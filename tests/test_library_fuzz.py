@@ -10,6 +10,10 @@ another type, a class or symbol on another ambient, or the slot's own list
 or document with one entry replaced.  A call may return anything or raise
 one of the two error families; any other exception fails the test.
 
+Two more tests require a refusal where the fuzz would pass a misread: a
+float, ``bool``, ``None``, text or bytes in an integer slot, and text or bytes
+as a degree list.
+
 Large ints go only into the slots that ``BIG`` lists: slots that refuse them,
 or whose cost does not grow with them.  Secant degree lists stay at 16 or
 fewer entries, because the closed route visits all ``2^r`` subsets of the
@@ -267,3 +271,66 @@ def test_every_public_call_raises_only_the_package_errors():
             except Exception as exc:  # any other error is a finding
                 escaped.append(f"{name}(*{args!r}, **{kwargs!r}): {type(exc).__name__}: {exc}")
     assert escaped == [], "\n".join(escaped[:10])
+
+
+# Callable -> its integer slots, positions or keywords.  The fuzz above passes a call
+# that accepts a malformed value, so it cannot see a silent misread; the two tests
+# below require each of these shapes, never valid there, to be refused.
+INTEGER_SLOTS = {
+    "BasisSymbol": {1, 2, 3},
+    "GradedClass": {0},
+    "MonomialIdealDescriptor": {1, 2, 3},
+    "MonomialSpec": {0, 1, 2},
+    "SecantProblem": {0},
+    "bprime_top_power": {0, 1},
+    "chern_taut": {0, 1},
+    "chow_rank": {0, 1},
+    "enumerate_basis": {0, "dim", "codim"},
+    "enumerate_fixed_points": {0},
+    "intersection_matrix": {0, 1, 4},
+    "is_effective": {1},
+    "is_nef": {1},
+    "pair_classes": {2},
+    "pair_symbols": {2},
+    "parse_symbol": {1},
+    "secant_oracle": {0},
+}
+OPTIONAL = {("enumerate_basis", "dim"), ("enumerate_basis", "codim"), ("is_effective", 1),
+            ("is_nef", 1)}  # None is the default there
+NOT_INTEGERS = (1.5, 2.0, "2", b"2", True, None)
+NOT_DEGREE_LISTS = ("222", b"222", bytearray(b"222"))
+
+
+def _misreads(name, slots, shapes):
+    """The calls of ``name`` that accept a shape in a slot, from valid arguments
+    (a keyword slot alone among the keywords)."""
+    call = getattr(hilb2, name)
+    made = VALID[name](random.Random(name))
+    args, kwargs = made if isinstance(made, tuple) else (made, {})
+    call(*args, **kwargs)  # the arguments around each shape are valid
+    for slot in slots:
+        for shape in shapes:
+            if shape is None and (name, slot) in OPTIONAL:
+                continue
+            if isinstance(slot, int):
+                bad = (args[:slot] + [shape] + args[slot + 1:], kwargs)
+            else:
+                bad = (args, {slot: shape})
+            try:
+                call(*bad[0], **bad[1])
+            except ValidationError:
+                continue
+            yield f"{name}(*{bad[0]!r}, **{bad[1]!r})"
+
+
+def test_a_non_integer_in_an_integer_slot_is_refused():
+    assert all(BIG[name] <= INTEGER_SLOTS[name] for name in BIG if name != "IntersectionMatrix")
+    accepted = [call for name, slots in INTEGER_SLOTS.items()
+                for call in _misreads(name, slots, NOT_INTEGERS)]
+    assert accepted == [], accepted
+
+
+def test_text_or_bytes_as_a_degree_list_is_refused():
+    accepted = [call for name in ("SecantProblem", "secant_oracle")
+                for call in _misreads(name, {1}, NOT_DEGREE_LISTS)]
+    assert accepted == [], accepted

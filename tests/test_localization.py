@@ -31,7 +31,7 @@ distinct entries; a lower-degree one gives 0.
 
 import random
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 
 from hilb2 import (
     BasisSymbol,
@@ -125,6 +125,63 @@ def test_secant_degrees_by_localization():
                 assert got == secant_degree_mu_closed(SecantProblem(n, degrees)), (n, degrees)
                 cases += 1
     assert cases == 76
+
+
+def reembedded_double_points(n, degrees, e):
+    """``deg(Sec X) * mu1`` by the double-point formula (Fulton, *Intersection
+    Theory*, §9.3), in integers, for the complete intersection ``X^m c P^n`` of
+    ``degrees`` embedded by ``O(e)``: with ``H`` the hyperplane class of ``P^n``
+    and ``D = e^m prod d_i`` the degree of the image,
+
+        2 deg(Sec X) mu1 = D^2 - (prod d_i) [H^m] (1 + eH)^(2m+1) prod(1 + d_i H) (1 + H)^-(n+1),
+
+    the second term being ``c_m`` of the virtual normal bundle of a general
+    projection to ``P^{2m}``.  With no degrees X is ``P^n`` and its image the
+    Veronese variety ``v_e(P^n)``."""
+    m = n - len(degrees)
+    series = [comb(2 * m + 1, k) * e**k for k in range(m + 1)]  # (1 + eH)^(2m+1), up to H^m
+    for d in degrees:
+        series = [a + d * b for a, b in zip(series, [0] + series)]
+    # [H^j] (1 + H)^-(n+1) = (-1)^j C(n + j, j)
+    top = sum(series[i] * (-1) ** (m - i) * comb(n + m - i, m - i) for i in range(m + 1))
+    twice = (e**m * prod(degrees)) ** 2 - prod(degrees) * top
+    assert twice % 2 == 0, (n, degrees, e)
+    return twice // 2
+
+
+def reembedded_integrand(m, degrees, e):
+    """``s_{2m}(E_e) * prod_i c2(E_{d_i})``, where ``s_{2m}(E_e) = h_{2m}(roots of E_e)``."""
+    return lambda roots: h(2 * m, *roots(e)) * prod(c2(roots, d) for d in degrees)
+
+
+def test_reembedded_secant_degrees_by_localization_and_double_points():
+    # The O(1) integrand of the test above becomes s_{2m}(E_e) for X embedded by O(e);
+    # localization and the double-point formula share no step.  They agree for every m,
+    # also where 2m + 1 < n fails and the number is no longer a secant degree.
+    rng = random.Random(2103)
+    cases = checked = 0
+    for n in range(1, 8):
+        for m in range(n + 1):
+            for _ in range(3):
+                e = rng.randint(1, 4)
+                degrees = [rng.randint(1, 4) for _ in range(n - m)]
+                got = integer_integral(n, reembedded_integrand(m, degrees, e), rng)
+                assert got == reembedded_double_points(n, degrees, e), (n, degrees, e)
+                if e == 1 and 2 * m + 1 < n:  # today's secant problem
+                    assert got == secant_degree_mu_closed(SecantProblem(n, degrees))
+                    checked += 1
+                cases += 1
+    assert (cases, checked) == (105, 9)
+
+
+def test_veronese_secant_degrees_are_the_classical_values():
+    # v_3(P^1) and v_4(P^1) are the twisted cubic and the rational normal quartic;
+    # v_2(P^m), m >= 2, is the defective case of Alexander-Hirschowitz (J. Algebraic
+    # Geom. 4, 1995): its secant variety is too small, and the count is 0.
+    rng = random.Random(75)
+    for m, e, want in [(1, 3, 1), (1, 4, 3), (2, 3, 15), (2, 4, 75), (2, 2, 0), (3, 2, 0)]:
+        assert reembedded_double_points(m, [], e) == want, (m, e)
+        assert integer_integral(m, reembedded_integrand(m, [], e), rng) == want, (m, e)
 
 
 def test_the_chern_classes_are_the_bridge_to_the_product_engine():

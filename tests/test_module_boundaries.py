@@ -247,11 +247,11 @@ def try_sites(path):
 
 # Each ``try`` of the package: the function, and the error from outside it translates.
 TRY_SITES = {
-    "cli.py:_int_or_text": ("ValueError",),  # a non-integer --dprime-diag, refused later
-    "cli.py:_parse_degrees": ("ValueError",),  # a non-integer entry of --degrees
+    "cli.py:_int_or_text": ("ValueError",),  # a non-integer flag, refused by the library
     "cli.py:run_command": ("SystemExit", "ValidationError", "UnsupportedError"),  # exit codes
     "cli.py:main": ("BrokenPipeError",),  # the reader of stdout left
-    "serialize.py:_load_json": ("json.JSONDecodeError", "RecursionError"),  # malformed JSON
+    # malformed JSON, or a JSON integer over Python's digit limit
+    "serialize.py:_load_json": ("json.JSONDecodeError", "RecursionError", "ValueError"),
     "chow.py:GradedClass.__init__": ("TypeError", "ValueError"),  # terms that are not pairs
 }
 

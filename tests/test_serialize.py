@@ -321,3 +321,23 @@ def test_overlong_coefficient_names_digit_count_and_limit():
         with pytest.raises(ParseError, match=f"{limit + 1}-digit.*limit of {limit}"):
             parse_class(one_term_document(coeff))
     assert parse_class(one_term_document("7" * limit)).items()[0][1] == int("7" * limit)
+
+
+def test_a_json_integer_over_the_digit_limit_is_a_parse_error():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("integer string conversion is unlimited in this interpreter")
+    big = "9" * (limit + 1)
+    message = (f"invalid JSON: a number has more digits than Python's limit of {limit}"
+               " for converting a string to int")
+    symbol = f'{{"family": "A", "i": {big}, "j": 1}}'
+    for parse in (lambda: parse_class(f'{{"n": {big}, "terms": []}}'),
+                  lambda: parse_class(f'{{"n": 2, "terms": [{symbol[:-1]}, "coeff": "1"}}]}}'),
+                  lambda: parse_symbol(symbol, 2)):
+        with pytest.raises(ParseError) as refused:
+            parse()
+        assert str(refused.value) == message
+    # run_command reads with its caller's limit, and leaves it as it was.
+    argv = ["pair", "--n", "2", "--x", symbol, "--y", '{"family": "A", "i": 0, "j": 1}']
+    assert run_command(argv) == (EXIT_VALIDATION, f"error: {message}")
+    assert sys.get_int_max_str_digits() == limit
