@@ -31,8 +31,8 @@ from itertools import combinations
 from math import comb, prod
 from operator import mul
 
-from .chow import (BasisSymbol, Family, GradedClass, require_ambient, require_int, require_type,
-                   term, value_type)
+from .chow import (A, BP, C, BasisSymbol, GradedClass, require_ambient, require_int, require_type,
+                   shown, term, value_type)
 from .errors import InvalidInput
 from .pairing import pair_classes
 from .products import MonomialSpec, eval_monomial
@@ -43,8 +43,8 @@ def chern_taut(n: int, d: int) -> tuple[GradedClass, GradedClass]:
     on ``P^{n[2]}``, in MS coordinates."""
     require_ambient(n)
     require_int(d, "line bundle twist", 1)
-    c1 = term(Family.A, n - 1, n, n, d - 1) + term(Family.C, n - 1, n, n, 1)
-    c2 = term(Family.BP, n - 1, n - 1, n, comb(d, 2)) + term(Family.C, n - 1, n - 1, n, d)
+    c1 = term(A, n - 1, n, n, d - 1) + term(C, n - 1, n, n, 1)
+    c2 = term(BP, n - 1, n - 1, n, comb(d, 2)) + term(C, n - 1, n - 1, n, d)
     return tuple(GradedClass(n, [(BasisSymbol(*key), c) for key, c in terms])
                  for terms in (c1, c2))
 
@@ -53,11 +53,10 @@ class SecantProblem(value_type("SecantProblem", "n degrees")):
     """Degree problem for the secant variety of a complete intersection.
 
     ``degrees`` are the hypersurface degrees, stored as a tuple, so
-    ``m = n - len(degrees)`` is the dimension of X.  The degree computations
-    give ``deg(Sec X) * mu1``; the secant order ``mu1`` is the caller's to
-    divide by.  They additionally require ``2m + 1 < n``; problems violating
-    that are constructible but rejected by them, so the classical oracle can
-    still be consulted about out-of-range instances.
+    ``m = n - len(degrees)`` is the dimension of X.  A problem lies in the
+    formula's domain, ``2m + 1 < n``: construction refuses any other.  The
+    degree computations give ``deg(Sec X) * mu1``; the secant order ``mu1`` is
+    the caller's to divide by.
     """
 
     __slots__ = ()
@@ -65,7 +64,8 @@ class SecantProblem(value_type("SecantProblem", "n degrees")):
     def __new__(cls, n: int, degrees):
         require_ambient(n)
         if isinstance(degrees, (str, bytes, bytearray)) or not isinstance(degrees, Iterable):
-            raise InvalidInput(f"hypersurface degrees must be an iterable of ints, got {degrees!r}")
+            raise InvalidInput(
+                f"hypersurface degrees must be an iterable of ints, got {shown(degrees)}")
         degrees = tuple(degrees)
         if not degrees:
             raise InvalidInput("at least one hypersurface degree is required")
@@ -75,18 +75,15 @@ class SecantProblem(value_type("SecantProblem", "n degrees")):
             raise InvalidInput(
                 f"{len(degrees)} hypersurfaces in P^{n} leave negative dimension"
             )
+        m = n - len(degrees)
+        if 2 * m + 1 >= n:
+            raise InvalidInput(
+                f"need 2m+1 < n for the secant degree; got m={shown(m)}, n={shown(n)}")
         return tuple.__new__(cls, (n, degrees))
 
     @property
     def m(self) -> int:
         return self.n - len(self.degrees)
-
-
-def _require_expected_dimension(p: SecantProblem) -> None:
-    if 2 * p.m + 1 >= p.n:
-        raise InvalidInput(
-            f"need 2m+1 < n for the secant degree; got m={p.m}, n={p.n}"
-        )
 
 
 def secant_degree_mu_closed(p: SecantProblem) -> int:
@@ -96,7 +93,6 @@ def secant_degree_mu_closed(p: SecantProblem) -> int:
     gives the ``intro`` exponent ``k-1-m``.
     """
     require_type(p, SecantProblem, "secant_degree_mu_closed")
-    _require_expected_dimension(p)
     m, ds = p.m, p.degrees
     total = 0
     for k in range(m + 1, p.n - m + 1):
@@ -113,7 +109,7 @@ def secant_degree_mu_closed(p: SecantProblem) -> int:
 def _monomial_weights(n: int, m: int) -> tuple[int, ...]:
     """Entry k: the pairing of ``B'^k C^{n-m-k}`` with ``C_{n-2m,n}``, one
     vector per ``(n, m)``.  Entry 0, the pure C power, pairs to zero."""
-    target = GradedClass.from_symbol(BasisSymbol(Family.C, n - 2 * m, n, n))
+    target = GradedClass.from_symbol(BasisSymbol(C, n - 2 * m, n, n))
     weights = [pair_classes(eval_monomial(MonomialSpec(n, k, n - m - k)), target)
                for k in range(1, n - m + 1)]
     if any(w.denominator != 1 for w in weights):
@@ -130,7 +126,6 @@ def secant_degree_mu_intersection(p: SecantProblem) -> int:
     product engine and paired with ``C_{n-2m,n}``.
     """
     require_type(p, SecantProblem, "secant_degree_mu_intersection")
-    _require_expected_dimension(p)
     coeffs = [1]  # coeffs[k] = sum over |S|=k of prod C(d_j,2) * prod d_l
     for d in p.degrees:  # coeffs[k] * d + coeffs[k-1] * C(d,2), each out of range 0
         coeffs = [a * d + b * comb(d, 2) for a, b in zip(coeffs + [0], [0] + coeffs)]
@@ -143,9 +138,10 @@ def secant_oracle(n: int, degrees) -> int | None:
     For m = 0 (points) this is the chord count ``C(prod d_i, 2)``; for m = 1
     (curves) it is ``C(D-1, 2) - g`` with ``D = prod d_i`` and the genus given
     by adjunction, ``2g - 2 = D (sum d_i - n - 1)``.  Returns None for
-    m >= 2, where no classical formula is wired in.
+    m >= 2, where no classical formula is wired in.  The arguments make a
+    :class:`SecantProblem`, so the oracle refuses what it refuses.
     """
-    problem = SecantProblem(n, degrees)  # validates n and the degrees
+    problem = SecantProblem(n, degrees)  # validates n, the degrees and 2m+1 < n
     m, degrees = problem.m, problem.degrees
     D = prod(degrees)
     if m == 0:

@@ -59,6 +59,10 @@ class Family(str, Enum):
         return f"Family.{self.name}"
 
 
+# The members as plain names, bound once: an Enum attribute read costs more than a rule term.
+A, AP, B, BP, C = Family.A, Family.AP, Family.B, Family.BP, Family.C
+
+
 class BasisId(str, Enum):
     """The three bases of the Chow group."""
 
@@ -72,9 +76,9 @@ class BasisId(str, Enum):
 
 
 _BASIS_FAMILIES = {
-    BasisId.BB: (Family.A, Family.B, Family.C),
-    BasisId.ES: (Family.AP, Family.B, Family.C),
-    BasisId.MS: (Family.A, Family.BP, Family.C),
+    BasisId.BB: (A, B, C),
+    BasisId.ES: (AP, B, C),
+    BasisId.MS: (A, BP, C),
 }
 
 
@@ -90,7 +94,7 @@ def as_member(enum: type[Enum], value, error: type[ValidationError], noun: str):
     value, a non-``str`` one first, raises ``error("unknown <noun> <value>")``."""
     member = _members(enum).get(value) if isinstance(value, str) else None
     if member is None:
-        raise error(f"unknown {noun} {value!r}")
+        raise error(f"unknown {noun} {shown(value)}")
     return member
 
 
@@ -103,11 +107,11 @@ def as_basis(basis: BasisId | str) -> BasisId:
 # as ``(lo, gap, top)``: the one statement that the validity test and the
 # error message both read.
 _RANGES = {
-    Family.A: (0, 1, 0),
-    Family.AP: (0, 1, 0),
-    Family.B: (0, 0, -1),
-    Family.BP: (0, 0, -1),
-    Family.C: (1, 0, 0),
+    A: (0, 1, 0),
+    AP: (0, 1, 0),
+    B: (0, 0, -1),
+    BP: (0, 0, -1),
+    C: (1, 0, 0),
 }
 
 
@@ -129,6 +133,21 @@ def _range_description(family: Family) -> str:
     return f"family requires 0 {strict[lo]} i {strict[gap]} j <= n{top or ''}"
 
 
+# Python's cap on int <-> str conversion, read per call; interpreters before 3.10.7 have none.
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def shown(value) -> str:
+    """``repr(value)`` for an error message, within the digit limit: an int over it is
+    named, not converted, and longer text is cut to its first characters and its length."""
+    limit = _digit_limit()
+    if limit and isinstance(value, int) and abs(value) >= 10 ** limit:
+        return f"<{'negative ' if value < 0 else ''}int over {limit} digits>"
+    if limit and isinstance(value, str) and len(value) > limit:
+        return f"{value[:20]!r}... ({len(value)} characters)"
+    return repr(value)
+
+
 def is_int(value) -> bool:
     """Whether ``value`` is an integer argument: an ``int`` that is not a ``bool``."""
     return isinstance(value, int) and value.__class__ is not bool
@@ -138,21 +157,21 @@ def require_int(value, noun: str, lo: int, hi: int | None = None, error=InvalidI
     """Raise ``error`` unless ``value`` is an integer argument in ``[lo, hi]`` (unbounded
     above when ``hi`` is None): the one integer check and the one writer of its messages."""
     if not is_int(value) or value < lo or (hi is not None and value > hi):
-        raise error(f"{noun} must be an integer >= {lo}, got {value!r}" if hi is None
-                    else f"{noun} {value!r} outside [{lo}, {hi}]")
+        raise error(f"{noun} must be an integer >= {lo}, got {shown(value)}" if hi is None
+                    else f"{noun} {shown(value)} outside [{lo}, {shown(hi)}]")
 
 
 def require_type(value, cls: type, what: str) -> None:
     """Raise ``InvalidInput`` unless ``value`` is a ``cls``: the one writer of the
     wrong-type message, in which ``what`` names the call."""
     if not isinstance(value, cls):
-        raise InvalidInput(f"{what} takes a {cls.__name__}, got {value!r}")
+        raise InvalidInput(f"{what} takes a {cls.__name__}, got {shown(value)}")
 
 
 def require_indices(i, j) -> None:
     """Raise ``InvalidIndex`` unless both indices are integer arguments."""
     if not (is_int(i) and is_int(j)):
-        raise InvalidIndex(f"indices must be integers, got ({i!r}, {j!r})")
+        raise InvalidIndex(f"indices must be integers, got ({shown(i)}, {shown(j)})")
 
 
 def require_ambient(n, error: type[ValidationError] = InvalidInput) -> None:
@@ -192,8 +211,8 @@ class BasisSymbol(value_type("BasisSymbol", "family i j n")):
             require_indices(i, j)
         if not in_range(family, i, j, n):
             raise InvalidIndex(
-                f"{family.value}_{{{i},{j}}} is not a valid class on P^{n}[2]: "
-                + _range_description(family)
+                f"{family.value}_{{{shown(i)},{shown(j)}}} is not a valid class on "
+                f"P^{shown(n)}[2]: " + _range_description(family)
             )
         return tuple.__new__(cls, (family, i, j, n))
 
@@ -215,15 +234,13 @@ class BasisSymbol(value_type("BasisSymbol", "family i j n")):
 # The class-document schema's coefficient pattern, the one grammar of coefficient
 # text.  ``[0-9]`` refuses non-ASCII digits, and ``fullmatch`` a trailing newline.
 _RATIONAL = re.compile(r"-?([0-9]+)(?:/([1-9][0-9]*))?")
-# Python's cap on str -> int conversion, read per call; interpreters before 3.10.7 have none.
-_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def as_rational(text: str, error: type[ValidationError]) -> Fraction:
     """The rational that ``text`` writes as ``p`` or ``p/q``; other text raises ``error``."""
     match = _RATIONAL.fullmatch(text)
     if match is None:
-        raise error(f"bad rational string {text!r}")
+        raise error(f"bad rational string {shown(text)}")
     p, q = match.groups("")  # the numbers come from these groups: the string is read once
     limit, digits = _digit_limit(), max(len(p), len(q))
     if limit and digits > limit:
@@ -273,9 +290,10 @@ class GradedClass:
         try:  # the body raises only ValidationErrors: a TypeError or ValueError is the unpacking's
             for sym, coeff in items:
                 if sym.__class__ is not BasisSymbol and not isinstance(sym, BasisSymbol):
-                    raise InvalidInput(f"term key {sym!r} is not a BasisSymbol")
+                    raise InvalidInput(f"term key {shown(sym)} is not a BasisSymbol")
                 if sym.n != n:
-                    raise MixedAmbient(f"symbol {sym} lives on P^{sym.n}[2], class on P^{n}[2]")
+                    raise MixedAmbient(
+                        f"symbol {sym} lives on P^{shown(sym.n)}[2], class on P^{shown(n)}[2]")
                 kind = coeff.__class__
                 if kind is int:
                     coeff = Fraction(coeff)
@@ -296,9 +314,9 @@ class GradedClass:
         return GradedClass, (self.n, self._terms)
 
     @classmethod
-    def from_symbol(cls, sym: BasisSymbol, coeff=1) -> "GradedClass":
+    def from_symbol(cls, sym: BasisSymbol) -> "GradedClass":
         # A non-symbol has no ambient of its own: the constructor's key check refuses it.
-        return cls(sym.n if isinstance(sym, BasisSymbol) else 1, [(sym, coeff)])
+        return cls(sym.n if isinstance(sym, BasisSymbol) else 1, [(sym, 1)])
 
     def items(self) -> tuple[tuple[BasisSymbol, Fraction], ...]:
         """Terms in canonical order."""
@@ -341,7 +359,8 @@ class GradedClass:
         if not isinstance(other, GradedClass):
             return NotImplemented
         if other.n != self.n:
-            raise MixedAmbient(f"cannot add classes on P^{self.n}[2] and P^{other.n}[2]")
+            raise MixedAmbient(
+                f"cannot add classes on P^{shown(self.n)}[2] and P^{shown(other.n)}[2]")
         return GradedClass(self.n, self._terms + other._terms)
 
     def __sub__(self, other):

@@ -25,8 +25,8 @@ from __future__ import annotations
 import functools
 from enum import Enum
 
-from .chow import (BasisSymbol, Family, as_member, require_ambient, require_indices,
-                   require_type, value_type)
+from .chow import (A, B, C, BasisSymbol, as_member, require_ambient, require_indices,
+                   require_type, shown, value_type)
 from .errors import InvalidIndex
 
 
@@ -54,7 +54,8 @@ class MonomialIdealDescriptor(value_type("MonomialIdealDescriptor", "kind i j n"
         require_ambient(n)
         require_indices(i, j)
         if not 0 <= i < j <= n:
-            raise InvalidIndex(f"{kind.value}_{{{i},{j}}} needs 0 <= i < j <= {n}")
+            raise InvalidIndex(
+                f"{kind.value}_{{{shown(i)},{shown(j)}}} needs 0 <= i < j <= {shown(n)}")
         return tuple.__new__(cls, (kind, i, j, n))
 
     def generators(self) -> list[str]:
@@ -87,7 +88,7 @@ def bb_cell_of(fp: MonomialIdealDescriptor) -> BasisSymbol:
     is the cell's; a ``B`` symbol other than ``B_{0,0}`` is twice the cell closure's class."""
     require_type(fp, MonomialIdealDescriptor, "bb_cell_of")
     if fp.kind is IdealKind.I:
-        return BasisSymbol(Family.A, fp.i, fp.j, fp.n)
+        return BasisSymbol(A, fp.i, fp.j, fp.n)
     if fp.kind is IdealKind.J:
-        return BasisSymbol(Family.B, fp.i, fp.j - 1, fp.n)
-    return BasisSymbol(Family.C, fp.i + 1, fp.j, fp.n)
+        return BasisSymbol(B, fp.i, fp.j - 1, fp.n)
+    return BasisSymbol(C, fp.i + 1, fp.j, fp.n)

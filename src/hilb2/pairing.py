@@ -44,9 +44,9 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .chow import (BasisId, BasisSymbol, Family, GradedClass, as_basis, enumerate_basis,
+from .chow import (A, AP, BP, C, BasisId, BasisSymbol, GradedClass, as_basis, enumerate_basis,
                    linear_sum, require_ambient, require_grading, require_int, require_type,
-                   scaled_terms, term)
+                   scaled_terms, shown, term)
 from .errors import (
     InvalidInput,
     MixedAmbient,
@@ -57,8 +57,6 @@ from .errors import (
 )
 
 _MS_FAMILIES, _ES_FAMILIES = BasisId.MS.families, BasisId.ES.families
-# Members bound once: an Enum attribute lookup costs more than the rest of a rule term.
-_A, _AP, _BP, _C = Family.A, Family.AP, Family.BP, Family.C
 _ZERO = Fraction(0)  # the one shared value: every vanishing pairing
 
 
@@ -68,15 +66,15 @@ def _duals(x: BasisSymbol, ap_a_diagonal: int = 1) -> list:
     Only an A' symbol reads ``ap_a_diagonal``."""
     fx, i, j, n = x
     k, l = n - j, n - i
-    if fx is _A:
-        return term(_A, k, l, n, 1) + term(_BP, k, l, n, 1)
-    if fx is _BP:
-        return term(_A, k, l, n, 1) + term(_BP, k, l, n, 2 if i == j else 1) + term(_C, k, l, n, 1)
-    if fx is _C:
-        return term(_BP, k, l, n, 1)
-    if fx is _AP:
-        return term(_A, k, l, n, ap_a_diagonal)
-    return term(_C, k, l, n, 1 if i == j == 0 else 2)  # B; B_{0,0} is the point class
+    if fx is A:
+        return term(A, k, l, n, 1) + term(BP, k, l, n, 1)
+    if fx is BP:
+        return term(A, k, l, n, 1) + term(BP, k, l, n, 2 if i == j else 1) + term(C, k, l, n, 1)
+    if fx is C:
+        return term(BP, k, l, n, 1)
+    if fx is AP:
+        return term(A, k, l, n, ap_a_diagonal)
+    return term(C, k, l, n, 1 if i == j == 0 else 2)  # B; B_{0,0} is the point class
 
 
 def pair_symbols(x: BasisSymbol, y: BasisSymbol, ap_a_diagonal: int = 1) -> Fraction:
@@ -94,9 +92,10 @@ def pair_classes(X: GradedClass, Y: GradedClass, ap_a_diagonal: int = 1) -> Frac
     """
     require_int(ap_a_diagonal, "ap_a_diagonal", 1)
     if not (isinstance(X, GradedClass) and isinstance(Y, GradedClass)):
-        raise InvalidInput(f"pair_classes takes two GradedClass operands, got {X!r} and {Y!r}")
+        raise InvalidInput(
+            f"pair_classes takes two GradedClass operands, got {shown(X)} and {shown(Y)}")
     if X.n != Y.n:
-        raise MixedAmbient(f"classes live on P^{X.n}[2] and P^{Y.n}[2]")
+        raise MixedAmbient(f"classes live on P^{shown(X.n)}[2] and P^{shown(Y.n)}[2]")
     if X.is_zero or Y.is_zero:
         return _ZERO
     # Refuse a non-MS family in Y before any grading check, naming the first
@@ -107,7 +106,7 @@ def pair_classes(X: GradedClass, Y: GradedClass, ap_a_diagonal: int = 1) -> Frac
             f"no intersection rule for {min(X.families()).value} . {min(bad).value}")
     cx, cy = X.codimension(), Y.codimension()  # raises NotHomogeneous
     if cx + cy != 2 * X.n:
-        raise NotComplementary(f"codim {cx} + codim {cy} != {2 * X.n}")
+        raise NotComplementary(f"codim {shown(cx)} + codim {shown(cy)} != {shown(2 * X.n)}")
     (xs, dx), (ys, dy) = scaled_terms(X), scaled_terms(Y)
     sums = linear_sum(_duals, xs, ap_a_diagonal)
     return Fraction(sum(b * sums.get(y, 0) for y, b in ys), dx * dy)
@@ -184,7 +183,7 @@ def _cone_grading(X: GradedClass, k: int | None, what: str, grading) -> int | No
         raise WrongBasis(f"{what} expects MS coordinates; found families {bad}")
     g = grading(X)  # raises NotHomogeneous
     if k is not None and k != g:
-        raise InvalidInput(f"class has {grading.__name__} {g}, not {k}")
+        raise InvalidInput(f"class has {grading.__name__} {shown(g)}, not {shown(k)}")
     return g
 
 

@@ -45,8 +45,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .chow import (BasisSymbol, Family, GradedClass, linear_sum, require_ambient, require_int,
-                   require_type, scaled_terms, term, value_type)
+from .chow import (A, B, BP, C, BasisSymbol, GradedClass, linear_sum, require_ambient,
+                   require_int, require_type, scaled_terms, shown, term, value_type)
 from .errors import (
     InvalidExponent,
     InvalidInput,
@@ -73,13 +73,13 @@ def _apply(rule, X: GradedClass, *args) -> GradedClass:
 def _ms_terms(key: tuple) -> list:
     """Rule: a B key in MS coordinates; any other key stays as it is."""
     family, i, j, n = key
-    if family is not Family.B:
+    if family is not B:
         return [(key, 1)]
     if i == j == 0:
-        return [((Family.BP, 0, 0, n), 1)]
+        return [((BP, 0, 0, n), 1)]
     if i == j:
-        return [((Family.BP, i, i, n), 2), ((Family.C, i, i, n), -4)]
-    return [((Family.BP, i, j, n), 2), ((Family.A, i, j, n), -2)]
+        return [((BP, i, i, n), 2), ((C, i, i, n), -4)]
+    return [((BP, i, j, n), 2), ((A, i, j, n), -2)]
 
 
 def to_ms(x: BasisSymbol) -> GradedClass:
@@ -90,7 +90,7 @@ def to_ms(x: BasisSymbol) -> GradedClass:
     (both are the point class).
     """
     require_type(x, BasisSymbol, "to_ms")
-    if x.family is not Family.B:
+    if x.family is not B:
         raise UnsupportedFamily(f"to_ms converts family B only, got {x}")
     return _build(x.n, dict(_ms_terms(x)))
 
@@ -99,19 +99,18 @@ def _bprime_rule(key: tuple) -> list:
     """Rule for ``B'_{n-1,n-1} . F_{i,j}``: the base rules for A, B, B' and
     balanced C."""
     family, i, j, n = key
-    if family is Family.BP:
-        return (term(Family.BP, i - 1, j - 1, n, 2) + term(Family.BP, i - 2, j, n, 2)
-                + term(Family.A, i - 2, j, n, -2))
-    if family is Family.A:
-        return term(Family.BP, i - 1, j - 1, n, 2)
-    if family is Family.B:
-        return term(Family.B, i - 2, j, n, 2)
-    if family is Family.C:
+    if family is BP:
+        return term(BP, i - 1, j - 1, n, 2) + term(BP, i - 2, j, n, 2) + term(A, i - 2, j, n, -2)
+    if family is A:
+        return term(BP, i - 1, j - 1, n, 2)
+    if family is B:
+        return term(B, i - 2, j, n, 2)
+    if family is C:
         if i != j:
             raise UnsupportedTerm(
                 f"no rule for B'_{{{n-1},{n-1}}} . {key} (unbalanced C)"
             )
-        return term(Family.BP, i - 1, i - 1, n, 1)
+        return term(BP, i - 1, i - 1, n, 1)
     raise UnsupportedTerm(f"no rule for B'_{{{n-1},{n-1}}} . {key}")
 
 
@@ -123,7 +122,7 @@ def _c_shift(key: tuple, b: int = 1) -> list:
     by (b, b).
     """
     family, i, j, n = key
-    if family not in (Family.A, Family.BP):
+    if family not in (A, BP):
         raise UnsupportedTerm(f"no rule for C_{{{n-1},{n-1}}} . {key}")
     return term(family, i - b, j - b, n, 1)
 
@@ -157,8 +156,8 @@ def bprime_top_power(n: int, k: int) -> GradedClass:
     require_ambient(n)
     require_int(k, "exponent", 1, n, InvalidExponent)
     c, lead = n - k, 2 ** (k - 1)
-    closed = [((Family.BP, c, c, n), lead)] + [
-        ((Family.B, c - i, c + i, n), lead // 2) for i in range(1, min(k - 1, c) + 1)
+    closed = [((BP, c, c, n), lead)] + [
+        ((B, c - i, c + i, n), lead // 2) for i in range(1, min(k - 1, c) + 1)
     ]
     return _build(n, linear_sum(_ms_terms, closed))
 
@@ -173,7 +172,8 @@ class MonomialSpec(value_type("MonomialSpec", "n a b")):
         require_int(a, "exponent a", 0)
         require_int(b, "exponent b", 0)
         if a + b > n:
-            raise InvalidInput(f"total codimension {2 * (a + b)} exceeds the ring dimension {2 * n}")
+            raise InvalidInput(f"total codimension {shown(2 * (a + b))} exceeds the ring dimension "
+                               f"{shown(2 * n)}")
         return tuple.__new__(cls, (n, a, b))
 
 

@@ -16,7 +16,7 @@ import json
 import sys
 
 from .chow import (BasisId, BasisSymbol, Family, GradedClass, as_member, as_rational, is_int,
-                   require_type)
+                   require_int, require_type, shown)
 from .errors import ParseError
 
 
@@ -55,9 +55,10 @@ _TERM_KEYS = _SYMBOL_KEYS | {"coeff"}
 
 def _require_object(doc, known: frozenset, what: str) -> None:
     if not isinstance(doc, dict):
-        raise ParseError(f"{what} must be an object, got {doc!r}")
+        raise ParseError(f"{what} must be an object, got {shown(doc)}")
     if not doc.keys() <= known:
-        raise ParseError(f"{what} has unknown field {next(k for k in doc if k not in known)!r}")
+        unknown = next(k for k in doc if k not in known)
+        raise ParseError(f"{what} has unknown field {shown(unknown)}")
 
 
 def _require_int(doc: dict, key: str, what: str) -> int:
@@ -65,7 +66,7 @@ def _require_int(doc: dict, key: str, what: str) -> int:
         raise ParseError(f"{what} is missing field {key!r}")
     value = doc[key]
     if not is_int(value):
-        raise ParseError(f"{what} field {key!r} must be an integer, got {value!r}")
+        raise ParseError(f"{what} field {key!r} must be an integer, got {shown(value)}")
     return value
 
 
@@ -101,10 +102,9 @@ def parse_class(source: str | dict) -> GradedClass:
     doc = _load_json(source) if isinstance(source, str) else source
     _require_object(doc, _CLASS_KEYS, "class document")
     n = _require_int(doc, "n", "class document")
-    if n < 1:  # the schema's minimum, before any term is read
-        raise ParseError(f"class document field 'n' must be >= 1, got {n!r}")
+    require_int(n, "class document field 'n'", 1, error=ParseError)  # before any term is read
     if doc.get("basis", "MS") not in ("BB", "ES", "MS", "mixed"):
-        raise ParseError(f"class document field 'basis' is not a basis tag: {doc['basis']!r}")
+        raise ParseError(f"class document field 'basis' is not a basis tag: {shown(doc['basis'])}")
     terms_doc = doc.get("terms")
     if not isinstance(terms_doc, list):
         raise ParseError("class document is missing the list field 'terms'")
@@ -115,6 +115,6 @@ def parse_class(source: str | dict) -> GradedClass:
             raise ParseError(f"term record {record!r} is missing field 'coeff'")
         sym, coeff = _read_symbol(record, n), record["coeff"]
         if not isinstance(coeff, str):  # the schema asks for a string, never a JSON number
-            raise ParseError(f"coefficient {coeff!r} is not an exact rational string")
+            raise ParseError(f"coefficient {shown(coeff)} is not an exact rational string")
         terms.append((sym, as_rational(coeff, ParseError)))
     return GradedClass(n, terms)

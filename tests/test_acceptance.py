@@ -154,13 +154,10 @@ def test_criterion_5_path_equivalence():
             p = SecantProblem(n, degrees)
             assert secant_degree_mu_intersection(p) == secant_degree_mu_closed(p), (n, degrees)
         # m = 2: no external oracle, cross-path equality is the check.
-        # n = 5 violates 2m+1 < n, so both paths must refuse it.
+        # n = 5 violates 2m+1 < n, so no problem is built for either path.
         for degrees in cartesian((2, 3), repeat=3):
-            p = SecantProblem(5, degrees)
             with pytest.raises(InvalidInput):
-                secant_degree_mu_closed(p)
-            with pytest.raises(InvalidInput):
-                secant_degree_mu_intersection(p)
+                SecantProblem(5, degrees)
         for n in range(6, 9):
             for degrees in cartesian((2, 3), repeat=n - 2):
                 p = SecantProblem(n, degrees)

@@ -213,15 +213,21 @@ def test_intersection_route_returns_the_closed_int():
 def test_secant_oracle_examples():
     assert secant_oracle(2, (2, 3)) == comb(6, 2) == 15
     assert secant_oracle(4, (2, 2, 2)) == comb(7, 2) - 5 == 16
-    assert secant_oracle(6, (2, 2)) is None  # m = 4: out of oracle scope
+    assert secant_oracle(6, (2, 2, 2, 2)) is None  # m = 2: out of oracle scope
     with pytest.raises(InvalidInput):
         secant_oracle(2, (2, 2, 2))
+
+
+# One degree list of each length r <= n, for every n <= 12.
+DOMAIN = [(n, (2,) * r) for n in range(1, 13) for r in range(1, n + 1)]
 
 
 @pytest.mark.parametrize("n, degrees", [
     (0, (2,)), (2.5, (2,)), (3, ()), (3, (2, 0)), (3, (2, "2")), (3, (2, 1.0)), (2, (2, 2, 2)),
     # text, and bytes, which iterate as ints (b"222" as 50, 50, 50), are not degree lists
     (4, "222"), (4, b"222"), (4, bytearray(b"\x02\x02\x02")),
+    # outside the domain, 2m+1 >= n
+    *[(n, degrees) for n, degrees in DOMAIN if 2 * (n - len(degrees)) + 1 >= n],
 ])
 def test_secant_oracle_refuses_what_secant_problem_refuses(n, degrees):
     with pytest.raises(InvalidInput) as expected:
@@ -229,6 +235,17 @@ def test_secant_oracle_refuses_what_secant_problem_refuses(n, degrees):
     with pytest.raises(InvalidInput) as got:
         secant_oracle(n, degrees)
     assert str(got.value) == str(expected.value)
+
+
+def test_a_secant_problem_builds_exactly_inside_the_domain():
+    inside = [(n, degrees) for n, degrees in DOMAIN if 2 * (n - len(degrees)) + 1 < n]
+    assert len(inside) == 36
+    for n, degrees in inside:
+        m = n - len(degrees)
+        assert SecantProblem(n, degrees).m == m
+        assert (secant_oracle(n, degrees) is None) == (m >= 2), (n, degrees)
+    with pytest.raises(InvalidInput, match=r"^need 2m\+1 < n for the secant degree; got m=3, n=6$"):
+        SecantProblem(6, (2, 2, 2, 2))._replace(degrees=(2, 2, 2))  # every way of making one
 
 
 def test_secant_oracle_takes_any_iterable_of_degrees():
@@ -250,11 +267,9 @@ def test_secant_degree_examples():
 
 
 def test_expected_dimension_guard_on_both_paths():
-    p = SecantProblem(5, (2, 2, 2))  # m = 2, 2m+1 = 5 = n
-    with pytest.raises(InvalidInput):
-        secant_degree_mu_closed(p)
-    with pytest.raises(InvalidInput):
-        secant_degree_mu_intersection(p)
+    # m = 2, 2m+1 = 5 = n: refused as the problem is built, so neither route meets it
+    with pytest.raises(InvalidInput, match=r"^need 2m\+1 < n for the secant degree; got m=2, n=5$"):
+        SecantProblem(5, (2, 2, 2))
 
 
 def intro(p):

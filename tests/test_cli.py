@@ -76,13 +76,13 @@ def test_secant_intro_is_the_closed_sum_shifted_right_by_m(n, degrees, mu1):
     ("x", "secant order mu1 must be an integer >= 1, got 'x'"),
 ], ids=["0", "True", "x"])
 def test_secant_mu1_is_checked_by_the_cli(value, message):
-    # The secant order is checked after the problem and before the 2m+1 < n guard,
+    # The secant order is checked after the problem, its 2m+1 < n domain included,
     # whether or not its text is an integer.
     def run(n, degrees):
         return run_command(["secant", "--n", n, "--degrees", degrees, "--mu1", value])
 
     assert run("4", "2,2,2") == (2, f"error: {message}")
-    assert run("3", "2,2") == (2, f"error: {message}")
+    assert run("3", "2,2") == (2, "error: need 2m+1 < n for the secant degree; got m=1, n=3")
     assert run("4", "2,0,2") == (2, "error: hypersurface degree must be an integer >= 1, got 0")
 
 
@@ -545,11 +545,12 @@ def run_hilb2(*argv):
 
 
 @contextlib.contextmanager
-def unlimited_int_text():
-    """No cap on int <-> str conversion in this process, as in ``hilb2``'s, until the end."""
+def int_text_limit(digits):
+    """``digits`` as the cap on int <-> str conversion in this process until the end;
+    0 is no cap, as in ``hilb2``'s."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
-    set_limit(0)
+    set_limit(digits)
     try:
         yield
     finally:
@@ -562,7 +563,7 @@ NINES = "9" * 4300  # the most digits that Python converts by default
 def test_a_secant_answer_over_the_digit_limit_is_printed():
     degrees = (int("9" * 3000), 2, 2)
     code, out, err = run_hilb2("secant", "--n", "4", "--degrees", ",".join(map(str, degrees)))
-    with unlimited_int_text():
+    with int_text_limit(0):
         want = str(secant_degree_mu_closed(SecantProblem(4, degrees)))
     assert len(want) > len(NINES)
     assert (code, out, err) == (0, f"deg(Sec X) * mu1 = {want}\ndeg(Sec X) = {want}\n", "")
@@ -571,7 +572,7 @@ def test_a_secant_answer_over_the_digit_limit_is_printed():
 def test_a_rank_over_the_digit_limit_is_printed_as_json():
     code, out, err = run_hilb2("rank", "--n", NINES, "--dim", "0", "--format", "json")
     assert (code, err) == (0, "")
-    with unlimited_int_text():
+    with int_text_limit(0):
         n = int(NINES)
         assert json.loads(out) == {"command": "rank",
                                    "result": {"n": n, "codim": 2 * n, "dim": 0, "rank": 1}}
@@ -579,7 +580,7 @@ def test_a_rank_over_the_digit_limit_is_printed_as_json():
 
 def test_an_error_message_over_the_digit_limit_is_printed():
     code, out, err = run_hilb2("matrix", "--n", NINES, "--k", "-1")
-    with unlimited_int_text():
+    with int_text_limit(0):
         assert (code, out, err) == (2, "", f"error: grading -1 outside [0, {2 * int(NINES)}]\n")
     i = "9" * 5000
     code, out, err = run_hilb2("pair", "--n", "2", "--x", f'{{"family":"A","i":{i},"j":1}}',
@@ -587,6 +588,18 @@ def test_an_error_message_over_the_digit_limit_is_printed():
     assert (code, out) == (2, "")
     assert err == (f"error: A_{{{i},1}} is not a valid class on P^2[2]: "
                    "family requires 0 <= i < j <= n\n")
+
+
+def test_run_command_echoes_no_text_over_the_digit_limit():
+    # Under Python's default cap, an integer flag over it reaches the library as text, and
+    # the message cuts that text to its first characters and its length.
+    with int_text_limit(getattr(sys.int_info, "default_max_str_digits", 0)):
+        code, text = run_command(["rank", "--n", "9" * 5000, "--dim", "0"])
+    assert code == 2
+    assert len(text) < 200
+    if getattr(sys.int_info, "default_max_str_digits", 0):
+        assert text == ("error: ambient dimension must be an integer >= 1, got "
+                        "'99999999999999999999'... (5000 characters)")
 
 
 def test_the_hilb2_process_reads_coefficients_over_the_digit_limit():

@@ -53,7 +53,7 @@ def bb_gram(n: int, k: int, halve: bool) -> list[list[Fraction]]:
     def weight(sym):
         return Fraction(1, 2) if halve and sym.family is Family.B and sym[1:3] != (0, 0) else 1
 
-    rows = [GradedClass.from_symbol(s, weight(s)) for s in enumerate_basis(n, "BB", dim=k)]
+    rows = [weight(s) * GradedClass.from_symbol(s) for s in enumerate_basis(n, "BB", dim=k)]
     cols = [weight(s) * (to_ms(s) if s.family is Family.B else GradedClass.from_symbol(s))
             for s in enumerate_basis(n, "BB", codim=k)]
     return [[pair_classes(x, y) for y in cols] for x in rows]

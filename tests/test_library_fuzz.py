@@ -15,15 +15,20 @@ float, ``bool``, ``None``, text or bytes in an integer slot, and text or bytes
 as a degree list.
 
 Large ints go only into the slots that ``BIG`` lists: slots that refuse them,
-or whose cost does not grow with them.  Secant degree lists stay at 16 or
-fewer entries, because the closed route visits all ``2^r`` subsets of the
-``r`` degrees (ROADMAP item 2).
+or whose cost does not grow with them.  Two of them are past Python's
+default limit of 4,300 digits for int <-> str conversion, and the fuzz runs
+at that limit, so a message that echoes one must not convert it.  Secant
+degree lists stay at 16 or fewer entries, because the closed route visits
+all ``2^r`` subsets of the ``r`` degrees (ROADMAP item 2).
 """
 
 import json
 import random
+import sys
 from enum import Enum
 from fractions import Fraction
+
+import pytest
 
 import hilb2
 from hilb2 import (
@@ -33,16 +38,26 @@ from hilb2 import (
     GradedClass,
     Hilb2Error,
     IdealKind,
+    InvalidGrading,
+    InvalidIndex,
+    InvalidInput,
+    MixedAmbient,
     MonomialIdealDescriptor,
     MonomialSpec,
     SecantProblem,
     UnsupportedError,
     ValidationError,
+    chow_rank,
     emit_class,
     enumerate_basis,
     enumerate_fixed_points,
+    eval_monomial,
     intersection_matrix,
+    pair_classes,
+    parse_class,
+    secant_degree_mu_closed,
 )
+from hilb2.chow import shown
 from hilb2.serialize import symbol_to_doc
 
 TRIALS = 80
@@ -180,11 +195,11 @@ BIG = {
     "parse_symbol": {1},
     "secant_oracle": {0},
 }
-LARGE = (10 ** 30, 2 ** 64)
+LARGE = (10 ** 30, 2 ** 64, 10 ** 5000, -(10 ** 5000))
 
 OTHER_TYPES = (
     BasisSymbol("A", 0, 1, 2), GradedClass.from_symbol(BasisSymbol("C", 1, 1, 3)),
-    MonomialSpec(3, 1, 1), SecantProblem(5, (2, 2)), MonomialIdealDescriptor("J", 0, 2, 2),
+    MonomialSpec(3, 1, 1), SecantProblem(5, (2, 2, 2, 2)), MonomialIdealDescriptor("J", 0, 2, 2),
     Family.A, BasisId.MS, IdealKind.K, {"n": 2, "terms": []}, [], {},
 )
 SHAPES = (
@@ -259,7 +274,17 @@ def test_the_fuzz_covers_every_public_callable():
     assert len(VALID) == 29
 
 
-def test_every_public_call_raises_only_the_package_errors():
+@pytest.fixture
+def default_digit_limit():
+    """Python's default cap on int <-> str conversion, whatever the process had."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    set_limit(getattr(sys.int_info, "default_max_str_digits", 0))
+    yield
+    set_limit(limit)
+
+
+def test_every_public_call_raises_only_the_package_errors(default_digit_limit):
     escaped = []
     for name in VALID:
         call = getattr(hilb2, name)
@@ -269,8 +294,45 @@ def test_every_public_call_raises_only_the_package_errors():
             except (ValidationError, UnsupportedError):
                 pass
             except Exception as exc:  # any other error is a finding
-                escaped.append(f"{name}(*{args!r}, **{kwargs!r}): {type(exc).__name__}: {exc}")
+                written = [*map(shown, args), *(f"{k}={shown(v)}" for k, v in kwargs.items())]
+                escaped.append(f"{name}({', '.join(written)}): {type(exc).__name__}: {exc}")
     assert escaped == [], "\n".join(escaped[:10])
+
+
+def test_a_message_names_an_int_over_the_digit_limit(default_digit_limit):
+    # Written in full, such an int would make the message writer raise ValueError.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("integer string conversion is unlimited in this interpreter")
+    big, over = 10 ** 5000, f"<int over {limit} digits>"
+    cases = [
+        (lambda: chow_rank(2, big), InvalidGrading, f"codimension {over} outside [0, 4]"),
+        (lambda: chow_rank(-big, 0), InvalidInput,
+         f"ambient dimension must be an integer >= 1, got <negative int over {limit} digits>"),
+        (lambda: BasisSymbol("A", big, 1, 2), InvalidIndex,
+         f"A_{{{over},1}} is not a valid class on P^2[2]: family requires 0 <= i < j <= n"),
+        (lambda: secant_degree_mu_closed(SecantProblem(big, [2])), InvalidInput,
+         f"need 2m+1 < n for the secant degree; got m={over}, n={over}"),
+        (lambda: GradedClass(big, [(BasisSymbol("A", 0, 1, 2), 1)]), MixedAmbient,
+         f"symbol A_{{0,1}} lives on P^2[2], class on P^{over}[2]"),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(error) as refused:
+            call()
+        assert str(refused.value) == message
+    # The same int where another type belongs: each message that echoes it names it.
+    term = {"family": "A", "i": 0, "j": 1, "coeff": big}
+    wrong_typed = [
+        lambda: SecantProblem(4, big), lambda: BasisSymbol(big, 0, 1, 2),
+        lambda: BasisSymbol("A", big, 1.5, 2), lambda: GradedClass(2, [(big, 1)]),
+        lambda: enumerate_basis(2, big), lambda: eval_monomial(big),
+        lambda: pair_classes(big, big), lambda: parse_class(big),
+        lambda: parse_class({"n": 2, "basis": big, "terms": []}),
+        lambda: parse_class({"n": 2, "terms": [term]}),
+    ]
+    for call in wrong_typed:
+        with pytest.raises(ValidationError, match=over):
+            call()
 
 
 # Callable -> its integer slots, positions or keywords.  The fuzz above passes a call

@@ -157,8 +157,9 @@ def test_the_shared_message_scan_sees_a_second_writer(tmp_path):
 
 
 # The constant text of ``chow.require_int``'s two messages,
-# "<noun> must be an integer >= <lo>, got <value>" and "<noun> <value> outside [<lo>, <hi>]".
-INTEGER_MESSAGES = (" must be an integer >= ", " outside [")
+# "<noun> must be an integer >= <lo>, got <value>" and "<noun> <value> outside [<lo>, <hi>]",
+# and of a minimum written out by hand, "<noun> must be >= <lo>".
+INTEGER_MESSAGES = (" must be an integer >= ", " must be >= ", " outside [")
 
 
 def integer_messages(path):
@@ -182,9 +183,37 @@ def test_the_integer_message_scan_sees_a_hand_written_check(tmp_path):
         "        raise ValueError(f'exponent {k!r} outside [1, {n}]')\n"
         "    if k < 2:\n"
         "        raise ValueError(f'k must be an integer >= 2, got {k!r}')\n"
+        "    if n < 1:\n"
+        "        raise ValueError(f'n must be >= 1, got {n!r}')\n"
         "    return f'{k} outside [1, {n}]'\n"
     )
-    assert list(integer_messages(module)) == [("sample.py", "check", 3), ("sample.py", "check", 5)]
+    assert list(integer_messages(module)) == [
+        ("sample.py", "check", 3), ("sample.py", "check", 5), ("sample.py", "check", 7)]
+
+
+def family_member_reads(path):
+    """``file:line`` for each read of a ``Family`` member as an attribute, ``Family.A``."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "Family" and node.attr in ("A", "AP", "B", "BP", "C")):
+            yield f"{path.name}:{node.lineno}"
+
+
+def test_the_family_members_are_read_through_one_binding():
+    # chow binds the five members once as plain names, which every module imports;
+    # a second copy, or an attribute read in a rule, states the binding again.
+    found = [line for path in sorted(SRC.glob("*.py")) for line in family_member_reads(path)]
+    assert len(found) == 5 and len(set(found)) == 1 and found[0].startswith("chow.py:")
+
+
+def test_the_family_member_scan_sees_each_read(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "_A, _C = Family.A, Family.C\n"
+        "def rule(f):\n"
+        "    return f is Family.BP or f.AP or Family.name\n"
+    )
+    assert list(family_member_reads(module)) == ["sample.py:1", "sample.py:1", "sample.py:3"]
 
 
 def private_bindings(path):

@@ -723,6 +723,6 @@ def test_positive_classes_are_effective_and_negative_terms_are_not():
             assert X.is_zero or is_effective(X, k)
             for s in gens:
                 q = Fraction(rng.randint(1, 10**30), rng.choice(DENOMINATORS))
-                T = GradedClass.from_symbol(s, -q)
+                T = -q * GradedClass.from_symbol(s)
                 assert not is_effective(T, k)
                 assert min(v for _, v in dense_effectivity(T)) < 0

@@ -145,7 +145,7 @@ def derived_bprime_product(x):
     if product.is_zero:
         return product
     return sum(
-        (to_ms(s) * (c / 2) if s.family.value == "B" else GradedClass.from_symbol(s, c / 2)
+        (to_ms(s) * (c / 2) if s.family.value == "B" else c / 2 * GradedClass.from_symbol(s)
          for s, c in product.items()),
         GradedClass(n),
     )
@@ -266,7 +266,7 @@ def test_mul_bprime_top_is_additive():
         syms = [s for s in enumerate_basis(n, "MS") if bprime_supported(s)]
         for p, x in enumerate(syms):
             for y in syms[p:]:
-                X, Y = GradedClass.from_symbol(x, 2), GradedClass.from_symbol(y, Fraction(-1, 3))
+                X, Y = 2 * GradedClass.from_symbol(x), Fraction(-1, 3) * GradedClass.from_symbol(y)
                 assert mul_bprime_top(X + Y) == mul_bprime_top(X) + mul_bprime_top(Y), (x, y)
 
 
@@ -297,7 +297,7 @@ def test_products_and_pairings_return_only_fractions():
                 assert all_fractions(eval_monomial(MonomialSpec(n, a, b))), (n, a, b)
         ms = enumerate_basis(n, "MS")
         for x in ms:
-            X = GradedClass.from_symbol(x, Fraction(3, 2))
+            X = Fraction(3, 2) * GradedClass.from_symbol(x)
             if bprime_supported(x):
                 assert all_fractions(mul_bprime_top(X)), x
                 assert all_fractions(mul_bprime_top(GradedClass.from_symbol(x))), x

@@ -57,7 +57,7 @@ CASES = {
     BasisSymbol: (lambda: BasisSymbol(Family.BP, 1, 1, 2), (Family.BP, 1, 5, 2), InvalidIndex),
     MonomialSpec: (lambda: MonomialSpec(3, 1, 1), (3, 2, 2), InvalidInput),
     IntersectionMatrix: (lambda: intersection_matrix(2, 2), None, None),
-    SecantProblem: (lambda: SecantProblem(5, [2, 2, 3]), (5, (2, 0)), InvalidInput),
+    SecantProblem: (lambda: SecantProblem(6, [2, 2, 3, 2]), (6, (2, 0)), InvalidInput),
     MonomialIdealDescriptor: (
         lambda: MonomialIdealDescriptor(IdealKind.K, 0, 2, 2), (IdealKind.K, 2, 0, 2), InvalidIndex,
     ),
@@ -197,7 +197,7 @@ def test_basis_symbol_repr_is_unchanged():
 
 def test_reprs_name_their_fields():
     assert repr(MonomialSpec(3, 1, 0)) == "MonomialSpec(n=3, a=1, b=0)"
-    assert repr(SecantProblem(5, [2, 2])) == "SecantProblem(n=5, degrees=(2, 2))"
+    assert repr(SecantProblem(5, [2, 2, 2, 2])) == "SecantProblem(n=5, degrees=(2, 2, 2, 2))"
 
 
 def test_intersection_matrix_holds_only_what_varies():
@@ -213,10 +213,10 @@ def test_intersection_matrix_holds_only_what_varies():
 
 
 def test_secant_problem_stores_degrees_as_a_tuple():
-    p = SecantProblem(5, [2, 2, 3])
-    assert p.degrees == (2, 2, 3) and type(p.degrees) is tuple
-    assert p == SecantProblem(5, (2, 2, 3))
-    assert hash(p) == hash(SecantProblem(5, iter([2, 2, 3])))
+    p = SecantProblem(6, [2, 2, 3, 2])
+    assert p.degrees == (2, 2, 3, 2) and type(p.degrees) is tuple
+    assert p == SecantProblem(6, (2, 2, 3, 2))
+    assert hash(p) == hash(SecantProblem(6, iter([2, 2, 3, 2])))
     assert p.m == 2
 
 
@@ -242,9 +242,9 @@ INTEGER_SLOTS = {
     "bprime_top_power k": lambda x: bprime_top_power(2, x),
     "chern_taut n": lambda x: chern_taut(x, 2),
     "chern_taut d": lambda x: chern_taut(2, x),
-    "SecantProblem n": lambda x: SecantProblem(x, (2,)),
-    "SecantProblem degree": lambda x: SecantProblem(5, (2, x)),
-    "secant_oracle degree": lambda x: secant_oracle(5, (2, x)),
+    "SecantProblem n": lambda x: SecantProblem(x, (2, 2, 2)),
+    "SecantProblem degree": lambda x: SecantProblem(4, (2, 2, x)),
+    "secant_oracle degree": lambda x: secant_oracle(4, (2, 2, x)),
     "pair_symbols ap_a_diagonal": lambda x: pair_symbols(_POINT_SYMBOL, _TOP_SYMBOL, x),
     "pair_classes ap_a_diagonal": lambda x: pair_classes(_POINT, _TOP, x),
     "intersection_matrix ap_a_diagonal": lambda x: intersection_matrix(2, 1, "ES", "MS", x),
