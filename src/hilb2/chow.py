@@ -139,7 +139,10 @@ _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 def shown(value) -> str:
     """``repr(value)`` for an error message, within the digit limit: an int over it is
-    named, not converted, and longer text is cut to its first characters and its length."""
+    named, not converted, and longer text is cut to its first characters and its length.
+    A symbol is written as ``str`` writes it, ``A_{0,1}``, its indices by this rule."""
+    if isinstance(value, BasisSymbol):
+        return f"{value.family.value}_{{{shown(value.i)},{shown(value.j)}}}"
     limit = _digit_limit()
     if limit and isinstance(value, int) and abs(value) >= 10 ** limit:
         return f"<{'negative ' if value < 0 else ''}int over {limit} digits>"
@@ -292,8 +295,8 @@ class GradedClass:
                 if sym.__class__ is not BasisSymbol and not isinstance(sym, BasisSymbol):
                     raise InvalidInput(f"term key {shown(sym)} is not a BasisSymbol")
                 if sym.n != n:
-                    raise MixedAmbient(
-                        f"symbol {sym} lives on P^{shown(sym.n)}[2], class on P^{shown(n)}[2]")
+                    raise MixedAmbient(f"symbol {shown(sym)} lives on P^{shown(sym.n)}[2], "
+                                       f"class on P^{shown(n)}[2]")
                 kind = coeff.__class__
                 if kind is int:
                     coeff = Fraction(coeff)
@@ -335,7 +338,7 @@ class GradedClass:
         if not dims:
             return None
         if len(dims) > 1:
-            raise NotHomogeneous(f"class mixes dimensions {sorted(dims)}")
+            raise NotHomogeneous(f"class mixes dimensions [{', '.join(map(shown, sorted(dims)))}]")
         return dims.pop()
 
     def codimension(self) -> int | None:

@@ -64,12 +64,12 @@ class UnsupportedBasisPair(UnsupportedError):
 
 
 class UnsupportedFamily(UnsupportedError):
-    """Conversion rule exists only for the B family."""
+    """No rule converts the family to MS coordinates (A')."""
 
 
 class UnsupportedTerm(UnsupportedError):
-    """A term of the class has no multiplication rule (e.g. C_{i,j}, i<j)."""
+    """A term of the class has no multiplication rule (A', or B under C_{n-1,n-1})."""
 
 
 class UnsupportedMonomial(UnsupportedError):
-    """No evaluation rule for the monomial (pure powers of C_{n-1,n-1})."""
+    """The monomial is not evaluated (pure powers of C_{n-1,n-1})."""

@@ -128,7 +128,7 @@ def dual_generator(sym: BasisSymbol) -> BasisSymbol:
     """
     require_type(sym, BasisSymbol, "dual_generator")
     if sym.family not in _ES_FAMILIES:
-        raise UnsupportedFamilyPair(f"{sym} is not an ES basis symbol")
+        raise UnsupportedFamilyPair(f"{shown(sym)} is not an ES basis symbol")
     ((key, _),) = _duals(sym)
     return BasisSymbol(*key)
 

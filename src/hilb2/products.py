@@ -6,20 +6,20 @@ of one basis symbol (a ``BasisSymbol`` is its own key) to a sparse list of
 ``chow.linear_sum``, the loop the pairing rule shares.  Each rule builds its
 terms with ``chow.term``, which lists no term whose indices leave the family's
 range: that output is the zero class.  The engine multiplies by
-``B'_{n-1,n-1}`` or ``C_{n-1,n-1}`` only, and neither has a rule for every
-family: ``B'_{n-1,n-1}`` refuses A' and unbalanced C (``C_{i,j}``, i < j),
-``C_{n-1,n-1}`` refuses A', B and C, each with ``UnsupportedTerm``; the
-missing C rules are ROADMAP item 4a.  The six base rules:
+``B'_{n-1,n-1}`` or ``C_{n-1,n-1}`` only, with one rule per family:
 
     B'_{n-1,n-1} . A_{i,j}  = 2 B'_{i-1,j-1}
     B'_{n-1,n-1} . B_{i,j}  = 2 B_{i-2,j}
     B'_{n-1,n-1} . B'_{i,j} = 2 B'_{i-1,j-1} + 2 B'_{i-2,j} - 2 A_{i-2,j}
-    B'_{n-1,n-1} . C_{i,i}  =   B'_{i-1,i-1}
-    C_{n-1,n-1}  . A_{i,j}  =   A_{i-1,j-1}
-    C_{n-1,n-1}  . B'_{i,j} =   B'_{i-1,j-1}
+    B'_{n-1,n-1} . C_{i,j}  =   A_{i-1,j-1} + B'_{i-1,j-1} + 2 C_{i,j-2}
+    C_{n-1,n-1}  . F_{i,j}  =   F_{i-1,j-1}        for F = A, B', C
+
+At i = j the C row is ``B'_{i-1,i-1}``.  Each product refuses an A' term
+and ``C_{n-1,n-1}`` a B term, whose ``C_{n-1,n-1} . B_{1,1} = 2 B_{0,0}``
+leaves the shift, with ``UnsupportedTerm``.
 
 The B' rule (for i < j and i = j alike, with ``B'_{0,0} -> 0``) follows
-from the other three ``B'_{n-1,n-1}`` rules and the basis-change identities
+from the A, B and balanced C rules and the basis-change identities
 
     2 B'_{i,j} = B_{i,j} + 2 A_{i,j}        for i < j,
     2 B'_{i,i} = B_{i,i} + 4 C_{i,i}        for i > 0,
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .chow import (A, B, BP, C, BasisSymbol, GradedClass, linear_sum, require_ambient,
+from .chow import (A, AP, B, BP, C, BasisSymbol, GradedClass, linear_sum, require_ambient,
                    require_int, require_type, scaled_terms, shown, term, value_type)
 from .errors import (
     InvalidExponent,
@@ -83,21 +83,20 @@ def _ms_terms(key: tuple) -> list:
 
 
 def to_ms(x: BasisSymbol) -> GradedClass:
-    """Rewrite a B-family symbol in MS coordinates.
+    """Rewrite a BB or MS symbol in MS coordinates.
 
     ``B_{i,j} -> 2B'_{i,j} - 2A_{i,j}`` for i < j,
     ``B_{i,i} -> 2B'_{i,i} - 4C_{i,i}`` for i > 0, and ``B_{0,0} -> B'_{0,0}``
-    (both are the point class).
+    (both are the point class); an A, B' or C symbol stays as it is.
     """
     require_type(x, BasisSymbol, "to_ms")
-    if x.family is not B:
-        raise UnsupportedFamily(f"to_ms converts family B only, got {x}")
+    if x.family is AP:
+        raise UnsupportedFamily(f"to_ms has no rule for family A', got {shown(x)}")
     return _build(x.n, dict(_ms_terms(x)))
 
 
 def _bprime_rule(key: tuple) -> list:
-    """Rule for ``B'_{n-1,n-1} . F_{i,j}``: the base rules for A, B, B' and
-    balanced C."""
+    """Rule for ``B'_{n-1,n-1} . F_{i,j}``: the base rules for A, B, B' and C."""
     family, i, j, n = key
     if family is BP:
         return term(BP, i - 1, j - 1, n, 2) + term(BP, i - 2, j, n, 2) + term(A, i - 2, j, n, -2)
@@ -106,41 +105,37 @@ def _bprime_rule(key: tuple) -> list:
     if family is B:
         return term(B, i - 2, j, n, 2)
     if family is C:
-        if i != j:
-            raise UnsupportedTerm(
-                f"no rule for B'_{{{n-1},{n-1}}} . {key} (unbalanced C)"
-            )
-        return term(BP, i - 1, i - 1, n, 1)
-    raise UnsupportedTerm(f"no rule for B'_{{{n-1},{n-1}}} . {key}")
+        return term(A, i - 1, j - 1, n, 1) + term(BP, i - 1, j - 1, n, 1) + term(C, i, j - 2, n, 2)
+    raise UnsupportedTerm(f"no rule for B'_{{{shown(n - 1)},{shown(n - 1)}}} . {shown(key)}")
 
 
 def _c_shift(key: tuple, b: int = 1) -> list:
-    """Rule for ``C_{n-1,n-1}^b . F_{i,j}`` on an A or B' key.
+    """Rule for ``C_{n-1,n-1}^b . F_{i,j}`` on an A, B' or C key.
 
-    Both C rules lower the index pair by (1, 1), and a pair that falls below
+    The C rules lower the index pair by (1, 1), and a pair that falls below
     its lower bound never comes back into range, so b products are one shift
     by (b, b).
     """
     family, i, j, n = key
-    if family not in (A, BP):
-        raise UnsupportedTerm(f"no rule for C_{{{n-1},{n-1}}} . {key}")
+    if family not in (A, BP, C):
+        raise UnsupportedTerm(f"no rule for C_{{{shown(n - 1)},{shown(n - 1)}}} . {shown(key)}")
     return term(family, i - b, j - b, n, 1)
 
 
 def mul_bprime_top(X: GradedClass) -> GradedClass:
     """Multiply a class by ``B'_{n-1,n-1}``.
 
-    Terms may be A, B, B', or balanced C; the image of an MS-coordinate
-    class stays in MS coordinates.
+    Terms may be A, B, B' or C; the image of an MS-coordinate class stays
+    in MS coordinates.
     """
     require_type(X, GradedClass, "mul_bprime_top")
     return _apply(_bprime_rule, X)
 
 
 def mul_c_top(X: GradedClass) -> GradedClass:
-    """Multiply a class with A and B' terms by ``C_{n-1,n-1}``.
+    """Multiply a class with A, B' and C terms by ``C_{n-1,n-1}``.
 
-    Both rules shift the index pair down by (1, 1) and truncate to zero.
+    The rules shift the index pair down by (1, 1) and truncate to zero.
     """
     require_type(X, GradedClass, "mul_c_top")
     return _apply(_c_shift, X)
@@ -180,7 +175,8 @@ class MonomialSpec(value_type("MonomialSpec", "n a b")):
 def eval_monomial(spec: MonomialSpec) -> GradedClass:
     """Evaluate ``B'_{n-1,n-1}^a . C_{n-1,n-1}^b`` (a >= 1) in MS coordinates.
 
-    Pure powers of ``C_{n-1,n-1}`` have no rule and are refused.
+    The shift covers a = 0 too, but ``hilb2 power --k 0`` answers exit code
+    3, so a pure power of ``C_{n-1,n-1}`` is still refused.
     """
     require_type(spec, MonomialSpec, "eval_monomial")
     if spec.a == 0:

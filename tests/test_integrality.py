@@ -54,8 +54,7 @@ def bb_gram(n: int, k: int, halve: bool) -> list[list[Fraction]]:
         return Fraction(1, 2) if halve and sym.family is Family.B and sym[1:3] != (0, 0) else 1
 
     rows = [weight(s) * GradedClass.from_symbol(s) for s in enumerate_basis(n, "BB", dim=k)]
-    cols = [weight(s) * (to_ms(s) if s.family is Family.B else GradedClass.from_symbol(s))
-            for s in enumerate_basis(n, "BB", codim=k)]
+    cols = [weight(s) * to_ms(s) for s in enumerate_basis(n, "BB", codim=k)]
     return [[pair_classes(x, y) for y in cols] for x in rows]
 
 

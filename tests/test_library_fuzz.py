@@ -6,8 +6,9 @@ exception classes and the three enums, whose call is Python's own protocol.
 A list starts from valid arguments; then none, one or two of its slots take
 a shape from a fixed pool: ``None``, a ``bool``, a ``float``, a ``str``, a
 negative int, a plain tuple of a value's fields, nested tuples, a value of
-another type, a class or symbol on another ambient, or the slot's own list
-or document with one entry replaced.  A call may return anything or raise
+another type, a symbol with an index over the digit limit below, a class or
+symbol on another ambient, or the slot's own list or document with one entry
+replaced.  A call may return anything or raise
 one of the two error families; any other exception fails the test.
 
 Two more tests require a refusal where the fuzz would pass a misread: a
@@ -44,18 +45,26 @@ from hilb2 import (
     MixedAmbient,
     MonomialIdealDescriptor,
     MonomialSpec,
+    NotHomogeneous,
     SecantProblem,
     UnsupportedError,
+    UnsupportedFamily,
+    UnsupportedFamilyPair,
+    UnsupportedTerm,
     ValidationError,
     chow_rank,
+    dual_generator,
     emit_class,
     enumerate_basis,
     enumerate_fixed_points,
     eval_monomial,
     intersection_matrix,
+    mul_bprime_top,
+    mul_c_top,
     pair_classes,
     parse_class,
     secant_degree_mu_closed,
+    to_ms,
 )
 from hilb2.chow import shown
 from hilb2.serialize import symbol_to_doc
@@ -205,6 +214,7 @@ OTHER_TYPES = (
 SHAPES = (
     None, True, False, 1.5, 2.0, float("nan"), "x", "2", "", "222", b"222", "MS", "A'",
     -1, -3, 0, -(10 ** 40), (), (1, (2, (3,))), ((), ((),)), *OTHER_TYPES,
+    BasisSymbol("A", 0, 10 ** 5000, 10 ** 5000),  # a symbol no message may write in full
 )
 
 
@@ -315,6 +325,20 @@ def test_a_message_names_an_int_over_the_digit_limit(default_digit_limit):
          f"need 2m+1 < n for the secant degree; got m={over}, n={over}"),
         (lambda: GradedClass(big, [(BasisSymbol("A", 0, 1, 2), 1)]), MixedAmbient,
          f"symbol A_{{0,1}} lives on P^2[2], class on P^{over}[2]"),
+        # a symbol with an index over the limit, and the product top class at such an n
+        (lambda: to_ms(BasisSymbol("A'", 0, big, big)), UnsupportedFamily,
+         f"to_ms has no rule for family A', got A'_{{0,{over}}}"),
+        (lambda: mul_c_top(GradedClass.from_symbol(BasisSymbol("A'", 0, 1, big))),
+         UnsupportedTerm, f"no rule for C_{{{over},{over}}} . A'_{{0,1}}"),
+        (lambda: mul_bprime_top(GradedClass.from_symbol(BasisSymbol("A'", 0, 1, big))),
+         UnsupportedTerm, f"no rule for B'_{{{over},{over}}} . A'_{{0,1}}"),
+        (lambda: dual_generator(BasisSymbol("A", 0, big, big)), UnsupportedFamilyPair,
+         f"A_{{0,{over}}} is not an ES basis symbol"),
+        (lambda: GradedClass(big, [(BasisSymbol("A", 0, big, big), 1),
+                                   (BasisSymbol("A", 1, big, big), 1)]).dimension(),
+         NotHomogeneous, f"class mixes dimensions [{over}, {over}]"),
+        (lambda: GradedClass(2, [(BasisSymbol("A", 0, big, big), 1)]), MixedAmbient,
+         f"symbol A_{{0,{over}}} lives on P^{over}[2], class on P^2[2]"),
     ]
     for call, error, message in cases:
         with pytest.raises(error) as refused:

@@ -1,7 +1,8 @@
-"""Torus localization: a derivation of the secant degrees and of the
-pairings of the C, B and A families that shares no code or formula with the
-closed secant sum, the product rules or the pairing rule (Bott's residue formula; Atiyah-Bott
-1984, Ellingsrud-Stromme, JAMS 1996).
+"""Torus localization: a derivation of the secant degrees, of the pairings
+of the C, B and A families and of the products of C with the two top classes
+that shares no code or formula with the closed secant sum, the product rules
+or the pairing rule (Bott's residue formula; Atiyah-Bott 1984,
+Ellingsrud-Stromme, JAMS 1996).
 
 The torus acts on the coordinate ``x_k`` of ``P^n`` with weight ``w_k``, all
 weights distinct, and ``p_k`` is the k-th coordinate point.  At each fixed
@@ -45,6 +46,8 @@ from hilb2 import (
     enumerate_basis,
     enumerate_fixed_points,
     eval_monomial,
+    mul_bprime_top,
+    mul_c_top,
     pair_classes,
     secant_degree_mu_closed,
     to_ms,
@@ -422,3 +425,41 @@ def test_the_disjoint_pair_locus_is_not_a():
                     differ += value != pair_classes(A, C)
                     cases += 1
     assert (cases, differ) == (80, 50)
+
+
+def test_products_with_c_by_localization():
+    # B'_{n-1,n-1} . C_{i,j} and C_{n-1,n-1} . C_{i,j}, with B'_{n-1,n-1} = c2(E_2) - 2 c2(E_1)
+    # and C_{n-1,n-1} = c2(E_1), pair with each BB model of complementary dimension as the
+    # integrand of the triple product does: over P^n[2] against C_{k,l}, over the J_{k,l+1}
+    # cell closure against B_{k,l} (twice the closure), over the nested locus against A_{k,l}.
+    rng = random.Random(17)
+    tops = {mul_bprime_top: lambda roots: c2(roots, 2) - 2 * c2(roots, 1),
+            mul_c_top: lambda roots: c2(roots, 1)}
+    cases = nonzero = nested_nonzero = 0
+    for n in range(2, 7):
+        for sym in enumerate_basis(n, "MS"):
+            if sym.family is not Family.C:
+                continue
+            for mul, top in tops.items():
+                product = mul(GradedClass.from_symbol(sym))
+                c = c_class(sym.i, sym.j, n)
+
+                def integrand(roots, top=top, c=c):
+                    return top(roots) * c(roots)
+
+                for other in enumerate_basis(n, "BB", codim=sym.dimension - 2):
+                    k, l = other.i, other.j
+                    if other.family is Family.C:
+                        got = integer_integral(
+                            n, lambda roots, k=k, l=l: integrand(roots) * c_class(k, l, n)(roots),
+                            rng)
+                    elif other.family is Family.B:
+                        got = 2 * cell_integral(n, k, l, integrand, rng)
+                    else:
+                        got = nested_integral(n, k, l, integrand, rng)
+                        nested_nonzero += got != 0
+                    assert got == pair_classes(GradedClass.from_symbol(other), product), (
+                        mul.__name__, sym, other)
+                    cases += 1
+                    nonzero += got != 0
+    assert (cases, nonzero, nested_nonzero) == (556, 145, 35)

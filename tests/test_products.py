@@ -32,13 +32,14 @@ def test_to_ms_examples():
     assert to_ms(S("B", 1, 3, 4)) == cls((2, S("B'", 1, 3, 4)), (-2, S("A", 1, 3, 4)))
     assert to_ms(S("B", 1, 1, 2)) == cls((2, S("B'", 1, 1, 2)), (-4, S("C", 1, 1, 2)))
     assert to_ms(S("B", 0, 0, 3)) == GradedClass.from_symbol(S("B'", 0, 0, 3))
+    for sym in (S("A", 0, 1, 2), S("B'", 1, 1, 2), S("C", 1, 2, 2), S("B'", 0, 0, 3)):
+        assert to_ms(sym) == GradedClass.from_symbol(sym)  # an MS symbol stays as it is
 
 
 def test_to_ms_rejects_other_families():
-    with pytest.raises(UnsupportedFamily):
-        to_ms(S("A", 0, 1, 2))
-    with pytest.raises(UnsupportedFamily):
-        to_ms(S("B'", 1, 1, 2))
+    with pytest.raises(UnsupportedFamily,
+                       match=r"^to_ms has no rule for family A', got A'_\{0,1\}$"):
+        to_ms(S("A'", 0, 1, 2))
 
 
 def test_to_ms_roundtrip_pairing():
@@ -79,9 +80,17 @@ def test_mul_bprime_top_balanced_c():
     )
 
 
-def test_mul_bprime_top_rejects_unbalanced_c():
-    with pytest.raises(UnsupportedTerm):
-        mul_bprime_top(GradedClass.from_symbol(S("C", 1, 2, 4)))
+def test_mul_bprime_top_general_c():
+    # C_{i,j} -> A_{i-1,j-1} + B'_{i-1,j-1} + 2C_{i,j-2}, each term dropped out of range
+    assert mul_bprime_top(GradedClass.from_symbol(S("C", 2, 4, 4))) == cls(
+        (1, S("A", 1, 3, 4)), (1, S("B'", 1, 3, 4)), (2, S("C", 2, 2, 4))
+    )
+    assert mul_bprime_top(GradedClass.from_symbol(S("C", 1, 2, 4))) == cls(
+        (1, S("A", 0, 1, 4)), (1, S("B'", 0, 1, 4))
+    )
+    assert mul_bprime_top(GradedClass.from_symbol(S("C", 1, 3, 4))) == cls(
+        (1, S("A", 0, 2, 4)), (1, S("B'", 0, 2, 4)), (2, S("C", 1, 1, 4))
+    )
 
 
 def test_mul_bprime_top_rejects_an_ap_term():
@@ -93,13 +102,15 @@ def test_mul_c_top_examples():
     assert mul_c_top(GradedClass.from_symbol(S("A", 1, 3, 4))) == cls((1, S("A", 0, 2, 4)))
     assert mul_c_top(GradedClass.from_symbol(S("B'", 0, 2, 4))).is_zero
     assert mul_c_top(GradedClass.from_symbol(S("B'", 2, 2, 4))) == cls((1, S("B'", 1, 1, 4)))
+    assert mul_c_top(GradedClass.from_symbol(S("C", 2, 3, 3))) == cls((1, S("C", 1, 2, 3)))
+    assert mul_c_top(GradedClass.from_symbol(S("C", 1, 1, 3))).is_zero
 
 
 def test_mul_c_top_rejects_other_families():
-    with pytest.raises(UnsupportedTerm):
-        mul_c_top(GradedClass.from_symbol(S("C", 1, 1, 3)))
-    with pytest.raises(UnsupportedTerm):
+    with pytest.raises(UnsupportedTerm, match=r"^no rule for C_\{2,2\} \. B_\{1,1\}$"):
         mul_c_top(GradedClass.from_symbol(S("B", 1, 1, 3)))
+    with pytest.raises(UnsupportedTerm, match=r"^no rule for C_\{2,2\} \. A'_\{0,1\}$"):
+        mul_c_top(GradedClass.from_symbol(S("A'", 0, 1, 3)))
 
 
 def test_bprime_top_power_examples():
@@ -144,11 +155,7 @@ def derived_bprime_product(x):
     product = mul_bprime_top(doubled)
     if product.is_zero:
         return product
-    return sum(
-        (to_ms(s) * (c / 2) if s.family.value == "B" else c / 2 * GradedClass.from_symbol(s)
-         for s, c in product.items()),
-        GradedClass(n),
-    )
+    return sum((to_ms(s) * (c / 2) for s, c in product.items()), GradedClass(n))
 
 
 def test_stated_bprime_rule_equals_its_derivation():
@@ -216,17 +223,11 @@ def test_triple_product_vanishing_small():
                 assert pair_classes(X, target) == 0, (n, m, k)
 
 
-# The engine as linear maps: laws checked exhaustively for n <= 7.
+# The engine as linear maps: ring laws on every MS generator for n <= 10, and
+# linearity for n <= 7.
 
+RING_N = range(1, 11)
 SMALL_N = range(2, 8)
-
-
-def bprime_supported(sym):
-    return sym.family.value in ("A", "B'") or (sym.family.value == "C" and sym.i == sym.j)
-
-
-def c_supported(sym):
-    return sym.family.value in ("A", "B'")
 
 
 def test_projection_law():
@@ -234,36 +235,34 @@ def test_projection_law():
     from hilb2 import pair_classes
 
     checked = 0
-    for mul, supported in ((mul_bprime_top, bprime_supported), (mul_c_top, c_supported)):
-        for n in SMALL_N:
-            syms = [s for s in enumerate_basis(n, "MS") if supported(s)]
+    for mul in (mul_bprime_top, mul_c_top):
+        for n in RING_N:
+            syms = enumerate_basis(n, "MS")
+            one = {s: GradedClass.from_symbol(s) for s in syms}
+            image = {s: mul(one[s]) for s in syms}
             for x in syms:
-                X = GradedClass.from_symbol(x)
-                TX = mul(X)
                 for y in syms:
                     if x.dimension + y.dimension != 2 * n + 2:
                         continue
-                    Y = GradedClass.from_symbol(y)
-                    assert pair_classes(TX, Y) == pair_classes(X, mul(Y)), (mul.__name__, x, y)
+                    assert pair_classes(image[x], one[y]) == pair_classes(one[x], image[y]), (
+                        mul.__name__, x, y)
                     checked += 1
-    assert checked == 1143
+    assert checked == 9886
 
 
 def test_c_and_bprime_products_commute():
     checked = 0
-    for n in SMALL_N:
+    for n in RING_N:
         for x in enumerate_basis(n, "MS"):
-            if not c_supported(x):
-                continue
             X = GradedClass.from_symbol(x)
             assert mul_c_top(mul_bprime_top(X)) == mul_bprime_top(mul_c_top(X)), x
             checked += 1
-    assert checked == 166
+    assert checked == 660
 
 
 def test_mul_bprime_top_is_additive():
     for n in SMALL_N:
-        syms = [s for s in enumerate_basis(n, "MS") if bprime_supported(s)]
+        syms = enumerate_basis(n, "MS")
         for p, x in enumerate(syms):
             for y in syms[p:]:
                 X, Y = 2 * GradedClass.from_symbol(x), Fraction(-1, 3) * GradedClass.from_symbol(y)
@@ -298,15 +297,11 @@ def test_products_and_pairings_return_only_fractions():
         ms = enumerate_basis(n, "MS")
         for x in ms:
             X = Fraction(3, 2) * GradedClass.from_symbol(x)
-            if bprime_supported(x):
-                assert all_fractions(mul_bprime_top(X)), x
-                assert all_fractions(mul_bprime_top(GradedClass.from_symbol(x))), x
-            if c_supported(x):
-                assert all_fractions(mul_c_top(X)), x
-                assert all_fractions(mul_c_top(GradedClass.from_symbol(x))), x
-        for x in enumerate_basis(n, "ES"):
-            if x.family.value == "B":
-                assert all_fractions(to_ms(x)), x
+            for mul in (mul_bprime_top, mul_c_top):
+                assert all_fractions(mul(X)), (mul.__name__, x)
+                assert all_fractions(mul(GradedClass.from_symbol(x))), (mul.__name__, x)
+        for x in enumerate_basis(n, "BB") + ms:
+            assert all_fractions(to_ms(x)), x
         for x in ms + enumerate_basis(n, "ES"):
             for y in ms:
                 if x.codimension + y.codimension == 2 * n:
@@ -322,9 +317,8 @@ def test_products_of_wide_coefficients_are_sums_of_term_products():
     # sum of the products of its terms, each taken alone
     rng = random.Random(707)
     for n in SMALL_N:
-        bsyms = [s for s in enumerate_basis(n, "MS") if bprime_supported(s)]
-        csyms = [s for s in bsyms if c_supported(s)]
-        for mul, syms in ((mul_bprime_top, bsyms), (mul_c_top, csyms)):
+        syms = enumerate_basis(n, "MS")
+        for mul in (mul_bprime_top, mul_c_top):
             for _ in range(6):
                 terms = [
                     (s, Fraction(rng.randint(-10**30, 10**30), rng.choice(DENOMINATORS)))
@@ -339,12 +333,11 @@ def test_products_of_wide_coefficients_are_sums_of_term_products():
 @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(-3, 7)])
 def test_products_commute_with_rational_scalars(q):
     # integer and non-integer coefficients side by side in one class, then
-    # seeded classes over the supported symbols of every grading at once
+    # seeded classes over the MS symbols of every grading at once
     rng = random.Random(606)
     for n in SMALL_N:
-        bsyms = [s for s in enumerate_basis(n, "MS") if bprime_supported(s)]
-        csyms = [s for s in bsyms if c_supported(s)]
-        for mul, syms in ((mul_bprime_top, bsyms), (mul_c_top, csyms)):
+        syms = enumerate_basis(n, "MS")
+        for mul in (mul_bprime_top, mul_c_top):
             for p, x in enumerate(syms):
                 X = GradedClass(n, [(x, 1), (syms[(p * 7 + 3) % len(syms)], Fraction(5, 3))])
                 assert mul(q * X) == q * mul(X), (mul.__name__, x)
