@@ -23,11 +23,10 @@ _EXPORTS = {
         "secant_degree_mu_intersection", "secant_oracle",
     ),
     "errors": (
-        "Hilb2Error", "InvalidExponent", "InvalidGrading", "InvalidIndex",
-        "InvalidInput", "MixedAmbient", "NotComplementary", "NotHomogeneous",
-        "ParseError", "UnsupportedBasisPair", "UnsupportedError", "UnsupportedFamily",
-        "UnsupportedFamilyPair", "UnsupportedMonomial", "UnsupportedTerm",
-        "ValidationError", "WrongBasis",
+        "Hilb2Error", "InvalidGrading", "InvalidIndex", "InvalidInput", "MixedAmbient",
+        "NotComplementary", "NotHomogeneous", "ParseError", "UnsupportedError",
+        "UnsupportedFamilyPair", "UnsupportedMonomial", "UnsupportedTerm", "ValidationError",
+        "WrongBasis",
     ),
     "fixed_points": (
         "IdealKind", "MonomialIdealDescriptor", "bb_cell_of", "enumerate_fixed_points",

@@ -16,7 +16,7 @@ with the C terms out of range (zero) when n = 1.  For a complete intersection
 where S runs over subsets of {1..n-m}.  Two independent evaluation paths are
 provided: the closed formula above, and the intersection-theoretic route
 that reads one integer weight vector per ``(n, m)`` for the monomials ``B'^k C^{n-m-k}``
-of ``prod c2(O(d_i))``, each evaluated with the product engine and paired with ``C_{n-2m,n}``.
+of ``prod c2(O(d_i))``, each iterated through the product rules and paired with ``C_{n-2m,n}``.
 The library states only the ``2^(k-1)`` exponent, which the classical oracles
 select; the ``intro`` variant ``2^(k-1-m)``, the closed sum shifted right by
 m, is a foil that ``hilb2 secant --variant intro`` applies and a regression
@@ -35,7 +35,7 @@ from .chow import (A, BP, C, BasisSymbol, GradedClass, require_ambient, require_
                    shown, term, value_type)
 from .errors import InvalidInput
 from .pairing import pair_classes
-from .products import MonomialSpec, eval_monomial
+from .products import mul_bprime_top, mul_c_top
 
 
 def chern_taut(n: int, d: int) -> tuple[GradedClass, GradedClass]:
@@ -107,11 +107,16 @@ def secant_degree_mu_closed(p: SecantProblem) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _monomial_weights(n: int, m: int) -> tuple[int, ...]:
-    """Entry k: the pairing of ``B'^k C^{n-m-k}`` with ``C_{n-2m,n}``, one
-    vector per ``(n, m)``.  Entry 0, the pure C power, pairs to zero."""
-    target = GradedClass.from_symbol(BasisSymbol(C, n - 2 * m, n, n))
-    weights = [pair_classes(eval_monomial(MonomialSpec(n, k, n - m - k)), target)
-               for k in range(1, n - m + 1)]
+    """Entry k: ``B'^k C^{n-m-k} . C_{n-2m,n}`` (0 for k = 0), one vector per ``(n, m)``.
+    Each factor iterates its rule, the C power on the target (the ring commutes)."""
+    targets = [GradedClass.from_symbol(BasisSymbol(C, n - 2 * m, n, n))]  # C^b . C_{n-2m,n}
+    for _ in range(n - m - 1):
+        targets.append(mul_c_top(targets[-1]))
+    power = GradedClass.from_symbol(BasisSymbol(BP, n - 1, n - 1, n))
+    weights = [pair_classes(power, targets.pop())]
+    while targets:  # one power held at a time: B'^k for k = 2 .. n-m
+        power = mul_bprime_top(power)
+        weights.append(pair_classes(power, targets.pop()))
     if any(w.denominator != 1 for w in weights):
         raise AssertionError(f"monomial weights {weights} are not all integers")
     return (0, *map(int, weights))
@@ -122,8 +127,8 @@ def secant_degree_mu_intersection(p: SecantProblem) -> int:
 
     Expands ``prod_i c2(O(d_i))`` by convolution into coefficients of the
     monomials ``B'^k C^{n-m-k}`` and dots them with the integer weight vector
-    of ``(n, m)``: each monomial with k >= 1 evaluated once through the
-    product engine and paired with ``C_{n-2m,n}``.
+    of ``(n, m)``: each monomial with k >= 1 built once by iterating the two
+    product rules and paired with ``C_{n-2m,n}``.
     """
     require_type(p, SecantProblem, "secant_degree_mu_intersection")
     coeffs = [1]  # coeffs[k] = sum over |S|=k of prod C(d_j,2) * prod d_l

@@ -140,9 +140,22 @@ _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 def shown(value) -> str:
     """``repr(value)`` for an error message, within the digit limit: an int over it is
     named, not converted, and longer text is cut to its first characters and its length.
-    A symbol is written as ``str`` writes it, ``A_{0,1}``, its indices by this rule."""
+    A symbol is written as ``str`` writes it, ``A_{0,1}``, and the parts of a class, a
+    Fraction, a named tuple, a tuple, a list or a dict each by this rule."""
     if isinstance(value, BasisSymbol):
         return f"{value.family.value}_{{{shown(value.i)},{shown(value.j)}}}"
+    if isinstance(value, GradedClass):
+        return f"GradedClass(n={shown(value.n)}, {value.__str__(shown)})"
+    if isinstance(value, Fraction):
+        return f"Fraction({shown(value.numerator)}, {shown(value.denominator)})"
+    if isinstance(value, tuple) and hasattr(value, "_fields"):  # a named tuple
+        fields = ", ".join(f"{k}={shown(v)}" for k, v in zip(value._fields, value))
+        return f"{type(value).__name__}({fields})"
+    if type(value) is dict:
+        return "{" + ", ".join(f"{shown(k)}: {shown(v)}" for k, v in value.items()) + "}"
+    if type(value) in (tuple, list):
+        parts = ", ".join(map(shown, value)) + "," * (type(value) is tuple and len(value) == 1)
+        return f"({parts})" if type(value) is tuple else f"[{parts}]"
     limit = _digit_limit()
     if limit and isinstance(value, int) and abs(value) >= 10 ** limit:
         return f"<{'negative ' if value < 0 else ''}int over {limit} digits>"
@@ -263,8 +276,8 @@ def _coerce_rational(value) -> Fraction:
     if is_int(value):
         return Fraction(value)
     if not isinstance(value, Fraction):
-        raise InvalidInput(
-            f"{type(value).__name__} coefficient {value!r} rejected; use Fraction, int or 'p/q'")
+        raise InvalidInput(f"{type(value).__name__} coefficient {shown(value)} rejected; "
+                           "use Fraction, int or 'p/q'")
     return value
 
 
@@ -380,12 +393,15 @@ class GradedClass:
 
     __rmul__ = __mul__
 
-    def __str__(self):
+    def __str__(self, write=str):
+        """``-A_{0,1} + 3/2*C_{1,1}``, each symbol and each int of a coefficient by ``write``."""
         if not self._terms:
             return "0"
         out = ""
         for sym, c in self._terms:
-            out += (" - " if c < 0 else " + ") + (str(sym) if abs(c) == 1 else f"{abs(c)}*{sym}")
+            p, q = abs(c).as_integer_ratio()
+            coeff = "" if p == q else write(p) + (f"/{write(q)}" if q > 1 else "") + "*"
+            out += (" - " if c < 0 else " + ") + coeff + write(sym)
         return ("-" if out[1] == "-" else "") + out[3:]  # the first sign without its spaces
 
     def __repr__(self):

@@ -43,10 +43,6 @@ class WrongBasis(ValidationError):
     """Class contains terms outside the basis required by the operation."""
 
 
-class InvalidExponent(ValidationError):
-    """Exponent outside the range a closed-form product formula covers."""
-
-
 class InvalidInput(ValidationError):
     """Catch-all for parameter preconditions (n >= 1, d >= 1, ...)."""
 
@@ -56,19 +52,12 @@ class ParseError(ValidationError):
 
 
 class UnsupportedFamilyPair(UnsupportedError):
-    """No intersection number is defined for this pair of families."""
-
-
-class UnsupportedBasisPair(UnsupportedError):
-    """Intersection matrices exist only for (ES, MS) and (MS, MS)."""
-
-
-class UnsupportedFamily(UnsupportedError):
-    """No rule converts the family to MS coordinates (A')."""
+    """No intersection number is defined for this pair of families (a second
+    factor, or a matrix column basis, that is not MS)."""
 
 
 class UnsupportedTerm(UnsupportedError):
-    """A term of the class has no multiplication rule (A', or B under C_{n-1,n-1})."""
+    """A term has no rule in a product or in the change to MS coordinates (A')."""
 
 
 class UnsupportedMonomial(UnsupportedError):

@@ -47,14 +47,7 @@ from fractions import Fraction
 from .chow import (A, AP, BP, C, BasisId, BasisSymbol, GradedClass, as_basis, enumerate_basis,
                    linear_sum, require_ambient, require_grading, require_int, require_type,
                    scaled_terms, shown, term)
-from .errors import (
-    InvalidInput,
-    MixedAmbient,
-    NotComplementary,
-    UnsupportedBasisPair,
-    UnsupportedFamilyPair,
-    WrongBasis,
-)
+from .errors import InvalidInput, MixedAmbient, NotComplementary, UnsupportedFamilyPair, WrongBasis
 
 _MS_FAMILIES, _ES_FAMILIES = BasisId.MS.families, BasisId.ES.families
 _ZERO = Fraction(0)  # the one shared value: every vanishing pairing
@@ -140,18 +133,18 @@ def intersection_matrix(
     cols: BasisId | str = BasisId.MS,
     ap_a_diagonal: int = 1,
 ) -> IntersectionMatrix:
-    """Pairing matrix of the dimension-k ``rows`` basis against the
-    codimension-k ``cols`` basis.
+    """Pairing matrix of the dimension-k ``rows`` basis, any of the three, against the
+    codimension-k MS basis; any other ``cols`` raises ``UnsupportedFamilyPair``.
 
-    For (MS, MS) both sides carry their canonical enumeration order.  For
-    (ES, MS) the columns are listed as the complementary partners of the
+    For BB or MS rows both sides carry their canonical enumeration order.
+    For ES rows the columns are listed as the complementary partners of the
     rows (a permutation of the canonical codimension-k enumeration), which
     is the order in which the matrix is literally diagonal.
     """
     require_int(ap_a_diagonal, "ap_a_diagonal", 1)
     rows, cols = as_basis(rows), as_basis(cols)
-    if (rows, cols) not in ((BasisId.ES, BasisId.MS), (BasisId.MS, BasisId.MS)):
-        raise UnsupportedBasisPair(f"no intersection matrix for ({rows.value}, {cols.value})")
+    if cols is not BasisId.MS:
+        raise UnsupportedFamilyPair(f"no intersection matrix for ({rows.value}, {cols.value})")
     require_ambient(n)
     require_grading(k, n)
     row_syms = tuple(enumerate_basis(n, rows, dim=k))

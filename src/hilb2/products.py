@@ -12,11 +12,11 @@ range: that output is the zero class.  The engine multiplies by
     B'_{n-1,n-1} . B_{i,j}  = 2 B_{i-2,j}
     B'_{n-1,n-1} . B'_{i,j} = 2 B'_{i-1,j-1} + 2 B'_{i-2,j} - 2 A_{i-2,j}
     B'_{n-1,n-1} . C_{i,j}  =   A_{i-1,j-1} + B'_{i-1,j-1} + 2 C_{i,j-2}
-    C_{n-1,n-1}  . F_{i,j}  =   F_{i-1,j-1}        for F = A, B', C
+    C_{n-1,n-1}  . F_{i,j}  =   F_{i-1,j-1}        for F = A, B, B', C
 
-At i = j the C row is ``B'_{i-1,i-1}``.  Each product refuses an A' term
-and ``C_{n-1,n-1}`` a B term, whose ``C_{n-1,n-1} . B_{1,1} = 2 B_{0,0}``
-leaves the shift, with ``UnsupportedTerm``.
+At i = j the C row is ``B'_{i-1,i-1}``, and ``C_{n-1,n-1} . B_{1,1} = 2 B_{0,0}``
+is twice the point class, as ``2 B'_{1,1} - 4 C_{1,1}`` shifts to ``2 B'_{0,0}``.
+A' has no rule: each product and :func:`to_ms` refuse it with ``UnsupportedTerm``.
 
 The B' rule (for i < j and i = j alike, with ``B'_{0,0} -> 0``) follows
 from the A, B and balanced C rules and the basis-change identities
@@ -47,13 +47,7 @@ from fractions import Fraction
 
 from .chow import (A, AP, B, BP, C, BasisSymbol, GradedClass, linear_sum, require_ambient,
                    require_int, require_type, scaled_terms, shown, term, value_type)
-from .errors import (
-    InvalidExponent,
-    InvalidInput,
-    UnsupportedFamily,
-    UnsupportedMonomial,
-    UnsupportedTerm,
-)
+from .errors import InvalidInput, UnsupportedMonomial, UnsupportedTerm
 
 
 def _build(n: int, acc: dict, d: int = 1) -> GradedClass:
@@ -87,11 +81,12 @@ def to_ms(x: BasisSymbol) -> GradedClass:
 
     ``B_{i,j} -> 2B'_{i,j} - 2A_{i,j}`` for i < j,
     ``B_{i,i} -> 2B'_{i,i} - 4C_{i,i}`` for i > 0, and ``B_{0,0} -> B'_{0,0}``
-    (both are the point class); an A, B' or C symbol stays as it is.
+    (both are the point class); an A, B' or C symbol stays as it is, and an A'
+    symbol, which has no rule, raises ``UnsupportedTerm`` as the products do.
     """
     require_type(x, BasisSymbol, "to_ms")
     if x.family is AP:
-        raise UnsupportedFamily(f"to_ms has no rule for family A', got {shown(x)}")
+        raise UnsupportedTerm(f"to_ms has no rule for family A', got {shown(x)}")
     return _build(x.n, dict(_ms_terms(x)))
 
 
@@ -110,16 +105,16 @@ def _bprime_rule(key: tuple) -> list:
 
 
 def _c_shift(key: tuple, b: int = 1) -> list:
-    """Rule for ``C_{n-1,n-1}^b . F_{i,j}`` on an A, B' or C key.
+    """Rule for ``C_{n-1,n-1}^b . F_{i,j}`` on an A, B, B' or C key.
 
     The C rules lower the index pair by (1, 1), and a pair that falls below
     its lower bound never comes back into range, so b products are one shift
-    by (b, b).
+    by (b, b), except that ``B_{b,b}`` lands on the point class ``B_{0,0}`` twice.
     """
     family, i, j, n = key
-    if family not in (A, BP, C):
+    if family is AP:
         raise UnsupportedTerm(f"no rule for C_{{{shown(n - 1)},{shown(n - 1)}}} . {shown(key)}")
-    return term(family, i - b, j - b, n, 1)
+    return term(family, i - b, j - b, n, 2 if family is B and i == j == b > 0 else 1)
 
 
 def mul_bprime_top(X: GradedClass) -> GradedClass:
@@ -133,7 +128,7 @@ def mul_bprime_top(X: GradedClass) -> GradedClass:
 
 
 def mul_c_top(X: GradedClass) -> GradedClass:
-    """Multiply a class with A, B' and C terms by ``C_{n-1,n-1}``.
+    """Multiply a class by ``C_{n-1,n-1}``.
 
     The rules shift the index pair down by (1, 1) and truncate to zero.
     """
@@ -146,14 +141,13 @@ def bprime_top_power(n: int, k: int) -> GradedClass:
 
     With ``c = n - k`` it is ``2^(k-1) B'_{c,c} + 2^(k-2) sum_i B_{c-i,c+i}``
     for ``1 <= i <= min(k-1, c)``, which the :func:`to_ms` rule turns into
-    the MS form of the module docstring.
+    the MS form of the module docstring; any other k raises ``InvalidInput``.
     """
     require_ambient(n)
-    require_int(k, "exponent", 1, n, InvalidExponent)
+    require_int(k, "exponent", 1, n)
     c, lead = n - k, 2 ** (k - 1)
-    closed = [((BP, c, c, n), lead)] + [
-        ((B, c - i, c + i, n), lead // 2) for i in range(1, min(k - 1, c) + 1)
-    ]
+    closed = [((BP, c, c, n), lead)] + [((B, c - i, c + i, n), lead // 2)
+                                        for i in range(1, min(k - 1, c) + 1)]
     return _build(n, linear_sum(_ms_terms, closed))
 
 

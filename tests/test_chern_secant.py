@@ -166,23 +166,32 @@ def test_monomial_weights_are_ints():
             assert weights == tuple(2 ** (k - 1) if k > m else 0 for k in range(n - m + 1)), (n, m)
 
 
+def test_iterated_weights_equal_the_closed_monomials():
+    # the fill iterates the rules; eval_monomial reads the closed B' power and one C shift
+    for n in range(2, 13):
+        for m in range((n - 2) // 2 + 1):
+            target = GradedClass.from_symbol(BasisSymbol("C", n - 2 * m, n, n))
+            closed = [pair_classes(eval_monomial(MonomialSpec(n, k, n - m - k)), target)
+                      for k in range(1, n - m + 1)]
+            assert _monomial_weights(n, m) == (0, *closed), (n, m)
+
+
 def test_each_n_m_is_one_cache_entry_built_once(monkeypatch):
-    evaluated = []
-
-    def counting(spec):
-        evaluated.append(spec)
-        return eval_monomial(spec)
-
-    monkeypatch.setattr(chern_secant, "eval_monomial", counting)
+    # the fill iterates the two rules: B'^k for k = 2 .. n-m, C^b . C_{n-2m,n} for b = 1 .. n-m-1
+    calls = []
+    for name in ("mul_bprime_top", "mul_c_top"):
+        rule = getattr(chern_secant, name)
+        monkeypatch.setattr(chern_secant, name,
+                            lambda X, name=name, rule=rule: calls.append(name) or rule(X))
     _monomial_weights.cache_clear()
     n, m = 14, 3
     all_quadrics = 2 ** 10 * sum(comb(11, k) for k in range(m + 1, 12))  # C(2,2) = 1
     assert secant_degree_mu_intersection(SecantProblem(n, [2] * (n - m))) == all_quadrics
     assert _monomial_weights.cache_info().currsize == 1  # not n - m entries
-    assert evaluated == [MonomialSpec(n, k, n - m - k) for k in range(1, n - m + 1)]
+    assert sorted(calls) == ["mul_bprime_top"] * (n - m - 1) + ["mul_c_top"] * (n - m - 1)
     p = SecantProblem(n, [3, 1] * 5 + [5])
     assert secant_degree_mu_intersection(p) == secant_degree_mu_closed(p)
-    assert len(evaluated) == n - m  # the second call evaluates none
+    assert len(calls) == 2 * (n - m - 1)  # the second call multiplies nothing
     assert _monomial_weights.cache_info().currsize == 1
     secant_degree_mu_intersection(SecantProblem(n, [2] * (n - m - 1)))  # a new (n, m)
     assert _monomial_weights.cache_info().currsize == 2

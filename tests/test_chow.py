@@ -19,7 +19,7 @@ from hilb2 import (
     chow_rank,
     enumerate_basis,
 )
-from hilb2.chow import require_int
+from hilb2.chow import require_int, shown
 
 ALL_FAMILIES = ("A", "A'", "B", "B'", "C")
 
@@ -360,6 +360,23 @@ def test_class_text_and_repr():
     assert str(-X) == "A_{0,1} - 3/2*C_{1,1}"
     assert repr(X) == "GradedClass(n=2, -A_{0,1} + 3/2*C_{1,1})"
     assert repr(GradedClass(3)) == "GradedClass(n=3, 0)"
+
+
+def test_shown_writes_what_repr_writes_within_the_digit_limit():
+    # a value made of parts is written part by part, the way repr writes it
+    from hilb2 import MonomialIdealDescriptor, MonomialSpec, SecantProblem
+
+    a01, c11 = BasisSymbol("A", 0, 1, 2), BasisSymbol("C", 1, 1, 2)
+    X = GradedClass(2, [(a01, -1), (c11, Fraction(3, 2))])
+    values = [
+        X, GradedClass(3), -X, Fraction(-3, 7), Fraction(4), (), (1,), (1, (2, (3,))), [],
+        [1, [2.5]], {}, {"n": 2, "terms": [{"coeff": Fraction(1, 2)}]}, (X, "x", None, True),
+        [Family.A, BasisId.MS], MonomialSpec(3, 1, 0), SecantProblem(5, [2, 2, 2, 2]),
+        MonomialIdealDescriptor("J", 0, 2, 2),
+    ]
+    for value in values:
+        assert shown(value) == repr(value)
+    assert shown(a01) == str(a01) == "A_{0,1}"
 
 
 def test_an_uninterpretable_coefficient_is_refused():

@@ -48,7 +48,6 @@ from hilb2 import (
     NotHomogeneous,
     SecantProblem,
     UnsupportedError,
-    UnsupportedFamily,
     UnsupportedFamilyPair,
     UnsupportedTerm,
     ValidationError,
@@ -59,6 +58,7 @@ from hilb2 import (
     enumerate_fixed_points,
     eval_monomial,
     intersection_matrix,
+    is_nef,
     mul_bprime_top,
     mul_c_top,
     pair_classes,
@@ -315,6 +315,8 @@ def test_a_message_names_an_int_over_the_digit_limit(default_digit_limit):
     if not limit:
         pytest.skip("integer string conversion is unlimited in this interpreter")
     big, over = 10 ** 5000, f"<int over {limit} digits>"
+    X = GradedClass.from_symbol(BasisSymbol("A", 0, big, big))
+    X_shown = f"GradedClass(n={over}, A_{{0,{over}}})"
     cases = [
         (lambda: chow_rank(2, big), InvalidGrading, f"codimension {over} outside [0, 4]"),
         (lambda: chow_rank(-big, 0), InvalidInput,
@@ -326,7 +328,7 @@ def test_a_message_names_an_int_over_the_digit_limit(default_digit_limit):
         (lambda: GradedClass(big, [(BasisSymbol("A", 0, 1, 2), 1)]), MixedAmbient,
          f"symbol A_{{0,1}} lives on P^2[2], class on P^{over}[2]"),
         # a symbol with an index over the limit, and the product top class at such an n
-        (lambda: to_ms(BasisSymbol("A'", 0, big, big)), UnsupportedFamily,
+        (lambda: to_ms(BasisSymbol("A'", 0, big, big)), UnsupportedTerm,
          f"to_ms has no rule for family A', got A'_{{0,{over}}}"),
         (lambda: mul_c_top(GradedClass.from_symbol(BasisSymbol("A'", 0, 1, big))),
          UnsupportedTerm, f"no rule for C_{{{over},{over}}} . A'_{{0,1}}"),
@@ -339,6 +341,24 @@ def test_a_message_names_an_int_over_the_digit_limit(default_digit_limit):
          NotHomogeneous, f"class mixes dimensions [{over}, {over}]"),
         (lambda: GradedClass(2, [(BasisSymbol("A", 0, big, big), 1)]), MixedAmbient,
          f"symbol A_{{0,{over}}} lives on P^{over}[2], class on P^2[2]"),
+        # the int inside a class, a tuple, a list, a dict or a Fraction that a message writes
+        (lambda: to_ms(X), InvalidInput, f"to_ms takes a BasisSymbol, got {X_shown}"),
+        (lambda: eval_monomial(X), InvalidInput,
+         f"eval_monomial takes a MonomialSpec, got {X_shown}"),
+        (lambda: pair_classes(X, 3), InvalidInput,
+         f"pair_classes takes two GradedClass operands, got {X_shown} and 3"),
+        (lambda: BasisSymbol("A", 0, 1, X), InvalidIndex,
+         f"ambient dimension must be an integer >= 1, got {X_shown}"),
+        (lambda: is_nef((big,)), InvalidInput, f"is_nef takes a GradedClass, got ({over},)"),
+        (lambda: SecantProblem(4, [Fraction(big, 7)]), InvalidInput,
+         f"hypersurface degree must be an integer >= 1, got Fraction({over}, 7)"),
+        (lambda: GradedClass(2, [(X, 1)]), InvalidInput,
+         f"term key {X_shown} is not a BasisSymbol"),
+        (lambda: GradedClass(2, [(BasisSymbol("A", 0, 1, 2), [big])]), InvalidInput,
+         f"list coefficient [{over}] rejected; use Fraction, int or 'p/q'"),
+        (lambda: GradedClass(2, [(BasisSymbol("A", 0, 1, 2), {"c": (big, -big)})]), InvalidInput,
+         f"dict coefficient {{'c': ({over}, <negative int over {limit} digits>)}} rejected; "
+         "use Fraction, int or 'p/q'"),
     ]
     for call, error, message in cases:
         with pytest.raises(error) as refused:

@@ -1,8 +1,8 @@
 """Modules of the package reach one another through public names only, no
 module imports a name it never uses or keeps a private name it never reads,
 one helper checks integer arguments, each error message has one writer,
-each ``try`` translates an error of outside input, and annotations are
-written one way.
+each ``try`` translates an error of outside input, every error type has a
+use, and annotations are written one way.
 
 A module that imports another module's private name (``from .x import _y``)
 couples itself to a detail that module may change; a public function that
@@ -12,7 +12,9 @@ check written out by hand beside ``chow.require_int`` is a second copy of
 the rule and its message, free to drift from the first; so is any message
 that two functions raise.  A ``try`` that steers ordinary input between two
 paths is control flow by exception; each site that stays is listed, with
-the error it turns into the package's own.  The package needs Python 3.10,
+the error it turns into the package's own.  An error type that no module
+raises, passes to a check or catches, and that no type derives from, is a
+public name for a refusal the package no longer makes.  The package needs Python 3.10,
 which reads ``int | None`` at run time, so no module imports ``typing`` for
 ``Union`` or ``Optional``.
 """
@@ -316,6 +318,57 @@ def test_the_try_scan_names_each_site_and_what_it_catches(tmp_path):
         ("sample.py:load", ("json.JSONDecodeError", "RecursionError")),
         ("sample.py:Reader.read", ("ValueError", "BaseException")),
     ]
+
+
+def dead_error_types(src):
+    """The classes of ``src/errors.py`` that no other module of ``src`` names where an
+    error is raised, passed to a call (a check's ``error``) or caught, and that no
+    class of ``errors.py`` derives from."""
+    tree = ast.parse((src / "errors.py").read_text())
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    used = {base.id for node in classes for base in node.bases if isinstance(base, ast.Name)}
+    for path in sorted(src.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise):
+                spots = [node.exc]
+            elif isinstance(node, ast.Call):
+                spots = node.args + [keyword.value for keyword in node.keywords]
+            elif isinstance(node, ast.ExceptHandler):
+                spots = [node.type]
+            else:
+                continue
+            used |= {name.id for spot in spots if spot for name in ast.walk(spot)
+                     if isinstance(name, ast.Name)}
+    return [node.name for node in classes if node.name not in used]
+
+
+def test_every_error_type_is_used():
+    tree = ast.parse((SRC / "errors.py").read_text())
+    assert sum(isinstance(node, ast.ClassDef) for node in tree.body) >= 10  # not vacuous
+    assert dead_error_types(SRC) == []
+
+
+def test_the_dead_error_type_scan_sees_an_unused_class(tmp_path):
+    (tmp_path / "errors.py").write_text(
+        "class Base(Exception):\n    pass\n"
+        "class Raised(Base):\n    pass\n"
+        "class Passed(Base):\n    pass\n"
+        "class Caught(Base):\n    pass\n"
+        "class Imported(Base):\n    pass\n"
+        "class Dead(Base):\n    pass\n"
+    )
+    (tmp_path / "module.py").write_text(
+        "from .errors import Caught, Imported, Passed, Raised\n"
+        "def f(x, check):\n"
+        "    try:\n"
+        "        check(x, error=Passed)\n"
+        "    except (Caught, KeyError):\n"
+        "        raise Raised(f'{x}')\n"
+        "    return Imported.__doc__\n"
+    )
+    assert dead_error_types(tmp_path) == ["Imported", "Dead"]
 
 
 def typing_imports(path):

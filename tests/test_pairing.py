@@ -12,7 +12,6 @@ from hilb2 import (
     MixedAmbient,
     NotComplementary,
     NotHomogeneous,
-    UnsupportedBasisPair,
     UnsupportedFamilyPair,
     WrongBasis,
     dual_generator,
@@ -273,12 +272,28 @@ def test_intersection_matrix_ms_ms_frozen_examples():
 
 
 def test_intersection_matrix_rejects_other_basis_pairs():
-    with pytest.raises(UnsupportedBasisPair):
+    # a non-MS column basis, as pair_classes refuses a non-MS second factor
+    with pytest.raises(UnsupportedFamilyPair, match=r"^no intersection matrix for \(ES, ES\)$"):
         intersection_matrix(2, 2, "ES", "ES")
-    with pytest.raises(UnsupportedBasisPair):
+    with pytest.raises(UnsupportedFamilyPair, match=r"^no intersection matrix for \(MS, BB\)$"):
+        intersection_matrix(2, 2, "MS", "BB")
+    with pytest.raises(UnsupportedFamilyPair):
         intersection_matrix(2, 2, "MS", "ES")
-    with pytest.raises(UnsupportedBasisPair):
-        intersection_matrix(2, 2, "BB", "MS")
+
+
+def test_intersection_matrix_takes_bb_rows():
+    # canonical rows and columns, as for MS rows, and every entry is pair_symbols
+    checked = 0
+    for n in range(1, 7):
+        for k in range(0, 2 * n + 1):
+            M = intersection_matrix(n, k, "BB", "MS")
+            assert list(M.row_symbols) == enumerate_basis(n, "BB", dim=k)
+            assert list(M.col_symbols) == enumerate_basis(n, "MS", codim=k)
+            for x, row in zip(M.row_symbols, M.entries):
+                for y, v in zip(M.col_symbols, row):
+                    assert v == pair_symbols(x, y), (x, y)
+                    checked += 1
+    assert checked == 846
 
 
 def test_intersection_matrix_validates_like_enumerate_basis():

@@ -6,10 +6,8 @@ import pytest
 from hilb2 import (
     BasisSymbol,
     GradedClass,
-    InvalidExponent,
     InvalidInput,
     MonomialSpec,
-    UnsupportedFamily,
     UnsupportedMonomial,
     UnsupportedTerm,
     bprime_top_power,
@@ -37,7 +35,7 @@ def test_to_ms_examples():
 
 
 def test_to_ms_rejects_other_families():
-    with pytest.raises(UnsupportedFamily,
+    with pytest.raises(UnsupportedTerm,
                        match=r"^to_ms has no rule for family A', got A'_\{0,1\}$"):
         to_ms(S("A'", 0, 1, 2))
 
@@ -106,11 +104,32 @@ def test_mul_c_top_examples():
     assert mul_c_top(GradedClass.from_symbol(S("C", 1, 1, 3))).is_zero
 
 
+def test_mul_c_top_shifts_b():
+    # the shift, doubled at the corner that lands on the point class B_{0,0}
+    assert mul_c_top(GradedClass.from_symbol(S("B", 1, 1, 3))) == cls((2, S("B", 0, 0, 3)))
+    assert mul_c_top(GradedClass.from_symbol(S("B", 1, 2, 3))) == cls((1, S("B", 0, 1, 3)))
+    assert mul_c_top(GradedClass.from_symbol(S("B", 0, 2, 3))).is_zero
+
+
 def test_mul_c_top_rejects_other_families():
-    with pytest.raises(UnsupportedTerm, match=r"^no rule for C_\{2,2\} \. B_\{1,1\}$"):
-        mul_c_top(GradedClass.from_symbol(S("B", 1, 1, 3)))
     with pytest.raises(UnsupportedTerm, match=r"^no rule for C_\{2,2\} \. A'_\{0,1\}$"):
         mul_c_top(GradedClass.from_symbol(S("A'", 0, 1, 3)))
+
+
+def test_b_shift_agrees_with_the_basis_change():
+    # C^b . B_{i,j}, put into MS coordinates, equals C^b . to_ms(B_{i,j}), for b = 1 .. n
+    checked = 0
+    for n in range(1, 9):
+        for x in enumerate_basis(n, "BB"):
+            if x.family.value != "B":
+                continue
+            shifted, in_ms = GradedClass.from_symbol(x), to_ms(x)
+            for b in range(1, n + 1):
+                shifted, in_ms = mul_c_top(shifted), mul_c_top(in_ms)
+                assert in_ms == sum((c * to_ms(s) for s, c in shifted.items()), GradedClass(n)), (
+                    x, b)
+                checked += 1
+    assert checked == 750
 
 
 def test_bprime_top_power_examples():
@@ -125,9 +144,9 @@ def test_bprime_top_power_examples():
 
 
 def test_bprime_top_power_bad_exponent():
-    with pytest.raises(InvalidExponent):
+    with pytest.raises(InvalidInput, match=r"^exponent 0 outside \[1, 4\]$"):
         bprime_top_power(4, 0)
-    with pytest.raises(InvalidExponent):
+    with pytest.raises(InvalidInput, match=r"^exponent 5 outside \[1, 4\]$"):
         bprime_top_power(4, 5)
 
 
