@@ -134,7 +134,7 @@ def _range_description(family: Family) -> str:
 
 
 # Python's cap on int <-> str conversion, read per call; interpreters before 3.10.7 have none.
-_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def shown(value) -> str:
@@ -156,7 +156,7 @@ def shown(value) -> str:
     if type(value) in (tuple, list):
         parts = ", ".join(map(shown, value)) + "," * (type(value) is tuple and len(value) == 1)
         return f"({parts})" if type(value) is tuple else f"[{parts}]"
-    limit = _digit_limit()
+    limit = digit_limit()
     if limit and isinstance(value, int) and abs(value) >= 10 ** limit:
         return f"<{'negative ' if value < 0 else ''}int over {limit} digits>"
     if limit and isinstance(value, str) and len(value) > limit:
@@ -258,7 +258,7 @@ def as_rational(text: str, error: type[ValidationError]) -> Fraction:
     if match is None:
         raise error(f"bad rational string {shown(text)}")
     p, q = match.groups("")  # the numbers come from these groups: the string is read once
-    limit, digits = _digit_limit(), max(len(p), len(q))
+    limit, digits = digit_limit(), max(len(p), len(q))
     if limit and digits > limit:
         raise error(
             f"coefficient has a {digits}-digit part, over Python's limit of {limit}"

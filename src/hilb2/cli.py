@@ -2,9 +2,11 @@
 
 Subcommands: rank, basis, fixed-points, pair, matrix, power, chern, secant,
 cone.  Global flags ``--format json|text`` (csv additionally for matrices)
-and ``--dprime-diag N`` (the configurable A'.A pairing diagonal) may appear
-anywhere in the arguments, spelled in full.  Exit codes: 0 success, 2
-validation or usage error, 3 unsupported operation.  JSON output follows
+and ``--dprime-diag N`` may appear anywhere in the arguments, spelled in
+full.  ``--dprime-diag N`` and ``secant --variant intro`` are foils stated
+here, not in the library: N times each A'.A value (the library's is 1), and
+the closed sum shifted right by m.  Exit codes: 0 success, 2 validation or
+usage error, 3 unsupported operation.  JSON output follows
 ``schemas/cli_output.schema.json``.
 """
 
@@ -21,7 +23,7 @@ from fractions import Fraction
 
 # Each handler imports the engine modules it needs, so a subcommand loads
 # only those; ``chow`` validates --dprime-diag on every subcommand.
-from .chow import chow_rank, enumerate_basis, require_ambient, require_grading, require_int
+from .chow import AP, chow_rank, enumerate_basis, require_ambient, require_grading, require_int
 from .errors import InvalidInput, UnsupportedError, ValidationError
 
 EXIT_OK = 0
@@ -56,7 +58,7 @@ _GLOBALS.add_argument(
 )
 _GLOBALS.add_argument(
     "--dprime-diag", type=_int_or_text, default=1, metavar="N",
-    help="value of the A'.A pairing diagonal (default 1)",
+    help="scale every A'.A value by N, a foil: the pairing has A'.A = 1 (default 1)",
 )
 
 
@@ -180,7 +182,7 @@ def _cmd_pair(args):
 
     x = parse_symbol(args.x, args.n)
     y = parse_symbol(args.y, args.n)
-    value = pair_symbols(x, y, args.dprime_diag)
+    value = pair_symbols(x, y) * (args.dprime_diag if x.family is AP else 1)  # the foil
     result = {
         "n": args.n,
         "x": symbol_to_doc(x),
@@ -196,8 +198,11 @@ def _cmd_matrix(args):
     from .pairing import intersection_matrix
     from .serialize import symbol_to_doc
 
-    M = intersection_matrix(args.n, args.k, args.rows, ap_a_diagonal=args.dprime_diag)
+    M = intersection_matrix(args.n, args.k, args.rows)
     entries = [[str(v) for v in row] for row in M.entries]  # each Fraction rendered once
+    for r, sym in enumerate(M.row_symbols):  # the foil, per row: an A' row is an ES row,
+        if sym.family is AP:  # whose one nonzero entry is its diagonal, rendered again
+            entries[r][r] = str(M.entries[r][r] * args.dprime_diag)
     header = [""] + [str(s) for s in M.col_symbols]
     grid = [[str(r)] + row for r, row in zip(M.row_symbols, entries)]
     widths = [max(len(line[c]) for line in [header] + grid) for c in range(len(header))]

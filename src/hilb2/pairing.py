@@ -6,18 +6,16 @@ pattern.  On complementary indices the nonzero products are
 
     MS x MS:  A.A = A.B' = B'.A = B'.C = C.B' = 1,
               B'.B' = 1  (2 when i = j),
-    ES x MS:  A'.A = ap_a_diagonal, pinned down only as positive (default 1),
-              B.C  = 2,   C.B' = 1,
+    ES x MS:  A'.A = 1,   B.C  = 2,   C.B' = 1,
 
 and the other seven family pairs against an MS family (A.C, C.A, C.C, A'.B',
-A'.C, B.A and B.B') are identically zero.  One corner
-of the B.C block deviates: ``B_{0,0} . C_{n,n} = 1``, because ``B_{0,0}`` is
-the point class (equal to ``B'_{0,0}``) and ``C_{n,n}`` the fundamental
-class, so their product is the degree of a point; the multiplicity-2
-argument behind the generic entry needs a ``C_{n-k,n-k}`` term that does not
-exist in dimension zero.  Pairs whose
-second argument is not an MS family symbol (an A' or B symbol) are refused
-rather than guessed.
+A'.C, B.A and B.B') are identically zero.  One corner of the B.C block
+deviates: ``B_{0,0} . C_{n,n} = 1``, because ``B_{0,0}`` is the point class
+(equal to ``B'_{0,0}``) and ``C_{n,n}`` the fundamental class, so their
+product is the degree of a point; the multiplicity-2 argument behind the
+generic entry needs a ``C_{n-k,n-k}`` term that does not exist in dimension
+zero.  Pairs whose second argument is not an MS family symbol (an A' or B
+symbol) are refused rather than guessed.
 
 The ES/MS duality makes both cone tests coordinate checks: a codimension-k
 class in MS coordinates is nef iff its coefficients are nonnegative, and a
@@ -35,8 +33,8 @@ ES symbol; :func:`pair_symbols` is :func:`pair_classes` on one-term classes.
 :func:`intersection_matrix` applies the rule once per row and places the image
 in its columns; an ES row's image is that one key, which labels the row's
 column and gives the diagonal value.  Each routine makes its checks first,
-once per call, the ``int`` diagonal first; the cone tests take MS classes,
-which never meet it, so only the other three routines take it.
+once per call.  The table states every value: the ES and MS bases are dual
+(arXiv 2103.12674), so no entry is a parameter.
 """
 
 from __future__ import annotations
@@ -45,18 +43,17 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .chow import (A, AP, BP, C, BasisId, BasisSymbol, GradedClass, as_basis, enumerate_basis,
-                   linear_sum, require_ambient, require_grading, require_int, require_type,
-                   scaled_terms, shown, term)
+                   linear_sum, require_ambient, require_grading, require_type, scaled_terms,
+                   shown, term)
 from .errors import InvalidInput, MixedAmbient, NotComplementary, UnsupportedFamilyPair, WrongBasis
 
 _MS_FAMILIES, _ES_FAMILIES = BasisId.MS.families, BasisId.ES.families
 _ZERO = Fraction(0)  # the one shared value: every vanishing pairing
 
 
-def _duals(x: BasisSymbol, ap_a_diagonal: int = 1) -> list:
+def _duals(x: BasisSymbol) -> list:
     """Rule: ``[((fy, k, l, n), value)]``, one term per MS symbol ``x`` meets at its
-    complementary indices ``(k, l)`` in a nonzero block; the rest pair to zero.
-    Only an A' symbol reads ``ap_a_diagonal``."""
+    complementary indices ``(k, l)`` in a nonzero block; the rest pair to zero."""
     fx, i, j, n = x
     k, l = n - j, n - i
     if fx is A:
@@ -66,24 +63,22 @@ def _duals(x: BasisSymbol, ap_a_diagonal: int = 1) -> list:
     if fx is C:
         return term(BP, k, l, n, 1)
     if fx is AP:
-        return term(A, k, l, n, ap_a_diagonal)
+        return term(A, k, l, n, 1)
     return term(C, k, l, n, 1 if i == j == 0 else 2)  # B; B_{0,0} is the point class
 
 
-def pair_symbols(x: BasisSymbol, y: BasisSymbol, ap_a_diagonal: int = 1) -> Fraction:
+def pair_symbols(x: BasisSymbol, y: BasisSymbol) -> Fraction:
     """Intersection number of two symbols: :func:`pair_classes` on their one-term classes."""
-    require_int(ap_a_diagonal, "ap_a_diagonal", 1)  # first, as in pair_classes
-    return pair_classes(GradedClass.from_symbol(x), GradedClass.from_symbol(y), ap_a_diagonal)
+    return pair_classes(GradedClass.from_symbol(x), GradedClass.from_symbol(y))
 
 
-def pair_classes(X: GradedClass, Y: GradedClass, ap_a_diagonal: int = 1) -> Fraction:
+def pair_classes(X: GradedClass, Y: GradedClass) -> Fraction:
     """Intersection number of two homogeneous classes of complementary codimension:
     the image of X under the rule :func:`_duals`, dotted with Y's terms.
 
-    Checks, in order: the diagonal, two classes, one ambient, a zero factor
-    gives 0, Y's families, then homogeneity and complementarity.
+    Checks, in order: two classes, one ambient, a zero factor gives 0, Y's
+    families, then homogeneity and complementarity.
     """
-    require_int(ap_a_diagonal, "ap_a_diagonal", 1)
     if not (isinstance(X, GradedClass) and isinstance(Y, GradedClass)):
         raise InvalidInput(
             f"pair_classes takes two GradedClass operands, got {shown(X)} and {shown(Y)}")
@@ -101,7 +96,7 @@ def pair_classes(X: GradedClass, Y: GradedClass, ap_a_diagonal: int = 1) -> Frac
     if cx + cy != 2 * X.n:
         raise NotComplementary(f"codim {shown(cx)} + codim {shown(cy)} != {shown(2 * X.n)}")
     (xs, dx), (ys, dy) = scaled_terms(X), scaled_terms(Y)
-    sums = linear_sum(_duals, xs, ap_a_diagonal)
+    sums = linear_sum(_duals, xs)
     return Fraction(sum(b * sums.get(y, 0) for y, b in ys), dx * dy)
 
 
@@ -126,13 +121,8 @@ def dual_generator(sym: BasisSymbol) -> BasisSymbol:
     return BasisSymbol(*key)
 
 
-def intersection_matrix(
-    n: int,
-    k: int,
-    rows: BasisId | str = BasisId.ES,
-    cols: BasisId | str = BasisId.MS,
-    ap_a_diagonal: int = 1,
-) -> IntersectionMatrix:
+def intersection_matrix(n: int, k: int, rows: BasisId | str = BasisId.ES,
+                        cols: BasisId | str = BasisId.MS) -> IntersectionMatrix:
     """Pairing matrix of the dimension-k ``rows`` basis, any of the three, against the
     codimension-k MS basis; any other ``cols`` raises ``UnsupportedFamilyPair``.
 
@@ -141,14 +131,13 @@ def intersection_matrix(
     rows (a permutation of the canonical codimension-k enumeration), which
     is the order in which the matrix is literally diagonal.
     """
-    require_int(ap_a_diagonal, "ap_a_diagonal", 1)
     rows, cols = as_basis(rows), as_basis(cols)
     if cols is not BasisId.MS:
         raise UnsupportedFamilyPair(f"no intersection matrix for ({rows.value}, {cols.value})")
     require_ambient(n)
     require_grading(k, n)
     row_syms = tuple(enumerate_basis(n, rows, dim=k))
-    images = [_duals(r, ap_a_diagonal) for r in row_syms]
+    images = [_duals(r) for r in row_syms]
     if rows is BasisId.ES:  # one term per image: its key labels the column, the matrix is diagonal
         col_syms = tuple(BasisSymbol(*key) for ((key, _),) in images)
     else:

@@ -13,11 +13,10 @@ integral floats (``2.0``): ``json`` reads ``2.0000000000000001`` as ``2.0`` too.
 from __future__ import annotations
 
 import json
-import sys
 
-from .chow import (BasisId, BasisSymbol, Family, GradedClass, as_member, as_rational, is_int,
-                   require_int, require_type, shown)
-from .errors import ParseError
+from .chow import (BasisId, BasisSymbol, Family, GradedClass, as_member, as_rational, digit_limit,
+                   is_int, require_int, require_type, shown)
+from .errors import InvalidInput, ParseError
 
 
 def basis_tag(X: GradedClass) -> str:
@@ -43,7 +42,7 @@ def _load_json(text: str):
     except ValueError:  # the one other error of decoding text: an integer over the digit limit
         raise ParseError(
             f"invalid JSON: a number has more digits than Python's limit of"
-            f" {sys.get_int_max_str_digits()} for converting a string to int"
+            f" {digit_limit()} for converting a string to int"
         ) from None
 
 
@@ -86,15 +85,17 @@ def parse_symbol(source: str | dict, n: int) -> BasisSymbol:
 
 
 def emit_class(X: GradedClass) -> dict:
-    """Class document for X, with terms in canonical order."""
+    """Class document for X, with terms in canonical order.  A coefficient that Python's
+    digit limit keeps from being written raises ``InvalidInput``."""
     require_type(X, GradedClass, "emit_class")
-    return {
-        "n": X.n,
-        "basis": basis_tag(X),
-        "terms": [
-            {**symbol_to_doc(sym), "coeff": str(c)} for sym, c in X.items()
-        ],
-    }
+    limit, terms = digit_limit(), []
+    for sym, c in X.items():  # a part over 3 * limit bits may be over it; 10 ** limit decides
+        if limit and c.numerator.bit_length() + c.denominator.bit_length() > 3 * limit:
+            if max(abs(c.numerator), c.denominator) >= 10 ** limit:
+                raise InvalidInput(f"emit_class cannot write {shown(c)} of {shown(sym)}: "
+                                   f"over Python's limit of {limit} digits for int to text")
+        terms.append({**symbol_to_doc(sym), "coeff": str(c)})
+    return {"n": X.n, "basis": basis_tag(X), "terms": terms}
 
 
 def parse_class(source: str | dict) -> GradedClass:

@@ -1,0 +1,107 @@
+"""Pairings read from Chern monomials: each model of ``fixed_point_models`` is
+integrated against the monomials in ``c1`` and ``c2`` of ``E_1`` and ``E_2``,
+and ``Projection`` turns those integrals into intersection numbers.  No model
+needs an equivariant class, so the nested ``A`` locus, whose class would need
+a sum over its two branches, pairs with itself, and the nonzero ``A.A`` and
+``A.B'`` entries of the pairing table get a derivation that shares no code or
+formula with ``pairing._duals``.  One weight vector per ambient suffices: every
+integral taken is of top degree, so any weights with distinct entries give the
+same numbers.
+
+The models of the MS generators:
+
+* ``A_{i,j}``: the nested pair locus, ``Bl_{Δ(Λ_i)}(Λ_i × Λ_j)``;
+* ``C_{k,l} = c2(E_1)^{n-l} h_{l-k}(E_1)``, integrated over ``P^n[2]``;
+* ``B'_{i,j}``: the ``J_{i,j+1}`` cell closure plus ``A_{i,j}`` for i < j, plus
+  ``2 C_{i,i}`` for i = j > 0, and the point, that cell at (0, 0).  These read
+  ``B = 2 * cell`` (``test_localization``) through ``to_ms``'s coordinates of
+  ``B``, both pinned by their own tests.
+"""
+
+import random
+from functools import cache
+
+from fixed_point_models import (
+    Projection,
+    c_class,
+    cell_model,
+    general_points,
+    hilb_points,
+    model,
+    nested_points,
+)
+from hilb2 import Family, chow_rank, enumerate_basis, pair_symbols
+
+
+@cache
+def projection(n):
+    """The projection at one seeded weight vector with distinct entries."""
+    return Projection(n, random.Random(n).sample(range(-60, 61), n + 1))
+
+
+def ms_model(sym, w):
+    """The weighted point set of an MS generator (see the module docstring)."""
+    n, i, j = sym.n, sym.i, sym.j
+    if sym.family is Family.C:
+        return model(hilb_points(n, w), c_class(i, j, n))
+    if sym.family is Family.A:
+        return model(nested_points(n, i, j, w))
+    cell = cell_model(n, i, j, w)
+    if i < j:
+        return cell + model(nested_points(n, i, j, w))
+    if i > 0:
+        return cell + [(c, 2 * weight) for c, weight in model(hilb_points(n, w), c_class(i, i, n))]
+    return cell  # B'_{0,0}: the J_{0,1} point
+
+
+def test_the_kept_monomials_span_every_grading():
+    for n in range(1, 8):
+        P = projection(n)
+        assert [len(P.kept[k]) for k in range(2 * n + 1)] == [
+            chow_rank(n, k) for k in range(2 * n + 1)], n
+
+
+def test_the_general_position_locus_pairs_as_a_prime():
+    # G_{i,j}, the closure of the pairs {p, q} with p in Λ_i = span(p_0..p_i) and
+    # q in M_j = span(p_{n-j}..p_n), pairs with every A_{k,l} of complementary dimension
+    # as A'_{i,j} does: 1 with A_{n-j,n-i} and 0 with the others.  B and C pair 0 with
+    # A, so G = A'_{i,j} modulo the B and C families, and A'.A = 1 is the one value
+    # that makes G's A' coefficient an integer.  This is evidence for the table's
+    # A'.A = 1, not the paper's definition of A'.
+    cases = nonzero = 0
+    for n in range(2, 8):
+        P = projection(n)
+        w = P.weights
+        for ap in enumerate_basis(n, "ES"):
+            if ap.family is not Family.AP:
+                continue
+            G = P.vector(model(general_points(n, ap.i, ap.j, w)), ap.dimension)
+            for a in enumerate_basis(n, "MS", codim=ap.dimension):
+                if a.family is not Family.A:
+                    continue
+                got = P.pair(G, P.vector(model(nested_points(n, a.i, a.j, w)), a.dimension),
+                             ap.dimension)
+                assert got == pair_symbols(ap, a), (ap, a, got)
+                cases += 1
+                nonzero += got != 0
+    assert (cases, nonzero) == (175, 83)  # one partner per A' symbol
+
+
+def test_the_ms_gram_matches_the_pairing_table():
+    # Every MS x MS entry of complementary dimension, among them every A.A and A.B'.
+    cases = nonzero = a_entries = 0
+    for n in range(1, 8):
+        P = projection(n)
+        w = P.weights
+        vectors = {sym: P.vector(ms_model(sym, w), sym.dimension)
+                   for sym in enumerate_basis(n, "MS")}
+        for x, X in vectors.items():
+            for y, Y in vectors.items():
+                if x.dimension + y.dimension != 2 * n:
+                    continue
+                got = P.pair(X, Y, x.dimension)
+                assert got == pair_symbols(x, y), (x, y, got)
+                cases += 1
+                nonzero += got != 0
+                a_entries += got != 0 and x.family is Family.A and y.family is not Family.C
+    assert (cases, nonzero, a_entries) == (1464, 420, 140)

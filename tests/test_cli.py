@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import json
 import os
 import subprocess
@@ -10,8 +11,11 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from hilb2 import SecantProblem, enumerate_basis, secant_degree_mu_closed
+from hilb2 import (BasisSymbol, Family, SecantProblem, enumerate_basis, intersection_matrix,
+                   pair_symbols, secant_degree_mu_closed)
+from hilb2.chow import in_range
 from hilb2.cli import _HANDLERS, run_command
+from hilb2.serialize import symbol_to_doc
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "src" / "hilb2" / "schemas"
 CLI_SCHEMA = json.loads((SCHEMA_DIR / "cli_output.schema.json").read_text())
@@ -320,6 +324,34 @@ def test_dprime_diag_flag():
          "--x", '{"family":"A\'","i":0,"j":2}', "--y", '{"family":"A","i":0,"j":2}']
     )
     assert (code, text) == (0, "9")
+
+
+def test_dprime_diag_scales_exactly_the_a_prime_values():
+    # The library states A'.A = 1; --dprime-diag d is a CLI-only foil, like --variant
+    # intro: pair and matrix give d times the library's value where the first factor
+    # is an A' symbol, and the library's value everywhere else.
+    pairs = 0
+    for n in range(1, 7):
+        for k in range(2 * n + 1):
+            M = intersection_matrix(n, k)
+            for d in (1, 2, 3):
+                code, text = run_command(["--dprime-diag", str(d), "matrix", "--n", str(n),
+                                          "--k", str(k), "--rows", "ES", "--format", "csv"])
+                want = [[str(x)] + [str(v * (d if x.family is Family.AP else 1)) for v in row]
+                        for x, row in zip(M.row_symbols, M.entries)]
+                assert (code, list(csv.reader(text.splitlines()))[1:]) == (0, want), (n, k, d)
+        for x in enumerate_basis(n, "ES") + enumerate_basis(n, "MS"):
+            k, l = n - x.j, n - x.i  # y: an MS symbol at x's complementary indices
+            y = next(BasisSymbol(f, k, l, n) for f in (Family.A, Family.BP, Family.C)
+                     if in_range(f, k, l, n))
+            d = 1 + pairs % 3  # each d in turn
+            code, text = run_command(["--dprime-diag", str(d), "pair", "--n", str(n),
+                                      "--x", json.dumps(symbol_to_doc(x)),
+                                      "--y", json.dumps(symbol_to_doc(y))])
+            want = pair_symbols(x, y) * (d if x.family is Family.AP else 1)
+            assert (code, text) == (0, str(want)), (x, y, d)
+            pairs += 1
+    assert pairs == 336
 
 
 def test_dprime_diag_is_validated_on_every_subcommand():

@@ -7,9 +7,10 @@ A list starts from valid arguments; then none, one or two of its slots take
 a shape from a fixed pool: ``None``, a ``bool``, a ``float``, a ``str``, a
 negative int, a plain tuple of a value's fields, nested tuples, a value of
 another type, a symbol with an index over the digit limit below, a class or
-symbol on another ambient, or the slot's own list or document with one entry
-replaced.  A call may return anything or raise
-one of the two error families; any other exception fails the test.
+symbol on another ambient, a class whose coefficients are over that limit, or
+the slot's own list or document with one entry replaced.  A call may return
+anything or raise one of the two error families; any other exception fails
+the test.
 
 Two more tests require a refusal where the fuzz would pass a misread: a
 float, ``bool``, ``None``, text or bytes in an integer slot, and text or bytes
@@ -112,7 +113,7 @@ def _pair_args(rng):
     n = _n(rng)
     k = rng.randint(0, 2 * n)
     X = _homogeneous(rng, n, rng.choice(("ES", "MS")), k)
-    return [X, _homogeneous(rng, n, "MS", 2 * n - k), rng.randint(1, 3)]
+    return [X, _homogeneous(rng, n, "MS", 2 * n - k)]
 
 
 def _grading_kwargs(rng, n):
@@ -138,7 +139,7 @@ def _monomial_spec(rng):
 
 def _pair_symbols_args(rng):
     x = _symbol(rng, _n(rng), "ES")
-    return [x, rng.choice(enumerate_basis(x.n, "MS", codim=x.dimension)), rng.randint(1, 3)]
+    return [x, rng.choice(enumerate_basis(x.n, "MS", codim=x.dimension))]
 
 
 def _enumerate_basis(rng):
@@ -169,7 +170,7 @@ VALID = {
     "enumerate_basis": _enumerate_basis,
     "enumerate_fixed_points": lambda rng: [_n(rng)],
     "eval_monomial": lambda rng: [MonomialSpec(*_monomial_spec(rng))],
-    "intersection_matrix": _at_n(lambda rng, n: [n, rng.randint(0, 2 * n), "ES", "MS", 1]),
+    "intersection_matrix": _at_n(lambda rng, n: [n, rng.randint(0, 2 * n), "ES", "MS"]),
     "is_effective": _cone_args,
     "is_nef": _cone_args,
     "mul_bprime_top": lambda rng: [_any_class(rng, _n(rng))],
@@ -196,11 +197,9 @@ BIG = {
     "chern_taut": {0, 1},
     "chow_rank": {0, 1},
     "enumerate_basis": {"dim", "codim"},
-    "intersection_matrix": {1, 4},
+    "intersection_matrix": {1},
     "is_effective": {1},
     "is_nef": {1},
-    "pair_classes": {2},
-    "pair_symbols": {2},
     "parse_symbol": {1},
     "secant_oracle": {0},
 }
@@ -238,6 +237,8 @@ def _shape(rng, value, big):
         pool += [fields, (fields,)]
     if isinstance(value, (GradedClass, BasisSymbol)):  # the same kind of value, another ambient
         pool.append(rng.choice([_any_class, _symbol])(rng, value.n + rng.randint(1, 3)))
+    if isinstance(value, GradedClass) and not value.is_zero:  # coefficients over the digit limit
+        pool.append(10 ** 5000 * value)
     return rng.choice(pool)
 
 
@@ -354,6 +355,9 @@ def test_a_message_names_an_int_over_the_digit_limit(default_digit_limit):
          f"hypersurface degree must be an integer >= 1, got Fraction({over}, 7)"),
         (lambda: GradedClass(2, [(X, 1)]), InvalidInput,
          f"term key {X_shown} is not a BasisSymbol"),
+        (lambda: emit_class(GradedClass(2, [(BasisSymbol("A", 0, 1, 2), Fraction(1, big))])),
+         InvalidInput, f"emit_class cannot write Fraction(1, {over}) of A_{{0,1}}: over Python's "
+         f"limit of {limit} digits for int to text"),
         (lambda: GradedClass(2, [(BasisSymbol("A", 0, 1, 2), [big])]), InvalidInput,
          f"list coefficient [{over}] rejected; use Fraction, int or 'p/q'"),
         (lambda: GradedClass(2, [(BasisSymbol("A", 0, 1, 2), {"c": (big, -big)})]), InvalidInput,
@@ -393,11 +397,9 @@ INTEGER_SLOTS = {
     "chow_rank": {0, 1},
     "enumerate_basis": {0, "dim", "codim"},
     "enumerate_fixed_points": {0},
-    "intersection_matrix": {0, 1, 4},
+    "intersection_matrix": {0, 1},
     "is_effective": {1},
     "is_nef": {1},
-    "pair_classes": {2},
-    "pair_symbols": {2},
     "parse_symbol": {1},
     "secant_oracle": {0},
 }

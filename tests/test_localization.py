@@ -1,39 +1,32 @@
 """Torus localization: a derivation of the secant degrees, of the pairings
 of the C, B and A families and of the products of C with the two top classes
 that shares no code or formula with the closed secant sum, the product rules
-or the pairing rule (Bott's residue formula; Atiyah-Bott 1984,
-Ellingsrud-Stromme, JAMS 1996).
+or the pairing rule.
 
-The torus acts on the coordinate ``x_k`` of ``P^n`` with weight ``w_k``, all
-weights distinct, and ``p_k`` is the k-th coordinate point.  At each fixed
-point that ``enumerate_fixed_points`` lists, the test states the weights of
-the tangent space ``Hom(I_Z, O_Z)`` and the two roots of ``E_d``, the rank-2
-bundle with fibre ``H^0(O_Z(d))``:
-
-* ``I_{i,j}``, the reduced pair ``{p_i, p_j}``: tangent weights
-  ``{w_i - w_k}_{k != i}`` and ``{w_j - w_k}_{k != j}``; roots ``d*w_i``,
-  ``d*w_j``.
-* ``J_{i,j}``, the double point at ``p_i`` pointing to ``p_j``, and
-  ``K_{i,j}``, the one at ``p_j`` pointing to ``p_i``.  For the double point
-  at ``p_p`` pointing to ``p_q``, with ``chi_k = w_k - w_p``: tangent weights
-  ``{-chi_k}_{k != p}``, ``-2 chi_q`` and ``{chi_q - chi_k}_{k != p,q}``;
-  roots ``d*w_p`` and ``d*w_p + chi_q``.
-
-An integral is the exact sum, over the fixed points, of the integrand at the
-roots divided by the product of the tangent weights.  An integral over the
-closure of the ``J_{i,j+1}`` cell, a ``P^j``-bundle over ``P^i``, runs over
-its own fixed points and divides by its own tangent weights; it shows that
-``B_{i,j}`` is twice that cell closure for (i, j) != (0, 0).  An integral
-over the ``A_{i,j}`` locus runs over the blow-up of ``Λ_i × Λ_j`` along the
-diagonal of ``Λ_i``, where ``Λ_r`` is the span of ``p_0 .. p_r``.  A
-top-degree integrand gives the same integer at every weight vector with
-distinct entries; a lower-degree one gives 0.
+The fixed points, their tangent weights and the roots of the tautological
+bundles ``E_d`` there, and the models of the ``J`` cell closures and of the
+``A_{i,j}`` locus, are stated in ``fixed_point_models``.  An integral over the
+closure of the ``J_{i,j+1}`` cell shows that ``B_{i,j}`` is twice that cell
+closure for (i, j) != (0, 0).  An integral over the ``A_{i,j}`` locus runs over
+the blow-up of ``Λ_i × Λ_j`` along the diagonal of ``Λ_i``, where ``Λ_r`` is
+the span of ``p_0 .. p_r``.  A top-degree integrand gives the same integer at
+every weight vector with distinct entries; a lower-degree one gives 0.
 """
 
 import random
 from fractions import Fraction
 from math import comb, prod
 
+from fixed_point_models import (
+    c2,
+    c_class,
+    cell_points,
+    h,
+    integrate,
+    local_data,
+    nested_points,
+    weight_vectors,
+)
 from hilb2 import (
     BasisSymbol,
     Family,
@@ -44,7 +37,6 @@ from hilb2 import (
     SecantProblem,
     chern_taut,
     enumerate_basis,
-    enumerate_fixed_points,
     eval_monomial,
     mul_bprime_top,
     mul_c_top,
@@ -52,45 +44,6 @@ from hilb2 import (
     secant_degree_mu_closed,
     to_ms,
 )
-
-
-def local_data(fp, w):
-    """``(tangent weights, roots)`` at a fixed point, where ``roots(d)`` is the
-    pair of roots of ``E_d`` there."""
-    n, i, j = fp.n, fp.i, fp.j
-    if fp.kind is IdealKind.I:
-        tangent = [w[a] - w[k] for a in (i, j) for k in range(n + 1) if k != a]
-        return tangent, lambda d: (d * w[i], d * w[j])
-    p, q = (i, j) if fp.kind is IdealKind.J else (j, i)
-    chi = [wk - w[p] for wk in w]
-    tangent = [-chi[k] for k in range(n + 1) if k != p] + [-2 * chi[q]]
-    tangent += [chi[q] - chi[k] for k in range(n + 1) if k not in (p, q)]
-    return tangent, lambda d: (d * w[p], d * w[p] + chi[q])
-
-
-def integrate(n, integrand, w):
-    """``∫ integrand`` over ``P^n[2]``; ``integrand(roots)`` is its value at a
-    fixed point, read from the roots of the tautological bundles there."""
-    total = Fraction(0)
-    for fp in enumerate_fixed_points(n):
-        tangent, roots = local_data(fp, w)
-        total += Fraction(integrand(roots), prod(tangent))
-    return total
-
-
-def h(k, x, y):
-    """The complete homogeneous symmetric polynomial of degree k in x, y."""
-    return sum(x**e * y ** (k - e) for e in range(k + 1))
-
-
-def c2(roots, d):
-    x, y = roots(d)
-    return x * y
-
-
-def weight_vectors(rng, n):
-    """Two weight vectors, each with distinct entries."""
-    return [rng.sample(range(-60, 61), n + 1) for _ in range(2)]
 
 
 def integer_integral(n, integrand, rng):
@@ -223,22 +176,6 @@ def test_c_family_pairings_by_localization():
     assert cases == 250
 
 
-def cell_points(n, i, j, w):
-    """``(fixed point, tangent weights of the cell closure)`` for each fixed point
-    of the closure of the ``J_{i,j+1}`` cell: the double points at ``p_a``,
-    a in ``Λ_i``, that point to ``p_b``, b in ``Λ_{j+1}`` minus a.  The closure is a
-    ``P^j``-bundle over ``P^i``, so it is smooth of dimension i + j."""
-    for a in range(i + 1):
-        for b in range(j + 2):
-            if b == a:
-                continue
-            fp = (MonomialIdealDescriptor(IdealKind.J, a, b, n) if a < b
-                  else MonomialIdealDescriptor(IdealKind.K, b, a, n))
-            tangent = [w[a] - w[k] for k in range(i + 1) if k != a]
-            tangent += [w[b] - w[k] for k in range(j + 2) if k not in (a, b)]
-            yield fp, tangent
-
-
 def cell_integral(n, i, j, integrand, rng):
     """``∫ integrand`` over the ``J_{i,j+1}`` cell closure, read from the roots
     at each of its fixed points; one integer at two weight vectors."""
@@ -252,11 +189,6 @@ def cell_integral(n, i, j, integrand, rng):
     (value,) = values
     assert value.denominator == 1, value
     return int(value)
-
-
-def c_class(k, l, n):
-    """The integrand of ``C_{k,l} = c2(E_1)^{n-l} * h_{l-k}(roots of E_1)``."""
-    return lambda roots: c2(roots, 1) ** (n - l) * h(l - k, *roots(1))
 
 
 def test_b_is_twice_the_j_cell_closure_against_its_c_partner():
@@ -327,28 +259,6 @@ def test_b_gram_entries_are_the_j_cell_closures_meeting():
     assert (cases, nonzero) == (83, 15)
 
 
-def nested_points(n, i, j, w):
-    """``(roots, tangent weights)`` at each fixed point of ``Bl_{Δ(Λ_i)}(Λ_i × Λ_j)``,
-    i < j, which maps birationally onto the ``A_{i,j}`` locus, the pairs
-    ``{p, q}`` with ``p`` in ``Λ_i`` and ``q`` in ``Λ_j``.  Its fixed points are
-    the ordered pairs ``(p_a, p_b)``, a in ``Λ_i`` and b in ``Λ_j`` minus a, off
-    the exceptional divisor, with the roots of ``I_{a,b}``; and on it, the
-    double points at ``p_a`` pointing to ``p_b``, with the roots of that ``J`` or
-    ``K`` point.  The diagonal's tangent weights are ``Λ_i``'s at ``p_a``."""
-    for a in range(i + 1):
-        base = [w[a] - w[k] for k in range(i + 1) if k != a]
-        for b in range(j + 1):
-            if b == a:
-                continue
-            pair = MonomialIdealDescriptor(IdealKind.I, min(a, b), max(a, b), n)
-            yield (local_data(pair, w)[1],
-                   base + [w[b] - w[k] for k in range(j + 1) if k != b])
-            double = (MonomialIdealDescriptor(IdealKind.J, a, b, n) if a < b
-                      else MonomialIdealDescriptor(IdealKind.K, b, a, n))
-            yield (local_data(double, w)[1],
-                   base + [w[b] - w[k] for k in range(j + 1) if k not in (a, b)] + [w[a] - w[b]])
-
-
 def nested_integral(n, i, j, integrand, rng):
     """``∫ integrand`` over the ``A_{i,j}`` locus; one integer at two weight vectors."""
     values = {sum(Fraction(integrand(roots), prod(tangent))
@@ -367,6 +277,7 @@ def test_a_is_the_nested_pair_locus():
     # none of its nonzero entries (A.A and A.B'), which these classes do not reach.
     # A x A entries are left out: where both points lie in Λ_i the locus has two
     # branches in the Hilbert scheme, so its equivariant class needs a sum over preimages.
+    # tests/test_chern_projection.py reaches them by a projection that needs no such class.
     rng = random.Random(11)
     against_c = against_monomials = nonzero = 0
     for n in range(2, 8):

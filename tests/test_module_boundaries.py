@@ -14,9 +14,10 @@ that two functions raise.  A ``try`` that steers ordinary input between two
 paths is control flow by exception; each site that stays is listed, with
 the error it turns into the package's own.  An error type that no module
 raises, passes to a check or catches, and that no type derives from, is a
-public name for a refusal the package no longer makes.  The package needs Python 3.10,
-which reads ``int | None`` at run time, so no module imports ``typing`` for
-``Union`` or ``Optional``.
+public name for a refusal the package no longer makes.  The CLI's foils,
+``--dprime-diag`` and ``--variant intro``, are named nowhere in the library.
+The package needs Python 3.10, which reads ``int | None`` at run time, so no
+module imports ``typing`` for ``Union`` or ``Optional``.
 """
 
 import ast
@@ -369,6 +370,57 @@ def test_the_dead_error_type_scan_sees_an_unused_class(tmp_path):
         "    return Imported.__doc__\n"
     )
     assert dead_error_types(tmp_path) == ["Imported", "Dead"]
+
+
+# The CLI's foils, each a number known to differ from the paper's: ``--dprime-diag N``
+# scales every A'.A value and ``secant --variant intro`` shifts the closed sum.
+FOILS = frozenset(("ap_a_diagonal", "dprime_diag", "variant"))
+
+
+def foil_names(path):
+    """``file:line: name`` for each identifier named after a foil that a module binds or
+    reads: a name, an attribute, a parameter, a keyword argument, a definition or an
+    import.  Text, docstrings too, is not an identifier."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, (ast.arg, ast.keyword)):
+            name = node.arg
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = node.name
+        elif isinstance(node, ast.alias):
+            name = node.asname or node.name
+        else:
+            continue
+        if name in FOILS:
+            yield f"{path.name}:{node.lineno}: {name}"
+
+
+def test_only_the_cli_names_a_foil():
+    # The library states A'.A = 1 and the paper's exponent; the foils live in the CLI alone.
+    library = [path for path in sorted(SRC.glob("*.py")) if path.name != "cli.py"]
+    assert len(library) >= 8
+    assert [hit for path in library for hit in foil_names(path)] == []
+    # Not vacuous: the scan sees the CLI read both of its foils.
+    assert {hit.split(": ")[1] for hit in foil_names(SRC / "cli.py")} == {"dprime_diag", "variant"}
+
+
+def test_the_foil_scan_sees_each_binding_and_read(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        '"""A docstring may name ap_a_diagonal and variant."""\n'
+        "from .pairing import variant\n"
+        "import json as dprime_diag\n"
+        "def pair(x, ap_a_diagonal=1):\n"
+        "    return x.dprime_diag, f(x, variant=2), 'dprime_diag'\n"
+        "class variant:\n"
+        "    pass\n"
+    )
+    assert sorted(foil_names(module)) == [
+        "sample.py:2: variant", "sample.py:3: dprime_diag", "sample.py:4: ap_a_diagonal",
+        "sample.py:5: dprime_diag", "sample.py:5: variant", "sample.py:6: variant"]
 
 
 def typing_imports(path):

@@ -40,7 +40,7 @@ NONZERO_VALUE = {
     ("B'", "A"): 1,
     ("B'", "C"): 1,
     ("C", "B'"): 1,
-    ("A'", "A"): "diagonal",
+    ("A'", "A"): 1,
     ("B", "C"): 2,
 }
 ZERO_BLOCKS = {
@@ -54,7 +54,7 @@ ZERO_BLOCKS = {
 }
 
 
-def expected_value(x, y, ap_a=1):
+def expected_value(x, y):
     if (y.i, y.j) != (x.n - x.j, x.n - x.i):
         return 0
     key = (x.family.value, y.family.value)
@@ -64,11 +64,7 @@ def expected_value(x, y, ap_a=1):
         return 1  # the point class B_{0,0} against the fundamental class C_{n,n}
     if key in ZERO_BLOCKS:
         return 0
-    v = NONZERO_VALUE[key]
-    return ap_a if v == "diagonal" else v
-
-
-DIAGONALS = (1, 3)  # the default and a value no other entry takes
+    return NONZERO_VALUE[key]
 
 
 def test_pair_symbols_examples():
@@ -87,57 +83,16 @@ def test_pair_symbols_examples():
                     assert pair_symbols(x, y) == 0
 
 
-def test_pair_symbols_configurable_diagonal():
-    assert pair_symbols(S("A'", 0, 2, 2), S("A", 0, 2, 2), 5) == 5
-    assert pair_symbols(S("A'", 0, 2, 2), S("A", 0, 2, 2), ap_a_diagonal=5) == 5
-    assert pair_symbols(S("A'", 0, 2, 2), S("A", 0, 2, 2)) == 1
-
-
-# The diagonal is checked first, by every function that takes it, whatever
-# the classes: MS-only input never reads it, an A' term does.
-BAD_DIAGONALS = (0, -1, True, 1.0, "3", None)
-_MS_PAIR = (S("A", 0, 3, 3), S("A", 0, 3, 3))
-_AP_PAIR = (S("A'", 0, 3, 3), S("A", 0, 3, 3))
-DIAGONAL_CALLS = {
-    "pair_symbols MS": lambda d: pair_symbols(*_MS_PAIR, d),
-    "pair_symbols A'": lambda d: pair_symbols(*_AP_PAIR, d),
-    "pair_classes MS": lambda d: pair_classes(*map(GradedClass.from_symbol, _MS_PAIR), d),
-    "pair_classes A'": lambda d: pair_classes(*map(GradedClass.from_symbol, _AP_PAIR), d),
-    "intersection_matrix MS": lambda d: intersection_matrix(3, 2, "MS", "MS", d),
-    "intersection_matrix ES": lambda d: intersection_matrix(3, 2, "ES", "MS", d),
-}
-
-
-def test_pairing_config_validation():
-    for name, call in DIAGONAL_CALLS.items():
-        for bad in BAD_DIAGONALS:
-            with pytest.raises(InvalidInput) as info:
-                call(bad)
-            assert str(info.value) == f"ap_a_diagonal must be an integer >= 1, got {bad!r}", name
-        call(2)
-
-
-def test_the_diagonal_is_checked_before_the_classes():
-    with pytest.raises(InvalidInput, match="^ap_a_diagonal"):
-        pair_classes(GradedClass(2), GradedClass(3), 0)  # not MixedAmbient
-    with pytest.raises(InvalidInput, match="^ap_a_diagonal"):
-        intersection_matrix(0, 9, "ES", "ES", 0)  # not the basis pair, the ambient or the grading
-
-
-def test_a_non_class_operand_is_refused_after_the_diagonal():
-    # the type check comes after the diagonal and before the ambient
+def test_a_non_class_operand_is_refused_before_the_ambient():
+    # the type check comes first, before the ambient
     with pytest.raises(InvalidInput, match=r"^term key \('A', 0, 1, 2\) is not a BasisSymbol$"):
         pair_symbols(("A", 0, 1, 2), S("A", 1, 2, 2))
     with pytest.raises(InvalidInput, match=r"^term key \('A', 0, 1, 3\) is not a BasisSymbol$"):
         pair_symbols(S("A", 0, 1, 2), ("A", 0, 1, 3))  # not MixedAmbient
-    with pytest.raises(InvalidInput, match="^ap_a_diagonal"):
-        pair_symbols(("A", 0, 1, 2), S("A", 1, 2, 2), 0)
     with pytest.raises(InvalidInput, match="^pair_classes takes two GradedClass operands"):
         pair_classes(None, None)
     with pytest.raises(InvalidInput, match="^pair_classes takes two GradedClass operands"):
         pair_classes(GradedClass(2), GradedClass.from_symbol(S("A", 0, 1, 2)).items())
-    with pytest.raises(InvalidInput, match="^ap_a_diagonal"):
-        pair_classes(None, None, 0)
     with pytest.raises(InvalidInput, match=r"^term key \('A', 0, 1, 2\) is not a BasisSymbol$"):
         GradedClass.from_symbol(("A", 0, 1, 2))
 
@@ -172,22 +127,21 @@ def test_pair_symbols_is_pair_classes_on_one_term_classes():
     # Every ordered pair of symbols of the five families, on one ambient and
     # on two: the same value or the same error, in pair_symbols' check order
     # (ambient, the second factor's family, complementarity).
-    for diagonal in DIAGONALS:
-        for n in range(1, 5):
-            for x in every_symbol(n):
-                for y in every_symbol(n) + every_symbol(n + 1):
-                    got = outcome(lambda: pair_symbols(x, y, diagonal))
-                    assert got == outcome(lambda: pair_classes(
-                        GradedClass.from_symbol(x), GradedClass.from_symbol(y), diagonal)), (x, y)
-                    if x.n != y.n:
-                        assert got[0] is MixedAmbient, (x, y)
-                    elif y.family.value in ("A'", "B"):
-                        assert got == (UnsupportedFamilyPair, f"no intersection rule for "
-                                       f"{x.family.value} . {y.family.value}"), (x, y)
-                    elif x.codimension + y.codimension != 2 * n:
-                        assert got[0] is NotComplementary, (x, y)
-                    else:
-                        assert got == (Fraction, expected_value(x, y, diagonal)), (x, y)
+    for n in range(1, 5):
+        for x in every_symbol(n):
+            for y in every_symbol(n) + every_symbol(n + 1):
+                got = outcome(lambda: pair_symbols(x, y))
+                assert got == outcome(lambda: pair_classes(
+                    GradedClass.from_symbol(x), GradedClass.from_symbol(y))), (x, y)
+                if x.n != y.n:
+                    assert got[0] is MixedAmbient, (x, y)
+                elif y.family.value in ("A'", "B"):
+                    assert got == (UnsupportedFamilyPair, f"no intersection rule for "
+                                   f"{x.family.value} . {y.family.value}"), (x, y)
+                elif x.codimension + y.codimension != 2 * n:
+                    assert got[0] is NotComplementary, (x, y)
+                else:
+                    assert got == (Fraction, expected_value(x, y)), (x, y)
 
 
 def all_supported_pairs(n):
@@ -200,12 +154,11 @@ def all_supported_pairs(n):
 
 
 def test_zero_pattern_and_values_small_n():
-    for diagonal in DIAGONALS:
-        for n in range(1, 7):
-            for x, y in all_supported_pairs(n):
-                v = pair_symbols(x, y, diagonal)
-                assert type(v) is Fraction, (str(x), str(y))
-                assert v == expected_value(x, y, diagonal), (str(x), str(y), diagonal)
+    for n in range(1, 7):
+        for x, y in all_supported_pairs(n):
+            v = pair_symbols(x, y)
+            assert type(v) is Fraction, (str(x), str(y))
+            assert v == expected_value(x, y), (str(x), str(y))
 
 
 def test_pair_symbols_symmetric_where_both_orders_supported():
@@ -319,18 +272,6 @@ def test_es_ms_duality_small_n():
             assert sorted(map(str, M.col_symbols)) == sorted(
                 map(str, enumerate_basis(n, "MS", codim=k))
             )
-
-
-def test_es_ms_diagonal_uses_config():
-    M = intersection_matrix(3, 2, ap_a_diagonal=7)
-    diag = {str(r): M.entries[idx][idx] for idx, r in enumerate(M.row_symbols)}
-    assert diag["A'_{0,2}"] == 7
-    # B rows pair to 2, C rows to 1 regardless of the configurable block
-    for idx, r in enumerate(M.row_symbols):
-        if r.family.value == "B":
-            assert M.entries[idx][idx] == 2
-        if r.family.value == "C":
-            assert M.entries[idx][idx] == 1
 
 
 def test_ms_ms_matrix_matches_block_pattern():
@@ -455,25 +396,23 @@ def test_cone_sanity():
 # replace.  They visit every term pair, so they need no partner lookup.
 
 
-def dense_pair_classes(X, Y, diagonal=1):
+def dense_pair_classes(X, Y):
     total = Fraction(0)
     for sx, a in X.items():
         for sy, b in Y.items():
-            total += a * b * pair_symbols(sx, sy, diagonal)
+            total += a * b * pair_symbols(sx, sy)
     return total
 
 
-def dense_effectivity(X, diagonal=1):
+def dense_effectivity(X):
     return [
-        (y, sum((a * pair_symbols(x, y, diagonal) for x, a in X.items()), Fraction(0)))
+        (y, sum((a * pair_symbols(x, y) for x, a in X.items()), Fraction(0)))
         for y in enumerate_basis(X.n, "MS", codim=X.dimension())
     ]
 
 
-def dense_entries(M, diagonal):
-    return tuple(
-        tuple(pair_symbols(r, c, diagonal) for c in M.col_symbols) for r in M.row_symbols
-    )
+def dense_entries(M):
+    return tuple(tuple(pair_symbols(r, c) for c in M.col_symbols) for r in M.row_symbols)
 
 
 def random_combination(rng, symbols):
@@ -493,12 +432,10 @@ def test_sparse_pair_classes_matches_dense_oracle():
             ms_codim_k = enumerate_basis(n, "MS", codim=k)
             for first in ("MS", "ES"):
                 dim_k = enumerate_basis(n, first, dim=k)
-                for diagonal in DIAGONALS:
-                    for _ in range(3):
-                        X = random_combination(rng, dim_k)
-                        Y = random_combination(rng, ms_codim_k)
-                        assert pair_classes(X, Y, diagonal) == dense_pair_classes(X, Y, diagonal), (
-                            n, k, str(X), str(Y))
+                for _ in range(3):
+                    X = random_combination(rng, dim_k)
+                    Y = random_combination(rng, ms_codim_k)
+                    assert pair_classes(X, Y) == dense_pair_classes(X, Y), (n, k, str(X), str(Y))
 
 
 def test_pair_classes_is_bilinear():
@@ -512,11 +449,7 @@ def test_pair_classes_is_bilinear():
         X1, X2 = random_combination(rng, dim_k), random_combination(rng, dim_k)
         Y1, Y2 = random_combination(rng, codim_k), random_combination(rng, codim_k)
         a, b = Fraction(rng.randint(-5, 5), rng.randint(1, 5)), Fraction(rng.randint(-5, 5), 3)
-        diagonal = rng.choice(DIAGONALS)
-
-        def pair(X, Y):
-            return pair_classes(X, Y, diagonal)
-
+        pair = pair_classes
         assert pair(a * X1 + b * X2, Y1) == a * pair(X1, Y1) + b * pair(X2, Y1), (n, k)
         assert pair(X1, a * Y1 + b * Y2) == a * pair(X1, Y1) + b * pair(X1, Y2), (n, k)
 
@@ -570,20 +503,17 @@ def test_sparse_effectivity_pairings_matches_dense_oracle():
             for X in samples:
                 if X.is_zero:
                     continue
-                got, member = effectivity_pairings(X), is_effective(X, k)
-                for diagonal in DIAGONALS:  # no MS x MS value is free: one answer for each
-                    want = dense_effectivity(X, diagonal)
-                    assert got == want, (n, k, str(X), diagonal)
-                    assert member == all(v >= 0 for _, v in want)
+                want = dense_effectivity(X)
+                assert effectivity_pairings(X) == want, (n, k, str(X))
+                assert is_effective(X, k) == all(v >= 0 for _, v in want)
 
 
 def test_sparse_intersection_matrix_matches_dense_oracle():
     for n in range(1, 8):
         for k in range(0, 2 * n + 1):
             for rows in ("ES", "MS"):
-                for diagonal in DIAGONALS:
-                    M = intersection_matrix(n, k, rows, "MS", diagonal)
-                    assert M.entries == dense_entries(M, diagonal), (n, k, rows)
+                M = intersection_matrix(n, k, rows, "MS")
+                assert M.entries == dense_entries(M), (n, k, rows)
 
 
 def count_rule_terms(monkeypatch):
@@ -596,8 +526,8 @@ def count_rule_terms(monkeypatch):
     sizes = []
     real = pairing._duals
 
-    def counting(x, *diagonal):
-        image = real(x, *diagonal)
+    def counting(x):
+        image = real(x)
         assert len(image) <= 3, (str(x), image)
         sizes.append(len(image))
         return image
@@ -636,9 +566,9 @@ def test_every_pairing_routine_reaches_the_one_rule(monkeypatch):
     calls = []
     real = pairing._duals
 
-    def counting(x, *diagonal):
+    def counting(x):
         calls.append(x)
-        return real(x, *diagonal)
+        return real(x)
 
     monkeypatch.setattr(pairing, "_duals", counting)
     n = 4
@@ -710,20 +640,17 @@ def test_common_denominator_pairings_match_dense_oracles():
                 X = wide_combination(rng, ms_dim_k)
                 Y = wide_combination(rng, ms_codim_k)
                 E = wide_combination(rng, es_dim_k)
-                for diagonal in DIAGONALS:
-                    for first in (X, E):
-                        want = dense_pair_classes(first, Y, diagonal)
-                        assert pair_classes(first, Y, diagonal) == want, (n, k)
-                    assert type(pair_classes(X, Y, diagonal)) is Fraction
+                for first in (X, E):
+                    assert pair_classes(first, Y) == dense_pair_classes(first, Y), (n, k)
+                assert type(pair_classes(X, Y)) is Fraction
                 for Z in (X, absolute(X)):
                     if Z.is_zero:
                         continue
                     got, member = effectivity_pairings(Z), is_effective(Z, k)
                     assert all(type(v) is Fraction for _, v in got)
-                    for diagonal in DIAGONALS:  # no MS x MS value is free: one answer for each
-                        want = dense_effectivity(Z, diagonal)
-                        assert got == want, (n, k, str(Z), diagonal)
-                        assert member == all(v >= 0 for _, v in want)
+                    want = dense_effectivity(Z)
+                    assert got == want, (n, k, str(Z))
+                    assert member == all(v >= 0 for _, v in want)
 
 
 def test_positive_classes_are_effective_and_negative_terms_are_not():

@@ -41,8 +41,6 @@ from hilb2 import (
     is_nef,
     mul_bprime_top,
     mul_c_top,
-    pair_classes,
-    pair_symbols,
     parse_class,
     parse_symbol,
     secant_degree_mu_closed,
@@ -138,20 +136,14 @@ def test_every_construction_path_validates(cls):
         pickle.loads(pickle.dumps(forged))
 
 
-_AP_A = (BasisSymbol(Family.AP, 0, 2, 2), BasisSymbol(Family.A, 0, 2, 2))
 _PAIR_ARGS = ["pair", "--n", "2", "--x", '{"family":"A\'","i":0,"j":2}',
               "--y", '{"family":"A","i":0,"j":2}']
-# The pairing diagonal and the twist are plain arguments: every path that
-# passes one in (positional, keyword, command line) refuses the same value
-# with the same message.  Each path is a call with the value to pass.
+# The twist is a plain argument: every path that passes it in (positional,
+# keyword, command line) refuses the same value with the same message.  So does
+# each command that reads the --dprime-diag foil, which only the CLI takes.  Each
+# path is a call with the value to pass.
 CALL_PATHS = {
     "ap_a_diagonal": (0, "ap_a_diagonal must be an integer >= 1, got 0", [
-        lambda d: pair_symbols(*_AP_A, d),
-        lambda d: pair_symbols(*_AP_A, ap_a_diagonal=d),
-        lambda d: pair_classes(*map(GradedClass.from_symbol, _AP_A), d),
-        lambda d: pair_classes(*map(GradedClass.from_symbol, _AP_A), ap_a_diagonal=d),
-        lambda d: intersection_matrix(2, 2, "ES", "MS", d),
-        lambda d: intersection_matrix(2, 2, ap_a_diagonal=d),
         lambda d: _cli(["--dprime-diag", str(d), *_PAIR_ARGS]),
         lambda d: _cli(["--dprime-diag", str(d), "matrix", "--n", "2", "--k", "2"]),
     ]),
@@ -222,8 +214,7 @@ def test_secant_problem_stores_degrees_as_a_tuple():
 
 # One integer slot of a constructor or entry point each, as a function of the
 # value put there; every other argument is valid.
-_POINT_SYMBOL, _TOP_SYMBOL = BasisSymbol(Family.BP, 0, 0, 2), BasisSymbol(Family.C, 2, 2, 2)
-_POINT, _TOP = GradedClass.from_symbol(_POINT_SYMBOL), GradedClass.from_symbol(_TOP_SYMBOL)
+_POINT = GradedClass.from_symbol(BasisSymbol(Family.BP, 0, 0, 2))
 INTEGER_SLOTS = {
     "chow_rank n": lambda x: chow_rank(x, 0),
     "chow_rank k": lambda x: chow_rank(2, x),
@@ -245,9 +236,6 @@ INTEGER_SLOTS = {
     "SecantProblem n": lambda x: SecantProblem(x, (2, 2, 2)),
     "SecantProblem degree": lambda x: SecantProblem(4, (2, 2, x)),
     "secant_oracle degree": lambda x: secant_oracle(4, (2, 2, x)),
-    "pair_symbols ap_a_diagonal": lambda x: pair_symbols(_POINT_SYMBOL, _TOP_SYMBOL, x),
-    "pair_classes ap_a_diagonal": lambda x: pair_classes(_POINT, _TOP, x),
-    "intersection_matrix ap_a_diagonal": lambda x: intersection_matrix(2, 1, "ES", "MS", x),
     "intersection_matrix n": lambda x: intersection_matrix(x, 1),
     "intersection_matrix k": lambda x: intersection_matrix(2, x),
     "is_nef k": lambda x: is_nef(_POINT, x),
