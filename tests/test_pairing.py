@@ -1,3 +1,4 @@
+import csv
 import random
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from hilb2 import (
     pair_symbols,
     to_ms,
 )
+from hilb2.cli import run_command
 
 S = BasisSymbol
 
@@ -81,6 +83,18 @@ def test_pair_symbols_examples():
             for y in enumerate_basis(n, "MS", codim=2 * n - x.codimension):
                 if y.family.value == "B'":
                     assert pair_symbols(x, y) == 0
+
+
+def test_pair_symbols_configurable_diagonal():
+    # The library states A'.A = 1; the diagonal is configurable only through the
+    # CLI's --dprime-diag foil, which scales that value and leaves MS pairs alone.
+    assert pair_symbols(S("A'", 0, 2, 2), S("A", 0, 2, 2)) == 1
+    assert pair_symbols(S("A", 0, 2, 2), S("A", 0, 2, 2)) == 1
+    ap, a = '{"family":"A\'","i":0,"j":2}', '{"family":"A","i":0,"j":2}'
+    for d in (1, 5):
+        flag = ["--dprime-diag", str(d), "pair", "--n", "2"]
+        assert run_command(flag + ["--x", ap, "--y", a]) == (0, str(d))
+        assert run_command(flag + ["--x", a, "--y", a]) == (0, "1")
 
 
 def test_a_non_class_operand_is_refused_before_the_ambient():
@@ -272,6 +286,24 @@ def test_es_ms_duality_small_n():
             assert sorted(map(str, M.col_symbols)) == sorted(
                 map(str, enumerate_basis(n, "MS", codim=k))
             )
+
+
+def test_es_ms_diagonal_uses_config():
+    # The library's A' diagonal is 1; --dprime-diag 7 makes it 7 in the CLI matrix,
+    # while B rows pair to 2 and C rows to 1 regardless of the configurable block.
+    M = intersection_matrix(3, 2)
+    assert {str(r): M.entries[i][i] for i, r in enumerate(M.row_symbols)}["A'_{0,2}"] == 1
+    code, text = run_command(["--dprime-diag", "7", "matrix", "--n", "3", "--k", "2",
+                              "--rows", "ES", "--format", "csv"])
+    assert code == 0
+    rows = list(csv.reader(text.splitlines()))[1:]
+    diag = {row[0]: int(row[1 + i]) for i, row in enumerate(rows)}
+    assert diag["A'_{0,2}"] == 7
+    for r in M.row_symbols:
+        if r.family.value == "B":
+            assert diag[str(r)] == 2
+        if r.family.value == "C":
+            assert diag[str(r)] == 1
 
 
 def test_ms_ms_matrix_matches_block_pattern():
