@@ -25,8 +25,7 @@ _EXPORTS = {
     "errors": (
         "Hilb2Error", "InvalidGrading", "InvalidIndex", "InvalidInput", "MixedAmbient",
         "NotComplementary", "NotHomogeneous", "ParseError", "UnsupportedError",
-        "UnsupportedFamilyPair", "UnsupportedMonomial", "UnsupportedTerm", "ValidationError",
-        "WrongBasis",
+        "UnsupportedFamilyPair", "UnsupportedMonomial", "ValidationError", "WrongBasis",
     ),
     "fixed_points": (
         "IdealKind", "MonomialIdealDescriptor", "bb_cell_of", "enumerate_fixed_points",

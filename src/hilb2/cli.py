@@ -20,6 +20,7 @@ import os
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache
 
 # Each handler imports the engine modules it needs, so a subcommand loads
 # only those; ``chow`` validates --dprime-diag on every subcommand.
@@ -62,6 +63,7 @@ _GLOBALS.add_argument(
 )
 
 
+@cache  # one parser per process: parsing leaves no state in it
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hilb2", parents=[_GLOBALS], allow_abbrev=False,

@@ -16,7 +16,8 @@ class ValidationError(Hilb2Error):
 
 
 class UnsupportedError(Hilb2Error):
-    """Operation is well-posed but intentionally not provided."""
+    """Operation is well-posed but intentionally not provided: a non-MS second pairing
+    factor or column basis, and a pure power of C_{n-1,n-1}.  No family is refused."""
 
 
 class InvalidIndex(ValidationError):
@@ -54,10 +55,6 @@ class ParseError(ValidationError):
 class UnsupportedFamilyPair(UnsupportedError):
     """No intersection number is defined for this pair of families (a second
     factor, or a matrix column basis, that is not MS)."""
-
-
-class UnsupportedTerm(UnsupportedError):
-    """A term has no rule in a product or in the change to MS coordinates (A')."""
 
 
 class UnsupportedMonomial(UnsupportedError):

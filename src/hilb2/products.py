@@ -12,11 +12,12 @@ range: that output is the zero class.  The engine multiplies by
     B'_{n-1,n-1} . B_{i,j}  = 2 B_{i-2,j}
     B'_{n-1,n-1} . B'_{i,j} = 2 B'_{i-1,j-1} + 2 B'_{i-2,j} - 2 A_{i-2,j}
     B'_{n-1,n-1} . C_{i,j}  =   A_{i-1,j-1} + B'_{i-1,j-1} + 2 C_{i,j-2}
-    C_{n-1,n-1}  . F_{i,j}  =   F_{i-1,j-1}        for F = A, B, B', C
+    C_{n-1,n-1}  . F_{i,j}  =   F_{i-1,j-1}        for F = A, A', B, B', C
 
 At i = j the C row is ``B'_{i-1,i-1}``, and ``C_{n-1,n-1} . B_{1,1} = 2 B_{0,0}``
 is twice the point class, as ``2 B'_{1,1} - 4 C_{1,1}`` shifts to ``2 B'_{0,0}``.
-A' has no rule: each product and :func:`to_ms` refuse it with ``UnsupportedTerm``.
+The B' rule reads A' in MS coordinates, ``A'_{i,j} = A_{i,j} - C_{i,j}`` (the table's
+``A'.A = 1`` and ``A'.B' = A'.C = 0``), so it states no constant for A'.
 
 The B' rule (for i < j and i = j alike, with ``B'_{0,0} -> 0``) follows
 from the A, B and balanced C rules and the basis-change identities
@@ -47,7 +48,7 @@ from fractions import Fraction
 
 from .chow import (A, AP, B, BP, C, BasisSymbol, GradedClass, linear_sum, require_ambient,
                    require_int, require_type, scaled_terms, shown, term, value_type)
-from .errors import InvalidInput, UnsupportedMonomial, UnsupportedTerm
+from .errors import InvalidInput, UnsupportedMonomial
 
 
 def _build(n: int, acc: dict, d: int = 1) -> GradedClass:
@@ -65,8 +66,10 @@ def _apply(rule, X: GradedClass, *args) -> GradedClass:
 
 
 def _ms_terms(key: tuple) -> list:
-    """Rule: a B key in MS coordinates; any other key stays as it is."""
+    """Rule: an A' or B key in MS coordinates; any other key stays as it is."""
     family, i, j, n = key
+    if family is AP:
+        return term(A, i, j, n, 1) + term(C, i, j, n, -1)
     if family is not B:
         return [(key, 1)]
     if i == j == 0:
@@ -77,21 +80,19 @@ def _ms_terms(key: tuple) -> list:
 
 
 def to_ms(x: BasisSymbol) -> GradedClass:
-    """Rewrite a BB or MS symbol in MS coordinates.
+    """Rewrite a symbol of any family in MS coordinates.
 
+    ``A'_{i,j} -> A_{i,j} - C_{i,j}`` (``A'_{0,j} -> A_{0,j}``),
     ``B_{i,j} -> 2B'_{i,j} - 2A_{i,j}`` for i < j,
     ``B_{i,i} -> 2B'_{i,i} - 4C_{i,i}`` for i > 0, and ``B_{0,0} -> B'_{0,0}``
-    (both are the point class); an A, B' or C symbol stays as it is, and an A'
-    symbol, which has no rule, raises ``UnsupportedTerm`` as the products do.
+    (both are the point class); an A, B' or C symbol stays as it is.
     """
     require_type(x, BasisSymbol, "to_ms")
-    if x.family is AP:
-        raise UnsupportedTerm(f"to_ms has no rule for family A', got {shown(x)}")
     return _build(x.n, dict(_ms_terms(x)))
 
 
 def _bprime_rule(key: tuple) -> list:
-    """Rule for ``B'_{n-1,n-1} . F_{i,j}``: the base rules for A, B, B' and C."""
+    """Rule for ``B'_{n-1,n-1} . F_{i,j}``: the A, B, B' and C rules, and A' via to_ms."""
     family, i, j, n = key
     if family is BP:
         return term(BP, i - 1, j - 1, n, 2) + term(BP, i - 2, j, n, 2) + term(A, i - 2, j, n, -2)
@@ -101,27 +102,25 @@ def _bprime_rule(key: tuple) -> list:
         return term(B, i - 2, j, n, 2)
     if family is C:
         return term(A, i - 1, j - 1, n, 1) + term(BP, i - 1, j - 1, n, 1) + term(C, i, j - 2, n, 2)
-    raise UnsupportedTerm(f"no rule for B'_{{{shown(n - 1)},{shown(n - 1)}}} . {shown(key)}")
+    return list(linear_sum(_bprime_rule, _ms_terms(key)).items())
 
 
 def _c_shift(key: tuple, b: int = 1) -> list:
-    """Rule for ``C_{n-1,n-1}^b . F_{i,j}`` on an A, B, B' or C key.
+    """Rule for ``C_{n-1,n-1}^b . F_{i,j}`` on a key of any family.
 
     The C rules lower the index pair by (1, 1), and a pair that falls below
     its lower bound never comes back into range, so b products are one shift
     by (b, b), except that ``B_{b,b}`` lands on the point class ``B_{0,0}`` twice.
     """
     family, i, j, n = key
-    if family is AP:
-        raise UnsupportedTerm(f"no rule for C_{{{shown(n - 1)},{shown(n - 1)}}} . {shown(key)}")
     return term(family, i - b, j - b, n, 2 if family is B and i == j == b > 0 else 1)
 
 
 def mul_bprime_top(X: GradedClass) -> GradedClass:
     """Multiply a class by ``B'_{n-1,n-1}``.
 
-    Terms may be A, B, B' or C; the image of an MS-coordinate class stays
-    in MS coordinates.
+    Terms may be of any family; the image of an MS-coordinate class stays in
+    MS coordinates, and an A' term goes into them.
     """
     require_type(X, GradedClass, "mul_bprime_top")
     return _apply(_bprime_rule, X)

@@ -16,6 +16,14 @@ The models of the MS generators:
   ``2 C_{i,i}`` for i = j > 0, and the point, that cell at (0, 0).  These read
   ``B = 2 * cell`` (``test_localization``) through ``to_ms``'s coordinates of
   ``B``, both pinned by their own tests.
+
+A product by one of the engine's two generators is the model times a density,
+the generator as a Chern class: ``C_{n-1,n-1} = c2(E_1)`` and
+``B'_{n-1,n-1} = c2(E_2) - 2 c2(E_1)``.  Projected and paired with every MS
+model, it gives the pairings of ``mul_c_top`` and ``mul_bprime_top`` without
+reading their rules, on every MS and BB generator (``B_{i,j}`` is twice the
+cell closure, and ``B_{0,0}`` is the point itself).  ``c1(E_d)``, linear in d,
+is ``(d-1) c1(E_2) - (d-2) c1(E_1)``, which checks ``chern_taut``'s ``c1``.
 """
 
 import random
@@ -30,7 +38,8 @@ from fixed_point_models import (
     model,
     nested_points,
 )
-from hilb2 import Family, chow_rank, enumerate_basis, pair_symbols
+from hilb2 import (Family, GradedClass, chern_taut, chow_rank, enumerate_basis,
+                   mul_bprime_top, mul_c_top, pair_classes, pair_symbols)
 
 
 @cache
@@ -105,3 +114,69 @@ def test_the_ms_gram_matches_the_pairing_table():
                 nonzero += got != 0
                 a_entries += got != 0 and x.family is Family.A and y.family is not Family.C
     assert (cases, nonzero, a_entries) == (1464, 420, 140)
+
+
+def generator_model(sym, w):
+    """The weighted point set of an MS or BB generator: ``B_{i,j}`` is twice the
+    ``J_{i,j+1}`` cell closure, and ``B_{0,0}`` is the ``J_{0,1}`` point."""
+    if sym.family is not Family.B:
+        return ms_model(sym, w)
+    cell = cell_model(sym.n, sym.i, sym.j, w)
+    return cell if sym.i == sym.j == 0 else [(c, 2 * weight) for c, weight in cell]
+
+
+def times(cycle, density):
+    """The cycle times a class, ``density`` read from the Chern classes
+    ``(c1(E_1), c2(E_1), c1(E_2), c2(E_2))`` at each point."""
+    return [(c, weight * density(*c)) for c, weight in cycle]
+
+
+# The engine's generators as Chern classes.
+GENERATORS = [
+    (mul_bprime_top, lambda c1e1, c2e1, c1e2, c2e2: c2e2 - 2 * c2e1),
+    (mul_c_top, lambda c1e1, c2e1, c1e2, c2e2: c2e1),
+]
+
+
+def test_the_generator_products_match_the_projection():
+    # pair(T.X, Y) through the projection of X's model times T, against pair_classes of
+    # the engine's product, for every MS and BB generator X and every MS generator Y
+    cases = nonzero = 0
+    for n in range(2, 7):
+        P = projection(n)
+        w = P.weights
+        ms = {y: P.vector(ms_model(y, w), y.dimension) for y in enumerate_basis(n, "MS")}
+        generators = sorted({*enumerate_basis(n, "MS"), *enumerate_basis(n, "BB")},
+                            key=lambda s: s[:3])
+        for x in generators:
+            d = x.dimension - 2
+            if d < 0:
+                continue
+            cycle = generator_model(x, w)
+            for mul, density in GENERATORS:
+                product = P.vector(times(cycle, density), d)
+                image = mul(GradedClass.from_symbol(x))
+                for y, Y in ms.items():
+                    if y.dimension != 2 * n - d:
+                        continue
+                    got = P.pair(product, Y, d)
+                    assert got == pair_classes(image, GradedClass.from_symbol(y)), (
+                        mul.__name__, x, y, got)
+                    cases += 1
+                    nonzero += got != 0
+    assert (cases, nonzero) == (1802, 550)
+
+
+def test_chern_taut_c1_integrates_over_the_curves():
+    # ∫ c1(E_d) over each dimension-1 MS generator, c1(E_d) = (d-1) c1(E_2) - (d-2) c1(E_1)
+    cases = 0
+    for n in range(2, 7):
+        w = projection(n).weights
+        for d in range(1, 6):
+            c1 = chern_taut(n, d)[0]
+            for y in enumerate_basis(n, "MS", dim=1):
+                got = sum(weight * ((d - 1) * c1e2 - (d - 2) * c1e1)
+                          for (c1e1, _, c1e2, _), weight in ms_model(y, w))
+                assert got == pair_classes(c1, GradedClass.from_symbol(y)), (n, d, y, got)
+                cases += 1
+    assert cases == 50

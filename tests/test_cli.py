@@ -226,6 +226,25 @@ def test_help_exits_zero():
         assert text.startswith("usage: hilb2"), argv
 
 
+def test_calls_share_one_parser_and_leave_no_state_in_it():
+    from hilb2 import cli
+
+    # help, a subcommand's help, a mutually exclusive group left unset, a usage error
+    probes = (["--help"], ["rank", "--help"], ["rank", "--n", "2"],
+              ["basis", "--n", "2", "--bogus"], ["--format", "json", "rank", "--n", "2", "--dim"])
+    fresh = []
+    for argv in probes:
+        cli._build_parser.cache_clear()
+        fresh.append(run_command(argv))
+    cli._build_parser.cache_clear()
+    run_command(["pair", "--n", "3", "--x", '{"family":"A","i":0,"j":1}',
+                 "--y", '{"family":"A","i":2,"j":3}'])
+    run_command(["basis", "--n", "2", "--basis", "MS", "--all"])
+    assert [run_command(argv) for argv in probes] == fresh
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1 + len(probes))
+
+
 def test_json_outputs_validate_against_schema():
     invocations = [
         ["rank", "--n", "2", "--codim", "2"],

@@ -50,7 +50,6 @@ from hilb2 import (
     SecantProblem,
     UnsupportedError,
     UnsupportedFamilyPair,
-    UnsupportedTerm,
     ValidationError,
     chow_rank,
     dual_generator,
@@ -328,13 +327,6 @@ def test_a_message_names_an_int_over_the_digit_limit(default_digit_limit):
          f"need 2m+1 < n for the secant degree; got m={over}, n={over}"),
         (lambda: GradedClass(big, [(BasisSymbol("A", 0, 1, 2), 1)]), MixedAmbient,
          f"symbol A_{{0,1}} lives on P^2[2], class on P^{over}[2]"),
-        # a symbol with an index over the limit, and the product top class at such an n
-        (lambda: to_ms(BasisSymbol("A'", 0, big, big)), UnsupportedTerm,
-         f"to_ms has no rule for family A', got A'_{{0,{over}}}"),
-        (lambda: mul_c_top(GradedClass.from_symbol(BasisSymbol("A'", 0, 1, big))),
-         UnsupportedTerm, f"no rule for C_{{{over},{over}}} . A'_{{0,1}}"),
-        (lambda: mul_bprime_top(GradedClass.from_symbol(BasisSymbol("A'", 0, 1, big))),
-         UnsupportedTerm, f"no rule for B'_{{{over},{over}}} . A'_{{0,1}}"),
         (lambda: dual_generator(BasisSymbol("A", 0, big, big)), UnsupportedFamilyPair,
          f"A_{{0,{over}}} is not an ES basis symbol"),
         (lambda: GradedClass(big, [(BasisSymbol("A", 0, big, big), 1),
@@ -368,6 +360,19 @@ def test_a_message_names_an_int_over_the_digit_limit(default_digit_limit):
         with pytest.raises(error) as refused:
             call()
         assert str(refused.value) == message
+    # A symbol with an index over the limit, and an A' term at such an n: each has a rule.
+    def one(family, i, j, n):
+        return GradedClass.from_symbol(BasisSymbol(family, i, j, n))
+
+    returned = [
+        (lambda: to_ms(BasisSymbol("A'", 1, big, big)),
+         one("A", 1, big, big) - one("C", 1, big, big)),
+        (lambda: mul_c_top(one("A'", 1, 2, big)), one("A'", 0, 1, big)),
+        (lambda: mul_bprime_top(one("A'", 1, 3, big)),
+         one("B'", 0, 2, big) - one("A", 0, 2, big) - 2 * one("C", 1, 1, big)),
+    ]
+    for call, value in returned:
+        assert call() == value
     # The same int where another type belongs: each message that echoes it names it.
     term = {"family": "A", "i": 0, "j": 1, "coeff": big}
     wrong_typed = [

@@ -9,12 +9,12 @@ from hilb2 import (
     InvalidInput,
     MonomialSpec,
     UnsupportedMonomial,
-    UnsupportedTerm,
     bprime_top_power,
     enumerate_basis,
     eval_monomial,
     mul_bprime_top,
     mul_c_top,
+    pair_classes,
     pair_symbols,
     to_ms,
 )
@@ -34,10 +34,10 @@ def test_to_ms_examples():
         assert to_ms(sym) == GradedClass.from_symbol(sym)  # an MS symbol stays as it is
 
 
-def test_to_ms_rejects_other_families():
-    with pytest.raises(UnsupportedTerm,
-                       match=r"^to_ms has no rule for family A', got A'_\{0,1\}$"):
-        to_ms(S("A'", 0, 1, 2))
+def test_to_ms_of_an_ap_symbol():
+    # A'_{i,j} = A_{i,j} - C_{i,j}, the C term dropped at i = 0
+    assert to_ms(S("A'", 1, 3, 4)) == cls((1, S("A", 1, 3, 4)), (-1, S("C", 1, 3, 4)))
+    assert to_ms(S("A'", 0, 1, 4)) == GradedClass.from_symbol(S("A", 0, 1, 4))
 
 
 def test_to_ms_roundtrip_pairing():
@@ -91,9 +91,11 @@ def test_mul_bprime_top_general_c():
     )
 
 
-def test_mul_bprime_top_rejects_an_ap_term():
-    with pytest.raises(UnsupportedTerm, match=r"^no rule for B'_\{2,2\} \. A'_\{0,1\}$"):
-        mul_bprime_top(GradedClass.from_symbol(S("A'", 0, 1, 3)))
+def test_mul_bprime_top_of_an_ap_term():
+    # 2B'_{0,2} from A_{1,3}, minus A_{0,2} + B'_{0,2} + 2C_{1,1} from C_{1,3}
+    assert mul_bprime_top(GradedClass.from_symbol(S("A'", 1, 3, 4))) == cls(
+        (1, S("B'", 0, 2, 4)), (-1, S("A", 0, 2, 4)), (-2, S("C", 1, 1, 4))
+    )
 
 
 def test_mul_c_top_examples():
@@ -111,9 +113,41 @@ def test_mul_c_top_shifts_b():
     assert mul_c_top(GradedClass.from_symbol(S("B", 0, 2, 3))).is_zero
 
 
-def test_mul_c_top_rejects_other_families():
-    with pytest.raises(UnsupportedTerm, match=r"^no rule for C_\{2,2\} \. A'_\{0,1\}$"):
-        mul_c_top(GradedClass.from_symbol(S("A'", 0, 1, 3)))
+def test_mul_c_top_shifts_an_ap_term():
+    assert mul_c_top(GradedClass.from_symbol(S("A'", 1, 3, 4))) == cls((1, S("A'", 0, 2, 4)))
+    assert mul_c_top(GradedClass.from_symbol(S("A'", 0, 1, 4))).is_zero
+
+
+def in_ms(X):
+    """X in MS coordinates, each term through ``to_ms``."""
+    return sum((c * to_ms(s) for s, c in X.items()), GradedClass(X.n))
+
+
+def every_symbol(n):
+    """The symbols of all five families on ``P^n[2]``."""
+    return sorted({*enumerate_basis(n, "ES"), *enumerate_basis(n, "MS"),
+                   *enumerate_basis(n, "BB")}, key=lambda s: s[:3])
+
+
+def ap_symbols(n):
+    return [s for s in enumerate_basis(n, "ES") if s.family.value == "A'"]
+
+
+def test_every_family_has_products_and_ms_coordinates():
+    # Each product of a symbol of any family, put into MS coordinates, is the product
+    # of the symbol's MS coordinates; and to_ms(A') pairs with every MS symbol as the
+    # A' row of the pairing table does.
+    products = pairings = 0
+    for n in range(1, 9):
+        for x in every_symbol(n):
+            for mul in (mul_bprime_top, mul_c_top):
+                assert in_ms(mul(GradedClass.from_symbol(x))) == mul(to_ms(x)), (mul.__name__, x)
+                products += 1
+            if x.family.value == "A'":
+                for y in enumerate_basis(n, "MS", codim=x.dimension):
+                    assert pair_classes(to_ms(x), GradedClass.from_symbol(y)) == pair_symbols(x, y)
+                    pairings += 1
+    assert (products, pairings) == (1200, 800)
 
 
 def test_b_shift_agrees_with_the_basis_change():
@@ -123,11 +157,10 @@ def test_b_shift_agrees_with_the_basis_change():
         for x in enumerate_basis(n, "BB"):
             if x.family.value != "B":
                 continue
-            shifted, in_ms = GradedClass.from_symbol(x), to_ms(x)
+            shifted, image = GradedClass.from_symbol(x), to_ms(x)
             for b in range(1, n + 1):
-                shifted, in_ms = mul_c_top(shifted), mul_c_top(in_ms)
-                assert in_ms == sum((c * to_ms(s) for s, c in shifted.items()), GradedClass(n)), (
-                    x, b)
+                shifted, image = mul_c_top(shifted), mul_c_top(image)
+                assert image == in_ms(shifted), (x, b)
                 checked += 1
     assert checked == 750
 
@@ -171,10 +204,7 @@ def derived_bprime_product(x):
         doubled = cls((1, S("B", i, i, n)), (4, S("C", i, i, n)))
     else:
         doubled = cls((2, S("B", 0, 0, n)))
-    product = mul_bprime_top(doubled)
-    if product.is_zero:
-        return product
-    return sum((to_ms(s) * (c / 2) for s, c in product.items()), GradedClass(n))
+    return Fraction(1, 2) * in_ms(mul_bprime_top(doubled))
 
 
 def test_stated_bprime_rule_equals_its_derivation():
@@ -230,8 +260,6 @@ def test_eval_monomial_families_are_a_and_bprime():
 def test_triple_product_vanishing_small():
     # dimension-2m part of B'^k C^{n-m-k} pairs to zero with C_{n-2m,n}
     # whenever k <= m
-    from hilb2 import pair_classes
-
     for n in range(4, 9):
         for m in range(1, n):
             if 2 * m + 1 >= n:
@@ -250,33 +278,33 @@ SMALL_N = range(2, 8)
 
 
 def test_projection_law():
-    # pair(T.X, Y) = pair(X, T.Y) for T in {B'_{n-1,n-1}, C_{n-1,n-1}}
-    from hilb2 import pair_classes
-
+    # pair(T.X, Y) = pair(X, T.Y) for T in {B'_{n-1,n-1}, C_{n-1,n-1}}, X an MS or
+    # an A' symbol (the A' row of the table, on the left) and Y an MS symbol
     checked = 0
     for mul in (mul_bprime_top, mul_c_top):
         for n in RING_N:
             syms = enumerate_basis(n, "MS")
-            one = {s: GradedClass.from_symbol(s) for s in syms}
-            image = {s: mul(one[s]) for s in syms}
-            for x in syms:
+            one = {s: GradedClass.from_symbol(s) for s in syms + ap_symbols(n)}
+            image = {s: mul(X) for s, X in one.items()}
+            for x in one:
                 for y in syms:
                     if x.dimension + y.dimension != 2 * n + 2:
                         continue
                     assert pair_classes(image[x], one[y]) == pair_classes(one[x], image[y]), (
                         mul.__name__, x, y)
                     checked += 1
-    assert checked == 9886
+    assert checked == 9886 + 3310
 
 
 def test_c_and_bprime_products_commute():
+    # compared in MS coordinates: the C shift keeps an A' term A'
     checked = 0
     for n in RING_N:
-        for x in enumerate_basis(n, "MS"):
+        for x in enumerate_basis(n, "MS") + ap_symbols(n):
             X = GradedClass.from_symbol(x)
-            assert mul_c_top(mul_bprime_top(X)) == mul_bprime_top(mul_c_top(X)), x
+            assert in_ms(mul_c_top(mul_bprime_top(X))) == in_ms(mul_bprime_top(mul_c_top(X))), x
             checked += 1
-    assert checked == 660
+    assert checked == 660 + 220
 
 
 def test_mul_bprime_top_is_additive():

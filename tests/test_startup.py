@@ -20,7 +20,7 @@ import hilb2
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# The public API, by defining module: the 46 names of ``hilb2.__all__``.
+# The public API, by defining module: the 45 names of ``hilb2.__all__``.
 PUBLIC = {
     "chow": [
         "BasisId", "BasisSymbol", "Family", "GradedClass", "chow_rank", "enumerate_basis",
@@ -32,8 +32,7 @@ PUBLIC = {
     "errors": [
         "Hilb2Error", "InvalidGrading", "InvalidIndex", "InvalidInput", "MixedAmbient",
         "NotComplementary", "NotHomogeneous", "ParseError", "UnsupportedError",
-        "UnsupportedFamilyPair", "UnsupportedMonomial", "UnsupportedTerm",
-        "ValidationError", "WrongBasis",
+        "UnsupportedFamilyPair", "UnsupportedMonomial", "ValidationError", "WrongBasis",
     ],
     "fixed_points": ["IdealKind", "MonomialIdealDescriptor", "bb_cell_of", "enumerate_fixed_points"],
     "pairing": [
@@ -49,10 +48,11 @@ PUBLIC = {
 
 # Names the API once had, each a second path to an operation it keeps, a
 # record that only carried one call's arguments, a wrapper around one division,
-# or an error type that duplicated a sibling.
+# or an error type that duplicated a sibling or named a refusal the package no
+# longer makes.
 REMOVED = ["validate_symbol", "linear_combine", "partner_indices", "has_complementary_indices",
            "class_to_json", "PairingConfig", "DEFAULT_CONFIG", "TautBundle", "secant_degree",
-           "InvalidExponent", "UnsupportedFamily", "UnsupportedBasisPair"]
+           "InvalidExponent", "UnsupportedFamily", "UnsupportedBasisPair", "UnsupportedTerm"]
 
 ENGINE = ["hilb2.products", "hilb2.chern_secant", "hilb2.fixed_points", "hilb2.serialize", "csv"]
 
@@ -120,7 +120,7 @@ def test_a_subcommand_that_never_pairs_does_not_load_pairing(argv, bare):
 
 def test_all_is_the_public_api():
     assert hilb2.__all__ == sorted(name for names in PUBLIC.values() for name in names)
-    assert len(hilb2.__all__) == 46
+    assert len(hilb2.__all__) == 45
 
 
 @pytest.mark.parametrize("name", REMOVED)
