@@ -31,8 +31,8 @@ _EXPORTS = {
         "IdealKind", "MonomialIdealDescriptor", "bb_cell_of", "enumerate_fixed_points",
     ),
     "pairing": (
-        "IntersectionMatrix", "dual_generator", "effectivity_pairings",
-        "intersection_matrix", "is_effective", "is_nef", "pair_classes", "pair_symbols",
+        "IntersectionMatrix", "effectivity_pairings", "intersection_matrix", "is_effective",
+        "is_nef", "pair_classes", "pair_symbols",
     ),
     "products": (
         "MonomialSpec", "bprime_top_power", "eval_monomial", "mul_bprime_top",

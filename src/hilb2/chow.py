@@ -127,6 +127,20 @@ def term(family: Family, i: int, j: int, n: int, coeff: int) -> list:
     return [((family, i, j, n), coeff)] if in_range(family, i, j, n) else []
 
 
+def ms_terms(key: tuple) -> list:
+    """Rule: a key in MS coordinates (``products.to_ms``); an A, B' or C key stays as it is."""
+    family, i, j, n = key
+    if family is AP:
+        return term(A, i, j, n, 1) + term(C, i, j, n, -1)
+    if family is not B:
+        return [(key, 1)]
+    if i == j == 0:
+        return [((BP, 0, 0, n), 1)]
+    if i == j:
+        return [((BP, i, i, n), 2), ((C, i, i, n), -4)]
+    return [((BP, i, j, n), 2), ((A, i, j, n), -2)]
+
+
 def _range_description(family: Family) -> str:
     lo, gap, top = _RANGES[family]
     strict = ("<=", "<")

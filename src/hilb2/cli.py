@@ -5,8 +5,10 @@ cone.  Global flags ``--format json|text`` (csv additionally for matrices)
 and ``--dprime-diag N`` may appear anywhere in the arguments, spelled in
 full.  ``--dprime-diag N`` and ``secant --variant intro`` are foils stated
 here, not in the library: N times each A'.A value (the library's is 1), and
-the closed sum shifted right by m.  Exit codes: 0 success, 2 validation or
-usage error, 3 unsupported operation.  JSON output follows
+the closed sum shifted right by m.  Three refusals are recorded answers, stated
+here though the library answers them: ``pair`` with an A' or B ``--y``, ``cone``
+on a class with an A' or B term, and ``power --k 0``.  Exit codes: 0 success, 2
+validation or usage error, 3 unsupported operation.  JSON output follows
 ``schemas/cli_output.schema.json``.
 """
 
@@ -24,8 +26,9 @@ from functools import cache
 
 # Each handler imports the engine modules it needs, so a subcommand loads
 # only those; ``chow`` validates --dprime-diag on every subcommand.
-from .chow import AP, chow_rank, enumerate_basis, require_ambient, require_grading, require_int
-from .errors import InvalidInput, UnsupportedError, ValidationError
+from .chow import AP, B, chow_rank, enumerate_basis, require_ambient, require_grading, require_int
+from .errors import (InvalidInput, UnsupportedError, UnsupportedFamilyPair, UnsupportedMonomial,
+                     ValidationError, WrongBasis)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -184,6 +187,8 @@ def _cmd_pair(args):
 
     x = parse_symbol(args.x, args.n)
     y = parse_symbol(args.y, args.n)
+    if y.family in (AP, B):  # a recorded answer, before the codimensions are checked
+        raise UnsupportedFamilyPair(f"no intersection rule for {x.family.value} . {y.family.value}")
     value = pair_symbols(x, y) * (args.dprime_diag if x.family is AP else 1)  # the foil
     result = {
         "n": args.n,
@@ -230,7 +235,10 @@ def _cmd_power(args):
     from .products import MonomialSpec, eval_monomial
     from .serialize import emit_class
 
-    X = eval_monomial(MonomialSpec(args.n, args.k, args.c_exp))
+    spec = MonomialSpec(args.n, args.k, args.c_exp)
+    if spec.a == 0:  # a recorded answer, after the exponents are checked
+        raise UnsupportedMonomial("no rule for pure powers of C_{n-1,n-1} (a = 0)")
+    X = eval_monomial(spec)
     result = {
         "n": args.n,
         "bprime_exponent": args.k,
@@ -295,6 +303,11 @@ def _cmd_cone(args):
     from .serialize import parse_class, symbol_to_doc
 
     X = parse_class(args.class_doc)
+    if args.k is not None:  # a recorded answer, after the --k range check
+        require_grading(args.k, X.n)
+    bad = sorted(f.value for f in X.families() if f in (AP, B))  # none in the zero class
+    if bad:
+        raise WrongBasis(f"is_{args.test} expects MS coordinates; found families {bad}")
     if args.test == "nef":
         member, extra = is_nef(X, args.k), {}
     else:

@@ -16,8 +16,8 @@ class ValidationError(Hilb2Error):
 
 
 class UnsupportedError(Hilb2Error):
-    """Operation is well-posed but intentionally not provided: a non-MS second pairing
-    factor or column basis, and a pure power of C_{n-1,n-1}.  No family is refused."""
+    """Operation is well-posed but intentionally not provided: a non-MS matrix column
+    basis, and the command line's recorded refusals.  No family is refused."""
 
 
 class InvalidIndex(ValidationError):
@@ -41,7 +41,7 @@ class NotHomogeneous(ValidationError):
 
 
 class WrongBasis(ValidationError):
-    """Class contains terms outside the basis required by the operation."""
+    """Class has terms outside the basis required: ``hilb2 cone``'s recorded answer alone."""
 
 
 class InvalidInput(ValidationError):
@@ -53,9 +53,9 @@ class ParseError(ValidationError):
 
 
 class UnsupportedFamilyPair(UnsupportedError):
-    """No intersection number is defined for this pair of families (a second
-    factor, or a matrix column basis, that is not MS)."""
+    """No intersection number is given for these families: ``intersection_matrix``'s
+    non-MS column basis, and ``hilb2 pair``'s recorded answer for an A' or B ``--y``."""
 
 
 class UnsupportedMonomial(UnsupportedError):
-    """The monomial is not evaluated (pure powers of C_{n-1,n-1})."""
+    """The monomial is not evaluated: ``hilb2 power --k 0``'s recorded answer alone."""

@@ -14,11 +14,11 @@ deviates: ``B_{0,0} . C_{n,n} = 1``, because ``B_{0,0}`` is the point class
 (equal to ``B'_{0,0}``) and ``C_{n,n}`` the fundamental class, so their
 product is the degree of a point; the multiplicity-2 argument behind the
 generic entry needs a ``C_{n-k,n-k}`` term that does not exist in dimension
-zero.  Pairs whose second argument is not an MS family symbol (an A' or B
-symbol) are refused rather than guessed.
+zero.  A second factor is read in MS coordinates (``chow.ms_terms``), so
+every pair of the five families has a value, and the pairing is symmetric.
 
 The ES/MS duality makes both cone tests coordinate checks: a codimension-k
-class in MS coordinates is nef iff its coefficients are nonnegative, and a
+class of any family is nef iff its MS coordinates are nonnegative, and a
 dimension-k class is effective iff it pairs nonnegatively with every MS
 generator of codimension k.
 
@@ -28,8 +28,8 @@ its complementary indices that the table above values nonzero, each term built
 by ``chow.term``, which lists none out of range.  ``chow.linear_sum`` extends
 the rule to a class on integer numerators over one common denominator, as it
 extends the product rules.  A symbol is its own key: the class routines read
-the image of X, and :func:`dual_generator` is the one key in the image of an
-ES symbol; :func:`pair_symbols` is :func:`pair_classes` on one-term classes.
+the image of X, an ES symbol's image is one key (its dual generator, in the
+table's ES row), and :func:`pair_symbols` is :func:`pair_classes` on one-term classes.
 :func:`intersection_matrix` applies the rule once per row and places the image
 in its columns; an ES row's image is that one key, which labels the row's
 column and gives the diagonal value.  Each routine makes its checks first,
@@ -43,11 +43,11 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .chow import (A, AP, BP, C, BasisId, BasisSymbol, GradedClass, as_basis, enumerate_basis,
-                   linear_sum, require_ambient, require_grading, require_type, scaled_terms,
-                   shown, term)
-from .errors import InvalidInput, MixedAmbient, NotComplementary, UnsupportedFamilyPair, WrongBasis
+                   linear_sum, ms_terms, require_ambient, require_grading, require_type,
+                   scaled_terms, shown, term)
+from .errors import InvalidInput, MixedAmbient, NotComplementary, UnsupportedFamilyPair
 
-_MS_FAMILIES, _ES_FAMILIES = BasisId.MS.families, BasisId.ES.families
+_MS_FAMILIES = BasisId.MS.families
 _ZERO = Fraction(0)  # the one shared value: every vanishing pairing
 
 
@@ -74,10 +74,10 @@ def pair_symbols(x: BasisSymbol, y: BasisSymbol) -> Fraction:
 
 def pair_classes(X: GradedClass, Y: GradedClass) -> Fraction:
     """Intersection number of two homogeneous classes of complementary codimension:
-    the image of X under the rule :func:`_duals`, dotted with Y's terms.
+    the image of X under the rule :func:`_duals`, dotted with Y's MS coordinates.
 
-    Checks, in order: two classes, one ambient, a zero factor gives 0, Y's
-    families, then homogeneity and complementarity.
+    Checks, in order: two classes, one ambient, a zero factor gives 0, then
+    homogeneity and complementarity.
     """
     if not (isinstance(X, GradedClass) and isinstance(Y, GradedClass)):
         raise InvalidInput(
@@ -86,16 +86,12 @@ def pair_classes(X: GradedClass, Y: GradedClass) -> Fraction:
         raise MixedAmbient(f"classes live on P^{shown(X.n)}[2] and P^{shown(Y.n)}[2]")
     if X.is_zero or Y.is_zero:
         return _ZERO
-    # Refuse a non-MS family in Y before any grading check, naming the first
-    # pair a term-by-term pass in canonical order would meet.
-    bad = Y.families().difference(_MS_FAMILIES)
-    if bad:
-        raise UnsupportedFamilyPair(
-            f"no intersection rule for {min(X.families()).value} . {min(bad).value}")
     cx, cy = X.codimension(), Y.codimension()  # raises NotHomogeneous
     if cx + cy != 2 * X.n:
         raise NotComplementary(f"codim {shown(cx)} + codim {shown(cy)} != {shown(2 * X.n)}")
     (xs, dx), (ys, dy) = scaled_terms(X), scaled_terms(Y)
+    if not Y.families().issubset(_MS_FAMILIES):  # an A' or B term: Y in MS coordinates
+        ys = linear_sum(ms_terms, ys).items()
     sums = linear_sum(_duals, xs)
     return Fraction(sum(b * sums.get(y, 0) for y, b in ys), dx * dy)
 
@@ -106,19 +102,6 @@ class IntersectionMatrix(namedtuple("IntersectionMatrix", "row_symbols col_symbo
     :class:`BasisSymbol`, and ``entries`` is a tuple of row tuples of ``Fraction``."""
 
     __slots__ = ()
-
-
-def dual_generator(sym: BasisSymbol) -> BasisSymbol:
-    """MS symbol pairing nonzero with an ES symbol: its complementary partner.
-
-    The family swap is A' -> A, B -> C, C -> B'; the indices are the
-    complementary pair, which is always in range for the swapped family.
-    """
-    require_type(sym, BasisSymbol, "dual_generator")
-    if sym.family not in _ES_FAMILIES:
-        raise UnsupportedFamilyPair(f"{shown(sym)} is not an ES basis symbol")
-    ((key, _),) = _duals(sym)
-    return BasisSymbol(*key)
 
 
 def intersection_matrix(n: int, k: int, rows: BasisId | str = BasisId.ES,
@@ -154,15 +137,12 @@ def intersection_matrix(n: int, k: int, rows: BasisId | str = BasisId.ES,
 
 def _cone_grading(X: GradedClass, k: int | None, what: str, grading) -> int | None:
     """The checks of the cone routine ``what``, in order: a class, ``k``'s range, the zero
-    class (None), MS families, homogeneity, then ``k`` against ``grading(X)``, returned."""
+    class (None), homogeneity, then ``k`` against ``grading(X)``, returned."""
     require_type(X, GradedClass, what)
     if k is not None:
         require_grading(k, X.n)
     if X.is_zero:
         return None
-    bad = [f.value for f in sorted(X.families().difference(_MS_FAMILIES))]
-    if bad:
-        raise WrongBasis(f"{what} expects MS coordinates; found families {bad}")
     g = grading(X)  # raises NotHomogeneous
     if k is not None and k != g:
         raise InvalidInput(f"class has {grading.__name__} {shown(g)}, not {shown(k)}")
@@ -170,18 +150,21 @@ def _cone_grading(X: GradedClass, k: int | None, what: str, grading) -> int | No
 
 
 def is_nef(X: GradedClass, k: int | None = None) -> bool:
-    """Whether a homogeneous codimension-k class in MS coordinates is nef.
+    """Whether a homogeneous codimension-k class is nef.
 
     The MS generators span the nef cone in each grading, so this is a
-    nonnegativity check on the coefficients.
+    nonnegativity check on the MS coordinates; a class with an A' or B term
+    is rewritten in them first.
     """
     if _cone_grading(X, k, "is_nef", GradedClass.codimension) is None:
         return True
-    return all(c >= 0 for _, c in X.items())
+    if X.families().issubset(_MS_FAMILIES):
+        return all(c >= 0 for _, c in X.items())
+    return all(c >= 0 for c in linear_sum(ms_terms, X.items()).values())
 
 
 def is_effective(X: GradedClass, k: int | None = None) -> bool:
-    """Whether a homogeneous dimension-k class in MS coordinates is effective.
+    """Whether a homogeneous dimension-k class is effective.
 
     The effective cone in dimension k is dual to the nef cone in
     codimension k, so membership is a nonnegative pairing against every MS

@@ -46,9 +46,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .chow import (A, AP, B, BP, C, BasisSymbol, GradedClass, linear_sum, require_ambient,
+from .chow import (A, B, BP, C, BasisSymbol, GradedClass, linear_sum, ms_terms, require_ambient,
                    require_int, require_type, scaled_terms, shown, term, value_type)
-from .errors import InvalidInput, UnsupportedMonomial
+from .errors import InvalidInput
 
 
 def _build(n: int, acc: dict, d: int = 1) -> GradedClass:
@@ -65,20 +65,6 @@ def _apply(rule, X: GradedClass, *args) -> GradedClass:
     return _build(X.n, linear_sum(rule, terms, *args), d)
 
 
-def _ms_terms(key: tuple) -> list:
-    """Rule: an A' or B key in MS coordinates; any other key stays as it is."""
-    family, i, j, n = key
-    if family is AP:
-        return term(A, i, j, n, 1) + term(C, i, j, n, -1)
-    if family is not B:
-        return [(key, 1)]
-    if i == j == 0:
-        return [((BP, 0, 0, n), 1)]
-    if i == j:
-        return [((BP, i, i, n), 2), ((C, i, i, n), -4)]
-    return [((BP, i, j, n), 2), ((A, i, j, n), -2)]
-
-
 def to_ms(x: BasisSymbol) -> GradedClass:
     """Rewrite a symbol of any family in MS coordinates.
 
@@ -88,7 +74,7 @@ def to_ms(x: BasisSymbol) -> GradedClass:
     (both are the point class); an A, B' or C symbol stays as it is.
     """
     require_type(x, BasisSymbol, "to_ms")
-    return _build(x.n, dict(_ms_terms(x)))
+    return _build(x.n, dict(ms_terms(x)))
 
 
 def _bprime_rule(key: tuple) -> list:
@@ -102,7 +88,7 @@ def _bprime_rule(key: tuple) -> list:
         return term(B, i - 2, j, n, 2)
     if family is C:
         return term(A, i - 1, j - 1, n, 1) + term(BP, i - 1, j - 1, n, 1) + term(C, i, j - 2, n, 2)
-    return list(linear_sum(_bprime_rule, _ms_terms(key)).items())
+    return list(linear_sum(_bprime_rule, ms_terms(key)).items())
 
 
 def _c_shift(key: tuple, b: int = 1) -> list:
@@ -147,7 +133,7 @@ def bprime_top_power(n: int, k: int) -> GradedClass:
     c, lead = n - k, 2 ** (k - 1)
     closed = [((BP, c, c, n), lead)] + [((B, c - i, c + i, n), lead // 2)
                                         for i in range(1, min(k - 1, c) + 1)]
-    return _build(n, linear_sum(_ms_terms, closed))
+    return _build(n, linear_sum(ms_terms, closed))
 
 
 class MonomialSpec(value_type("MonomialSpec", "n a b")):
@@ -166,12 +152,8 @@ class MonomialSpec(value_type("MonomialSpec", "n a b")):
 
 
 def eval_monomial(spec: MonomialSpec) -> GradedClass:
-    """Evaluate ``B'_{n-1,n-1}^a . C_{n-1,n-1}^b`` (a >= 1) in MS coordinates.
-
-    The shift covers a = 0 too, but ``hilb2 power --k 0`` answers exit code
-    3, so a pure power of ``C_{n-1,n-1}`` is still refused.
-    """
+    """Evaluate ``B'_{n-1,n-1}^a . C_{n-1,n-1}^b`` in MS coordinates; at a = 0 the C
+    power shifts the fundamental class ``C_{n,n}`` to ``C_{n-b,n-b}``, zero at b = n."""
     require_type(spec, MonomialSpec, "eval_monomial")
-    if spec.a == 0:
-        raise UnsupportedMonomial("no rule for pure powers of C_{n-1,n-1} (a = 0)")
-    return _apply(_c_shift, bprime_top_power(spec.n, spec.a), spec.b)
+    n, a, b = spec
+    return _apply(_c_shift, bprime_top_power(n, a) if a else _build(n, {(C, n, n, n): 1}), b)

@@ -203,6 +203,53 @@ def test_pair_refuses_a_second_factor_without_a_rule_before_its_grading(n):
                             "message": "no intersection rule for B . A'"}
 
 
+def _doc(n, *terms):
+    """A class document of ``(family, i, j, coeff)`` terms."""
+    return json.dumps({"n": n, "terms": [{"family": f, "i": i, "j": j, "coeff": c}
+                                         for f, i, j, c in terms]})
+
+
+# The command line's recorded answers: three refusals of requests the library answers.
+# Each case: argv, exit code, error type and message.  The cases with a bad --k, an
+# inhomogeneous class, codimensions that do not add up or exponents out of range pin
+# where each refusal stands among the other checks.
+RECORDED = {
+    "pair A'": (["pair", "--n", "3", "--x", '{"family":"A\'","i":0,"j":3}',
+                 "--y", '{"family":"A\'","i":0,"j":3}'],
+                3, "UnsupportedFamilyPair", "no intersection rule for A' . A'"),
+    "pair B, not complementary": (["pair", "--n", "3", "--x", '{"family":"A","i":0,"j":1}',
+                                   "--y", '{"family":"B","i":0,"j":0}'],
+                                  3, "UnsupportedFamilyPair", "no intersection rule for A . B"),
+    "cone nef": (["cone", "--class", _doc(3, ("A'", 1, 2, "1"), ("B", 1, 2, "-2")), "--test",
+                  "nef"], 2, "WrongBasis", "is_nef expects MS coordinates; found families "
+                                           "[\"A'\", 'B']"),
+    "cone effective, inhomogeneous": (
+        ["cone", "--class", _doc(2, ("C", 1, 1, "1"), ("A'", 0, 1, "1")), "--test", "effective",
+         "--k", "2"],
+        2, "WrongBasis", "is_effective expects MS coordinates; found families [\"A'\"]"),
+    "cone, bad --k first": (["cone", "--class", _doc(2, ("B", 1, 1, "1")), "--test", "nef",
+                             "--k", "5"], 2, "InvalidGrading", "grading 5 outside [0, 4]"),
+    "power": (["power", "--n", "4", "--k", "0", "--c-exp", "2"],
+              3, "UnsupportedMonomial", "no rule for pure powers of C_{n-1,n-1} (a = 0)"),
+    "power, exponents first": (["power", "--n", "4", "--k", "0", "--c-exp", "5"], 2,
+                               "InvalidInput", "total codimension 10 exceeds the ring dimension 8"),
+}
+
+
+@pytest.mark.parametrize("case", RECORDED.values(), ids=RECORDED)
+def test_recorded_answers_keep_their_code_type_and_message(case):
+    argv, code, kind, message = case
+    assert run_command(argv) == (code, f"error: {message}")
+    assert run_json(argv) == (code, {"command": argv[0],
+                                     "error": {"type": kind, "message": message}})
+
+
+def test_the_zero_class_is_never_refused_for_its_families():
+    zero = _doc(2, ("A'", 0, 2, "0"), ("B", 1, 1, "0/3"))
+    for test in ("nef", "effective"):
+        assert run_command(["cone", "--class", zero, "--test", test]) == (0, "true")
+
+
 def test_pair_reports_non_complementary_codimensions():
     argv = ["pair", "--n", "2", "--x", '{"family":"A","i":0,"j":1}',
             "--y", '{"family":"A","i":0,"j":2}']

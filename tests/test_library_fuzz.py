@@ -46,13 +46,12 @@ from hilb2 import (
     MixedAmbient,
     MonomialIdealDescriptor,
     MonomialSpec,
+    NotComplementary,
     NotHomogeneous,
     SecantProblem,
     UnsupportedError,
-    UnsupportedFamilyPair,
     ValidationError,
     chow_rank,
-    dual_generator,
     emit_class,
     enumerate_basis,
     enumerate_fixed_points,
@@ -62,6 +61,7 @@ from hilb2 import (
     mul_bprime_top,
     mul_c_top,
     pair_classes,
+    pair_symbols,
     parse_class,
     secant_degree_mu_closed,
     to_ms,
@@ -102,17 +102,20 @@ def _secant_problem(rng):
     return SecantProblem(n, [rng.randint(1, 5) for _ in range(min(n - m, MAX_DEGREES))])
 
 
-def _cone_args(rng):
-    n = _n(rng)
-    X = _homogeneous(rng, n, "MS", rng.randint(0, 2 * n))
-    return [X, rng.choice([None, X.dimension(), X.codimension()])]
+def _cone_args(grading):
+    """Valid arguments of a cone test whose ``k`` is ``grading``: a class of any basis."""
+    def make(rng):
+        n = _n(rng)
+        X = _homogeneous(rng, n, rng.choice(("BB", "ES", "MS")), rng.randint(0, 2 * n))
+        return [X, rng.choice([None, grading(X)])]
+    return make
 
 
 def _pair_args(rng):
     n = _n(rng)
     k = rng.randint(0, 2 * n)
     X = _homogeneous(rng, n, rng.choice(("ES", "MS")), k)
-    return [X, _homogeneous(rng, n, "MS", 2 * n - k)]
+    return [X, _homogeneous(rng, n, rng.choice(("BB", "ES", "MS")), 2 * n - k)]
 
 
 def _grading_kwargs(rng, n):
@@ -132,13 +135,14 @@ def _symbol_source(rng):
 
 def _monomial_spec(rng):
     n = _n(rng)
-    a = rng.randint(1, n)
+    a = rng.randint(0, n)
     return [n, a, rng.randint(0, n - a)]
 
 
 def _pair_symbols_args(rng):
     x = _symbol(rng, _n(rng), "ES")
-    return [x, rng.choice(enumerate_basis(x.n, "MS", codim=x.dimension))]
+    basis = rng.choice(("BB", "ES", "MS"))
+    return [x, rng.choice(enumerate_basis(x.n, basis, codim=x.dimension))]
 
 
 def _enumerate_basis(rng):
@@ -163,15 +167,14 @@ VALID = {
     "bprime_top_power": _at_n(lambda rng, n: [n, rng.randint(1, n)]),
     "chern_taut": lambda rng: [_n(rng), rng.randint(1, 5)],
     "chow_rank": _at_n(lambda rng, n: [n, rng.randint(0, 2 * n)]),
-    "dual_generator": lambda rng: [_symbol(rng, _n(rng), "ES")],
-    "effectivity_pairings": lambda rng: _cone_args(rng)[:1],
+    "effectivity_pairings": lambda rng: _cone_args(GradedClass.dimension)(rng)[:1],
     "emit_class": lambda rng: [_any_class(rng, _n(rng))],
     "enumerate_basis": _enumerate_basis,
     "enumerate_fixed_points": lambda rng: [_n(rng)],
     "eval_monomial": lambda rng: [MonomialSpec(*_monomial_spec(rng))],
     "intersection_matrix": _at_n(lambda rng, n: [n, rng.randint(0, 2 * n), "ES", "MS"]),
-    "is_effective": _cone_args,
-    "is_nef": _cone_args,
+    "is_effective": _cone_args(GradedClass.dimension),
+    "is_nef": _cone_args(GradedClass.codimension),
     "mul_bprime_top": lambda rng: [_any_class(rng, _n(rng))],
     "mul_c_top": lambda rng: [_any_class(rng, _n(rng))],
     "pair_classes": _pair_args,
@@ -281,7 +284,7 @@ def _public_callables():
 
 def test_the_fuzz_covers_every_public_callable():
     assert sorted(VALID) == sorted(_public_callables())
-    assert len(VALID) == 29
+    assert len(VALID) == 28
 
 
 @pytest.fixture
@@ -327,8 +330,8 @@ def test_a_message_names_an_int_over_the_digit_limit(default_digit_limit):
          f"need 2m+1 < n for the secant degree; got m={over}, n={over}"),
         (lambda: GradedClass(big, [(BasisSymbol("A", 0, 1, 2), 1)]), MixedAmbient,
          f"symbol A_{{0,1}} lives on P^2[2], class on P^{over}[2]"),
-        (lambda: dual_generator(BasisSymbol("A", 0, big, big)), UnsupportedFamilyPair,
-         f"A_{{0,{over}}} is not an ES basis symbol"),
+        (lambda: pair_symbols(BasisSymbol("A", 0, big, big), BasisSymbol("A'", 1, big, big)),
+         NotComplementary, f"codim {over} + codim {over} != {over}"),
         (lambda: GradedClass(big, [(BasisSymbol("A", 0, big, big), 1),
                                    (BasisSymbol("A", 1, big, big), 1)]).dimension(),
          NotHomogeneous, f"class mixes dimensions [{over}, {over}]"),

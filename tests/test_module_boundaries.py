@@ -15,7 +15,9 @@ paths is control flow by exception; each site that stays is listed, with
 the error it turns into the package's own.  An error type that no module
 raises, passes to a check or catches, and that no type derives from, is a
 public name for a refusal the package no longer makes.  The CLI's foils,
-``--dprime-diag`` and ``--variant intro``, are named nowhere in the library.
+``--dprime-diag`` and ``--variant intro``, are named nowhere in the library,
+and its recorded refusals are raised nowhere else: the library refuses a
+well-formed class only as a matrix column basis.
 The package needs Python 3.10, which reads ``int | None`` at run time, so no
 module imports ``typing`` for ``Union`` or ``Optional``.
 """
@@ -421,6 +423,54 @@ def test_the_foil_scan_sees_each_binding_and_read(tmp_path):
     assert sorted(foil_names(module)) == [
         "sample.py:2: variant", "sample.py:3: dprime_diag", "sample.py:4: ap_a_diagonal",
         "sample.py:5: dprime_diag", "sample.py:5: variant", "sample.py:6: variant"]
+
+
+def error_raisers(paths, names):
+    """``{error: sorted file:function}`` for each error type of ``names`` that a function of
+    ``paths`` raises: ``raise Error(...)`` or ``raise Error``, also as ``module.Error``."""
+    found = {}
+    for path in paths:
+        for scope, node in scoped_nodes(path):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = getattr(exc, "id", None) or getattr(exc, "attr", None)
+                if name in names:
+                    found.setdefault(name, set()).add(f"{path.name}:{scope}")
+    return {name: sorted(where) for name, where in found.items()}
+
+
+# The refusals of well-formed requests: the command line's three recorded answers, and
+# intersection_matrix's non-MS column basis.  The library answers every other class.
+REFUSALS = {
+    "UnsupportedFamilyPair": ["cli.py:_cmd_pair", "pairing.py:intersection_matrix"],
+    "UnsupportedMonomial": ["cli.py:_cmd_power"],
+    "WrongBasis": ["cli.py:_cmd_cone"],
+}
+
+
+def test_only_the_cli_and_the_matrix_columns_refuse_a_well_formed_request():
+    assert error_raisers(sorted(SRC.glob("*.py")), REFUSALS) == REFUSALS
+
+
+def test_the_raiser_scan_names_each_raising_function(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "def one(x):\n"
+        "    if x:\n"
+        "        raise WrongBasis(f'{x}')\n"
+        "    raise WrongBasis\n"
+        "class Reader:\n"
+        "    def read(self):\n"
+        "        raise errors.WrongBasis('qualified')\n"
+        "    def pair(self):\n"
+        "        raise UnsupportedMonomial('x') from None\n"
+        "def other():\n"
+        "    raise KeyError('not named')\n"
+        "    return WrongBasis('built, not raised')\n"
+    )
+    assert error_raisers([module], {"WrongBasis", "UnsupportedMonomial"}) == {
+        "WrongBasis": ["sample.py:Reader.read", "sample.py:one"],
+        "UnsupportedMonomial": ["sample.py:Reader.pair"]}
 
 
 def typing_imports(path):

@@ -2,8 +2,9 @@
 
 Two kinds of tests.  Equivalence tests run the one-pass code against the
 code it replaced, kept here as the oracle: candidate filtering for
-``enumerate_basis``, ``Fraction(str)`` for coefficient parsing, and
-``dual_generator`` and ``pair_symbols`` for the ES x MS matrix.  Work-count
+``enumerate_basis``, ``Fraction(str)`` for coefficient parsing, and the
+dual generator (a family swap, stated here) and ``pair_symbols`` for the
+ES x MS matrix.  Work-count
 tests count calls, and time nothing: each fails on the code they replaced.
 """
 
@@ -24,7 +25,6 @@ from hilb2 import (
     InvalidIndex,
     InvalidInput,
     ParseError,
-    dual_generator,
     enumerate_basis,
     intersection_matrix,
     pair_symbols,
@@ -121,6 +121,13 @@ def test_parse_class_passes_no_string_to_fraction(monkeypatch):
     assert [str(c) for _, c in X.items()] == ["-7/2", "12"]
     assert len(seen) == 4
     assert not any(isinstance(arg, str) for args in seen for arg in args)
+
+
+def dual_generator(sym):
+    """The MS symbol an ES symbol pairs with: the family swap A' -> A, B -> C,
+    C -> B' at the complementary indices ``(n - j, n - i)``."""
+    family = {"A'": "A", "B": "C", "C": "B'"}[sym.family.value]
+    return BasisSymbol(family, sym.n - sym.j, sym.n - sym.i, sym.n)
 
 
 def test_es_ms_matrix_matches_dual_generator_and_pair_symbols():

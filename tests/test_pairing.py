@@ -6,6 +6,7 @@ import pytest
 
 from hilb2 import (
     BasisSymbol,
+    Family,
     GradedClass,
     Hilb2Error,
     InvalidGrading,
@@ -14,8 +15,6 @@ from hilb2 import (
     NotComplementary,
     NotHomogeneous,
     UnsupportedFamilyPair,
-    WrongBasis,
-    dual_generator,
     effectivity_pairings,
     enumerate_basis,
     intersection_matrix,
@@ -56,6 +55,29 @@ ZERO_BLOCKS = {
 }
 
 
+# Independent encoding of the basis change to MS coordinates, for a second
+# factor of the other two families: A'_{i,j} = A_{i,j} - C_{i,j} (no C term at
+# i = 0), and B_{i,j} = 2B'_{i,j} - 2A_{i,j}, B_{i,i} = 2B'_{i,i} - 4C_{i,i},
+# B_{0,0} = B'_{0,0} (the point class).
+def own_ms(y):
+    """``[(MS symbol, coefficient)]`` for a symbol of any family, from this table."""
+    f, i, j, n = y.family.value, y.i, y.j, y.n
+    if f == "A'":
+        return [(S("A", i, j, n), 1)] + ([(S("C", i, j, n), -1)] if i > 0 else [])
+    if f != "B":
+        return [(y, 1)]
+    if i == j == 0:
+        return [(S("B'", 0, 0, n), 1)]
+    if i == j:
+        return [(S("B'", i, i, n), 2), (S("C", i, i, n), -4)]
+    return [(S("B'", i, j, n), 2), (S("A", i, j, n), -2)]
+
+
+def expected_pair(x, y):
+    """The table's value for any two symbols: y read in MS coordinates by :func:`own_ms`."""
+    return sum(c * expected_value(x, m) for m, c in own_ms(y))
+
+
 def expected_value(x, y):
     if (y.i, y.j) != (x.n - x.j, x.n - x.i):
         return 0
@@ -83,6 +105,13 @@ def test_pair_symbols_examples():
             for y in enumerate_basis(n, "MS", codim=2 * n - x.codimension):
                 if y.family.value == "B'":
                     assert pair_symbols(x, y) == 0
+    # An A' or B second factor is read in MS coordinates: B_{1,1} = 2B'_{1,1} - 4C_{1,1}
+    # and A'_{0,2} = A_{0,2}, in either order.
+    assert pair_symbols(S("B", 1, 1, 2), S("B", 1, 1, 2)) == -8  # 2 * -4, from B.C = 2
+    assert pair_symbols(S("A'", 0, 2, 2), S("B", 1, 1, 2)) == 0
+    assert pair_symbols(S("B", 1, 1, 2), S("A'", 0, 2, 2)) == 0
+    assert pair_symbols(S("A", 0, 2, 2), S("A'", 0, 2, 2)) == 1 == pair_symbols(
+        S("A'", 0, 2, 2), S("A", 0, 2, 2))
 
 
 def test_pair_symbols_configurable_diagonal():
@@ -112,12 +141,6 @@ def test_a_non_class_operand_is_refused_before_the_ambient():
 
 
 def test_pair_symbols_errors():
-    with pytest.raises(UnsupportedFamilyPair):
-        pair_symbols(S("B", 1, 1, 2), S("B", 1, 1, 2))  # ES x ES
-    with pytest.raises(UnsupportedFamilyPair):
-        pair_symbols(S("A'", 0, 2, 2), S("B", 1, 1, 2))
-    with pytest.raises(UnsupportedFamilyPair):
-        pair_symbols(S("A", 0, 2, 2), S("A'", 0, 2, 2))  # only ES-first order supported
     with pytest.raises(NotComplementary):
         pair_symbols(S("A", 0, 1, 2), S("A", 0, 1, 2))
     with pytest.raises(MixedAmbient):
@@ -140,7 +163,7 @@ def every_symbol(n):
 def test_pair_symbols_is_pair_classes_on_one_term_classes():
     # Every ordered pair of symbols of the five families, on one ambient and
     # on two: the same value or the same error, in pair_symbols' check order
-    # (ambient, the second factor's family, complementarity).
+    # (ambient, complementarity); every family has a value as a second factor.
     for n in range(1, 5):
         for x in every_symbol(n):
             for y in every_symbol(n) + every_symbol(n + 1):
@@ -149,13 +172,10 @@ def test_pair_symbols_is_pair_classes_on_one_term_classes():
                     GradedClass.from_symbol(x), GradedClass.from_symbol(y))), (x, y)
                 if x.n != y.n:
                     assert got[0] is MixedAmbient, (x, y)
-                elif y.family.value in ("A'", "B"):
-                    assert got == (UnsupportedFamilyPair, f"no intersection rule for "
-                                   f"{x.family.value} . {y.family.value}"), (x, y)
                 elif x.codimension + y.codimension != 2 * n:
                     assert got[0] is NotComplementary, (x, y)
                 else:
-                    assert got == (Fraction, expected_value(x, y)), (x, y)
+                    assert got == (Fraction, expected_pair(x, y)), (x, y)
 
 
 def all_supported_pairs(n):
@@ -176,12 +196,20 @@ def test_zero_pattern_and_values_small_n():
 
 
 def test_pair_symbols_symmetric_where_both_orders_supported():
-    for n in range(1, 6):
-        ms = enumerate_basis(n, "MS")
-        for x in ms:
-            for y in ms:
+    # Both orders are supported for every pair of the five families, and the pairing
+    # reads both factors in MS coordinates: this ties _duals' stated A' and B rows to
+    # the basis change of to_ms.
+    checked = nonzero = 0
+    for n in range(1, 9):
+        symbols = sorted(set(enumerate_basis(n, "BB") + enumerate_basis(n, "ES")
+                             + enumerate_basis(n, "MS")))
+        for x in symbols:
+            for y in symbols:
                 if x.codimension + y.codimension == 2 * n:
-                    assert pair_symbols(x, y) == pair_symbols(y, x)
+                    v = pair_symbols(x, y)
+                    assert v == pair_symbols(y, x) == pair_classes(to_ms(x), to_ms(y)), (x, y)
+                    checked, nonzero = checked + 1, nonzero + (v != 0)
+    assert (checked, nonzero) == (6580, 1408)
 
 
 def test_pair_classes_examples():
@@ -315,18 +343,19 @@ def test_ms_ms_matrix_matches_block_pattern():
                     assert M.entries[r][c] == expected_value(x, y), (str(x), str(y))
 
 
+SWAP = {"A'": "A", "B": "C", "C": "B'"}  # an ES family -> the family of its dual generator
+
+
 def test_dual_generator_bijection():
+    # The ES x MS matrix labels each row's column with the row's dual generator: the
+    # family swap at the complementary indices, a bijection onto the MS symbols.
     for n in range(1, 7):
         for k in range(0, 2 * n + 1):
-            es = enumerate_basis(n, "ES", codim=k)
-            duals = [dual_generator(s) for s in es]
-            assert len(set(duals)) == len(duals)
-            assert set(duals) == set(enumerate_basis(n, "MS", dim=k))
-
-
-def test_dual_generator_refuses_an_ms_symbol():
-    with pytest.raises(UnsupportedFamilyPair, match=r"^B'_\{1,1\} is not an ES basis symbol$"):
-        dual_generator(S("B'", 1, 1, 2))
+            M = intersection_matrix(n, k)
+            for x, g in zip(M.row_symbols, M.col_symbols):
+                assert g == S(SWAP[x.family.value], n - x.j, n - x.i, n), (x, g)
+            assert len(set(M.col_symbols)) == len(M.row_symbols)
+            assert set(M.col_symbols) == set(enumerate_basis(n, "MS", codim=k))
 
 
 def test_dual_basis_expansion_recovers_coefficients():
@@ -341,10 +370,10 @@ def test_dual_basis_expansion_recovers_coefficients():
         if X.is_zero:
             continue
         recovered = {}
-        for e in enumerate_basis(n, "ES", codim=k):
-            g = dual_generator(e)
+        M = intersection_matrix(n, 2 * n - k)  # ES rows of codimension k, dual columns
+        for r, (e, g) in enumerate(zip(M.row_symbols, M.col_symbols)):
             diag = pair_symbols(e, g)
-            assert diag > 0
+            assert diag == M.entries[r][r] > 0
             recovered[g] = pair_classes(GradedClass.from_symbol(e), X) / diag
         assert {s: c for s, c in X.items()} == {
             s: c for s, c in recovered.items() if c
@@ -355,11 +384,15 @@ def test_is_nef_examples():
     assert is_nef(GradedClass.from_symbol(S("B'", 1, 1, 2)))
     assert not is_nef(cls((1, S("A", 0, 2, 2)), (-1, S("C", 1, 1, 2))))
     assert is_nef(GradedClass(3))
+    # ES terms are read in MS coordinates: B_{1,1} = 2B'_{1,1} - 4C_{1,1} is not nef,
+    # B_{1,1} + 4C_{1,1} = 2B'_{1,1} is, and A'_{1,2} = A_{1,2} - C_{1,2} is not.
+    B11 = GradedClass.from_symbol(S("B", 1, 1, 2))
+    assert not is_nef(B11) and is_nef(B11 + 4 * GradedClass.from_symbol(S("C", 1, 1, 2)))
+    assert not is_nef(GradedClass.from_symbol(S("A'", 1, 2, 3)))
+    assert is_nef(GradedClass.from_symbol(S("A'", 0, 2, 3)))  # = A_{0,2}
 
 
 def test_is_nef_errors():
-    with pytest.raises(WrongBasis):
-        is_nef(GradedClass.from_symbol(S("B", 1, 1, 2)))
     with pytest.raises(NotHomogeneous):
         is_nef(cls((1, S("A", 0, 1, 2)), (1, S("C", 1, 1, 2))))
     with pytest.raises(InvalidInput):
@@ -375,6 +408,9 @@ def test_is_effective_examples():
     assert not is_effective(GradedClass.from_symbol(S("A", 0, 2, 2)) * -1)
     for sym in enumerate_basis(3, "MS"):
         assert is_effective(GradedClass.from_symbol(sym))
+    # B_{1,1} itself, with the pairing vector of its MS image
+    assert is_effective(GradedClass.from_symbol(S("B", 1, 1, 2)))
+    assert effectivity_pairings(GradedClass.from_symbol(S("B", 1, 1, 2))) == vec
 
 
 def test_cone_tests_check_the_grading_of_the_zero_class():
@@ -399,7 +435,7 @@ def test_cone_routines_check_in_one_order(routine):
     mixed = cls((1, S("A'", 0, 1, 2)), (1, S("C", 1, 1, 2)))  # an ES family, two dimensions
     with pytest.raises(InvalidInput, match=f"^{name} takes a GradedClass, got None$"):
         routine(None)
-    with pytest.raises(WrongBasis, match=f"^{name} expects MS coordinates"):
+    with pytest.raises(NotHomogeneous):
         routine(mixed)
     if grading is None:
         return
@@ -418,10 +454,33 @@ def test_cone_sanity():
         for sym in enumerate_basis(n, "MS"):
             assert is_nef(GradedClass.from_symbol(sym))
         for sym in enumerate_basis(n, "ES"):
+            assert is_effective(GradedClass.from_symbol(sym))
             if sym.family.value == "B":
                 assert is_effective(to_ms(sym))
-            elif sym.family.value == "C":
-                assert is_effective(GradedClass.from_symbol(sym))
+
+
+def in_ms(X):
+    """The class X rewritten term by term through ``to_ms``."""
+    return sum((c * to_ms(s) for s, c in X.items()), GradedClass(X.n))
+
+
+def test_cone_tests_read_any_family_as_its_ms_image():
+    # Seeded nonzero classes in ES coordinates: each cone test answers as on the to_ms image.
+    rng = random.Random(606)
+    answers = []
+    for _ in range(1600):
+        n = rng.randint(1, 6)
+        k = rng.randint(0, 2 * n)
+        X = GradedClass(n)
+        while X.is_zero:
+            X = random_combination(rng, enumerate_basis(n, "ES", dim=k))
+        image = in_ms(X)
+        assert image.families() <= {Family.A, Family.BP, Family.C}
+        nef, effective = is_nef(X), is_effective(X)
+        assert (nef, effective) == (is_nef(image), is_effective(image)), str(X)
+        assert effectivity_pairings(X) == effectivity_pairings(image), str(X)
+        answers.append((nef, effective))
+    assert {nef for nef, _ in answers} == {effective for _, effective in answers} == {True, False}
 
 
 # Dense oracles: the double loops over pair_symbols that the sparse routes
@@ -429,10 +488,12 @@ def test_cone_sanity():
 
 
 def dense_pair_classes(X, Y):
+    """Every term pair, Y's terms read in MS coordinates from this file's table."""
     total = Fraction(0)
     for sx, a in X.items():
         for sy, b in Y.items():
-            total += a * b * pair_symbols(sx, sy)
+            for m, c in own_ms(sy):
+                total += a * b * c * pair_symbols(sx, m)
     return total
 
 
@@ -461,12 +522,12 @@ def test_sparse_pair_classes_matches_dense_oracle():
     rng = random.Random(303)
     for n in range(1, 8):
         for k in range(0, 2 * n + 1):
-            ms_codim_k = enumerate_basis(n, "MS", codim=k)
-            for first in ("MS", "ES"):
+            for first, second in (("MS", "MS"), ("ES", "MS"), ("MS", "ES"), ("ES", "BB")):
                 dim_k = enumerate_basis(n, first, dim=k)
+                codim_k = enumerate_basis(n, second, codim=k)
                 for _ in range(3):
                     X = random_combination(rng, dim_k)
-                    Y = random_combination(rng, ms_codim_k)
+                    Y = random_combination(rng, codim_k)
                     assert pair_classes(X, Y) == dense_pair_classes(X, Y), (n, k, str(X), str(Y))
 
 
@@ -486,9 +547,8 @@ def test_pair_classes_is_bilinear():
         assert pair(X1, a * Y1 + b * Y2) == a * pair(X1, Y1) + b * pair(X1, Y2), (n, k)
 
 
-def test_sparse_pair_classes_raises_what_the_dense_loop_raises():
-    # Classes mixing all five families on both sides: both routes give the
-    # same value, or both refuse the same family combination first.
+def test_sparse_pair_classes_matches_the_dense_loop_on_every_family():
+    # Classes mixing all five families on both sides: both routes give the same value.
     rng = random.Random(17)
     for n in range(1, 6):
         symbols = sorted(
@@ -500,29 +560,26 @@ def test_sparse_pair_classes_raises_what_the_dense_loop_raises():
             for _ in range(4):
                 X = random_combination(rng, dim_k)
                 Y = random_combination(rng, codim_k)
-                outcomes = []
-                for route in (pair_classes, dense_pair_classes):
-                    try:
-                        outcomes.append(route(X, Y))
-                    except UnsupportedFamilyPair as exc:
-                        outcomes.append(str(exc))
-                assert outcomes[0] == outcomes[1], (str(X), str(Y))
+                assert pair_classes(X, Y) == dense_pair_classes(X, Y), (str(X), str(Y))
 
 
-def test_pair_classes_refuses_unsupported_families_without_complementary_indices():
+def test_pair_classes_answers_a_second_factor_of_any_family():
     B11 = GradedClass.from_symbol(S("B", 1, 1, 2))
     AP02 = GradedClass.from_symbol(S("A'", 0, 2, 2))
-    with pytest.raises(UnsupportedFamilyPair):
-        pair_classes(B11, AP02)
-    # The second factor's families are checked before its grading:
+    assert pair_classes(B11, AP02) == 0 and pair_classes(B11, B11) == -8
+    # An A' second factor meets the checks an MS one does, in the same order:
     # B_{0,0} . A'_{n-1,n} has codimensions 2n + 1, and A'_{n-1,n} + C_{n,n}
     # is not homogeneous either.
     for n in (2, 3, 5):
         B00 = GradedClass.from_symbol(S("B", 0, 0, n))
         AP = S("A'", n - 1, n, n)
-        for Y in (GradedClass.from_symbol(AP), cls((1, AP), (1, S("C", n, n, n)))):
-            with pytest.raises(UnsupportedFamilyPair, match=r"^no intersection rule for B \. A'$"):
-                pair_classes(B00, Y)
+        with pytest.raises(NotComplementary, match=rf"^codim {2 * n} \+ codim 1 != {2 * n}$"):
+            pair_classes(B00, GradedClass.from_symbol(AP))
+        with pytest.raises(NotHomogeneous):
+            pair_classes(B00, cls((1, AP), (1, S("C", n, n, n))))
+        # A'_{0,n} = A_{0,n} in MS coordinates, and A_{0,n} . A_{0,n} = 1
+        A0n, AP0n = (GradedClass.from_symbol(S(f, 0, n, n)) for f in ("A", "A'"))
+        assert pair_classes(A0n, AP0n) == pair_classes(AP0n, A0n) == 1
 
 
 def test_sparse_effectivity_pairings_matches_dense_oracle():
@@ -613,7 +670,6 @@ def test_every_pairing_routine_reaches_the_one_rule(monkeypatch):
         "effectivity_pairings": lambda: effectivity_pairings(X),
         "intersection_matrix ES rows": lambda: intersection_matrix(n, n, "ES", "MS"),
         "intersection_matrix MS rows": lambda: intersection_matrix(n, n, "MS", "MS"),
-        "dual_generator": lambda: dual_generator(S("B", 1, 1, n)),
     }
     for name, route in routes.items():
         calls.clear()

@@ -8,7 +8,6 @@ from hilb2 import (
     GradedClass,
     InvalidInput,
     MonomialSpec,
-    UnsupportedMonomial,
     bprime_top_power,
     enumerate_basis,
     eval_monomial,
@@ -237,8 +236,9 @@ def test_eval_monomial_examples():
     assert eval_monomial(MonomialSpec(4, 2, 1)) == cls(
         (2, S("B'", 1, 1, 4)), (2, S("B'", 0, 2, 4)), (-2, S("A", 0, 2, 4))
     )
-    with pytest.raises(UnsupportedMonomial):
-        eval_monomial(MonomialSpec(4, 0, 2))
+    # a = 0: the C power shifts the fundamental class C_{4,4}
+    assert eval_monomial(MonomialSpec(4, 0, 2)) == GradedClass.from_symbol(S("C", 2, 2, 4))
+    assert eval_monomial(MonomialSpec(4, 0, 4)) == GradedClass(4)
 
 
 def test_monomial_spec_validation():
@@ -324,6 +324,19 @@ def test_eval_monomial_equals_iterated_c_products():
             for b in range(0, n - a + 1):
                 assert eval_monomial(MonomialSpec(n, a, b)) == X, (n, a, b)
                 X = mul_c_top(X)
+
+
+def test_a_pure_c_power_shifts_the_fundamental_class():
+    # C_{n-1,n-1}^b is C_{n-b,n-b}, and zero at b = n; the iterated product agrees
+    checked = 0
+    for n in range(1, 12):
+        X = GradedClass.from_symbol(S("C", n, n, n))
+        for b in range(n + 1):
+            want = GradedClass(n) if b == n else GradedClass.from_symbol(S("C", n - b, n - b, n))
+            assert eval_monomial(MonomialSpec(n, 0, b)) == want == X, (n, b)
+            X = mul_c_top(X)
+            checked += 1
+    assert checked == 77
 
 
 # Exact core: plain integers inside the rules, Fractions at the surface.

@@ -31,7 +31,6 @@ from hilb2 import (
     bprime_top_power,
     chern_taut,
     chow_rank,
-    dual_generator,
     effectivity_pairings,
     emit_class,
     enumerate_basis,
@@ -271,7 +270,7 @@ _CLASS_FIELDS = (2, tuple(_POINT.items()))
 TYPED_CALLS = {
     **dict.fromkeys((is_nef, is_effective, effectivity_pairings, mul_bprime_top, mul_c_top,
                      emit_class), _CLASS_FIELDS),
-    **dict.fromkeys((to_ms, dual_generator), (Family.B, 1, 1, 2)),
+    to_ms: (Family.B, 1, 1, 2),
     bb_cell_of: (IdealKind.J, 0, 1, 2),
     eval_monomial: (4, 1, 1),
     **dict.fromkeys((secant_degree_mu_closed, secant_degree_mu_intersection), (4, (2, 2, 2))),
